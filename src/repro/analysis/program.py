@@ -13,7 +13,7 @@ whole source tree:
   and light attribute-type inference from ``self.x = ClassName(...)``
   assignments;
 - a **function table** keyed by qualified name
-  (``repro.net.shard.ShardedNetwork._start_hop``) carrying per-function
+  (``repro.net.shard.ShardedNetwork._forward``) carrying per-function
   syntactic facts (reads wall clock, draws global RNG, builds an
   unordered-derived return, stages handoffs, ...) and resolved call
   edges.

@@ -45,9 +45,9 @@ class FaultInjector:
         self.sim: Simulator = network.sim
         self.log: list[FaultEvent] = []
         self._rng = self.sim.rng.stream("faults")
-        # The fused fast path skips per-hop fault checks; any injector
-        # activity (even merely *scheduled*) routes traffic back to the
-        # exact per-hop pipeline from that point on.
+        # The batched route checks a whole window once per hop, not
+        # each packet in flight; an injector's mere existence makes
+        # batches fall back to scalar transmits, whose checks are exact.
         network.arm_faults()
 
     # -- immediate ---------------------------------------------------------

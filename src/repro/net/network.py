@@ -7,27 +7,32 @@ store-and-forward timing, per-link FIFO serialization, probabilistic
 loss, and fault checks at every hop — so a link or switch that dies
 mid-flight drops exactly the traffic that was transiting it.
 
-Forwarding runs on three routes, fastest first:
+Forwarding runs on two routes:
 
+- the **scalar route** (:meth:`Network.transmit`): a packet walks its
+  cached per-topology-version :class:`_Route` one hop per kernel
+  callback.  Each hop checks the link and the forwarding device,
+  reserves the serializer *when the packet gets there*, draws loss, and
+  re-checks link and receiver on arrival — so faults land exactly on
+  the traffic in flight, and FIFO order at a shared link is the order
+  of arrival at that link, never the order of the original sends.  A
+  span context is a per-packet flag on this route, not a route of its
+  own;
 - the **batched route** (:meth:`Network.transmit_batch`): a whole
   :class:`~repro.net.batch.PacketBatch` window moves through each hop in
   one kernel callback — cumulative-sum serialization, one vectorized
-  loss draw per (link, direction, window), deferred metrics;
-- the **fused per-object route**: an untraced packet on a fault-quiet
-  network walks its whole path at transmit time (eager FIFO
-  reservations, per-hop loss draws in reservation order) and schedules
-  a single delivery callback instead of one callback per hop;
-- the **per-object per-hop route**: packets carrying a span context,
-  traffic on a fault-armed network (any :class:`~repro.net.faults.
-  FaultInjector` activity), and every hop of a sharded replica take the
-  original one-callback-per-hop pipeline, which preserves exact
-  in-flight fault semantics and the sharded handoff protocol.
+  loss draw per (link, direction, window), deferred metrics.
+
+One fallback rule joins them: on a fault-armed network (any
+:class:`~repro.net.faults.FaultInjector` constructed, or a sharded
+replica, which arms itself) the rows of a batch become scalar
+transmits.
 
 Loss draws always come from a per-(link, direction) stream
 (:class:`~repro.net.batch.LossStream`), consumed in serializer
-*reservation order* — an order all three routes agree on whenever their
+*reservation order* — an order both routes agree on whenever their
 reservations interleave identically — so drop decisions stay
-deterministic under a fixed seed no matter which routes traffic takes.
+deterministic under a fixed seed no matter which route traffic takes.
 """
 
 from __future__ import annotations
@@ -52,20 +57,23 @@ Attachable = Union[Nic, Switch]
 
 
 class _Route:
-    """A fully-resolved forwarding plan for one (src, dst, nic-pin) flow.
+    """A fully-resolved forwarding plan for one (src NIC, link path).
 
     ``hops[i]`` is ``(link, end, loss_stream, from_device, receiver)``
-    — everything the fused walk needs without per-hop lookups.  Routes
-    are cached per topology version; any fault or cabling change drops
-    the whole cache.
+    — everything a hop needs without per-hop lookups.  ``key`` names
+    the route by host name, NIC index and link ids, which is how a
+    sharded replica tells a peer which route an in-flight packet is on.
+    Routes are cached per topology version; any fault or cabling change
+    drops the whole cache.
     """
 
-    __slots__ = ("src_nic", "dst_nic", "hops")
+    __slots__ = ("src_nic", "dst_nic", "hops", "key")
 
-    def __init__(self, src_nic: Nic, dst_nic: Nic, hops: tuple):
+    def __init__(self, src_nic: Nic, hops: tuple):
         self.src_nic = src_nic
-        self.dst_nic = dst_nic
+        self.dst_nic = hops[-1][4] if hops else src_nic
         self.hops = hops
+        self.key = (src_nic.host.name, src_nic.ifindex, tuple(h[0].lid for h in hops))
 
 
 class Network:
@@ -80,11 +88,6 @@ class Network:
         overrides.  Defaults approximate the testbed's Myrinet fabric
         (50 µs per hop, ~1 Gb/s).
     """
-
-    #: Class switch for the fused/batched fast paths.  Sharded replicas
-    #: turn it off: their hop-by-hop pipeline is what keeps the event
-    #: schedule layout-invariant and stages cross-shard handoffs.
-    _fastpath = True
 
     def __init__(
         self,
@@ -124,11 +127,8 @@ class Network:
             "net.link.queue_wait", help="serializer queueing delay per hop"
         ).labels()
         # Per-(link, direction) loss streams, consumed in reservation
-        # order by every forwarding route.  Sharded replicas already
-        # worked this way (the single shared stream would be drawn in
-        # shard-local order); the plain network now matches, which is
-        # what lets the fused walk draw a packet's whole path at
-        # transmit time without perturbing other flows' decisions.
+        # order by both forwarding routes (one shared stream would be
+        # drawn in shard-local order on a sharded replica).
         self._dir_loss_streams: dict = {}
         # Bound-series caches for the per-packet hot path: series are
         # still created lazily (snapshots list exactly the series that
@@ -137,13 +137,12 @@ class Network:
         self._link_io: dict[int, tuple] = {}
         self._link_drop_series: dict[int, object] = {}
         self._drop_reason_series: dict[str, object] = {}
-        # Route cache for the fused/batched paths, invalidated wholesale
-        # whenever the topology version moves.
+        # Route cache, invalidated wholesale whenever the topology
+        # version moves.
         self._route_cache: dict = {}
         self._route_version = -1
-        #: Sticky flag set by FaultInjector activity (see ``arm_faults``):
-        #: once armed, per-object traffic takes the per-hop route whose
-        #: in-flight fault checks the golden tests pin.
+        #: Sticky flag (see ``arm_faults``): once armed, batched windows
+        #: fall back to scalar transmits.
         self._fault_armed = False
         # Deferred hot-path accumulators, pushed into registry series by
         # the flush hook below (same pattern as the kernel's counters).
@@ -155,11 +154,6 @@ class Network:
         self._qw_sum = 0.0
         self._qw_min: Optional[float] = None
         self._qw_max: Optional[float] = None
-        # Fused-path waits park here and fold into the accumulators at
-        # flush: zeros in bulk (adding 0.0 is an exact identity for the
-        # sum), non-zero values replayed in observation order.
-        self._qw_zeros = 0
-        self._qw_vals: list[float] = []
         self._pending_traces = {"deliver": 0, "drop": 0}
         #: Free-list recycler behind per-object materialization of
         #: batched survivors (see ``PacketBatch.materialize``).
@@ -262,9 +256,10 @@ class Network:
 
     def arm_faults(self) -> None:
         """Called by :class:`~repro.net.faults.FaultInjector` before any
-        fault activity.  Sticky: from here on, per-object traffic takes
-        the per-hop route so in-flight fault semantics are exact, and
-        in-flight fused packets revalidate their path on arrival."""
+        fault activity (and by a sharded replica on itself).  Sticky:
+        from here on every batched window falls back to scalar
+        transmits, whose per-hop checks make in-flight fault semantics
+        exact."""
         self._fault_armed = True
 
     def nic(self, addr: NicAddr) -> Nic:
@@ -330,23 +325,10 @@ class Network:
     def _flush_net_metrics(self) -> None:
         """Registry flush hook: push deferred accumulators into series.
 
-        Idempotent between accumulations.  The per-hop sharded pipeline
-        updates its (exact-sum) series eagerly; for it every assignment
-        below re-writes the value the series already holds.
+        Idempotent between accumulations.  A sharded replica observes
+        queue waits straight into its exact-sum histogram, so its
+        ``_qw_n`` stays 0 and the histogram block is skipped.
         """
-        if self._qw_vals or self._qw_zeros:
-            for w in self._qw_vals:
-                self._observe_wait(w)
-            self._qw_vals.clear()
-            z = self._qw_zeros
-            if z:
-                self._qw_zeros = 0
-                self._qw_counts[0] += z
-                self._qw_n += z
-                if self._qw_min is None or self._qw_min > 0.0:
-                    self._qw_min = 0.0
-                if self._qw_max is None:
-                    self._qw_max = 0.0
         if self._qw_n:
             h = self._m_queue_wait
             h.bucket_counts = list(self._qw_counts)
@@ -413,148 +395,10 @@ class Network:
 
     def transmit(self, pkt: Packet) -> None:
         """Inject ``pkt``; it is forwarded (or dropped) asynchronously."""
-        if pkt.ctx is not None or self._fault_armed or not self._fastpath:
-            return self._transmit_slow(pkt)
-        route = self._fast_route(
-            pkt.src.node,
-            pkt.dst.node,
-            pkt.src_nic,
-            pkt.dst_nic,
-        )
-        if type(route) is str:  # resolution failed: cached drop reason
-            self.stats.add(f"dropped_{route}")
-            return
+        route = self._route_for(pkt.src.node, pkt.dst.node, pkt.src_nic, pkt.dst_nic)
         sim = self.sim
-        pkt.send_time = t = sim.now
-        self._sums["packets_sent"] += 1.0
-        hops = route.hops
-        if not hops:  # same NIC (loopback)
-            sim.call_in(0.0, self._deliver, pkt, route.dst_nic)
-            return
-        wb = pkt.size_bytes + HEADER_BYTES
-        hop_idx = 0
-        for link, end, stream, _from_dev, _receiver in hops:
-            ser = wb * 8.0 / link.bandwidth_bps
-            bu = end.busy_until
-            start = t if t >= bu else bu
-            finish = start + ser
-            end.busy_until = finish
-            end.bytes_carried += wb
-            end.packets_carried += 1
-            if start > t:
-                self._qw_vals.append(start - t)
-            else:
-                self._qw_zeros += 1
-            lr = link.loss_rate
-            if lr > 0.0 and stream.one() < lr:
-                link.drops += 1
-                # Per-hop pipeline would have run one arrival callback
-                # per hop already crossed.
-                sim.credit_events(hop_idx)
-                self._drop(pkt, "link_loss")
-                return
-            t = finish + link.latency_s
-            hop_idx += 1
-        sim.call_at(t, self._finish_fast, pkt, route, self._topo_version)
-
-    def _finish_fast(self, pkt: Packet, route: _Route, version: int) -> None:
-        """Single delivery callback for a fused transmit walk."""
-        sim = self.sim
-        n_hops = len(route.hops)
-        sim.credit_events(n_hops - 1)  # elided per-hop arrival callbacks
-        if version != self._topo_version:
-            # Faults (or cabling) moved while we were in flight: apply
-            # the same checks the per-hop pipeline would have made.
-            for link, _end, _stream, from_dev, receiver in route.hops:
-                if not link.up or not from_dev.usable:
-                    self._drop(pkt, "link_died_in_flight")
-                    return
-                if not receiver.usable:
-                    self._drop(pkt, "device_died_in_flight")
-                    return
-        pkt.hops += n_hops
-        nic = route.dst_nic
-        if not (nic.up and nic.host.up):
-            self._drop(pkt, "dst_down")
-            return
-        self._sums["packets_delivered"] += 1.0
-        if self._trace_counts_eager():
-            self.tracer.record(sim.now, "deliver", pkt.__str__)
-        else:
-            self._pending_traces["deliver"] += 1
-        nic.host.deliver(pkt)
-
-    def _fast_route(self, src_node: str, dst_node: str, src_nic, dst_nic):
-        """Cached :class:`_Route` (or a drop-reason string) for a flow."""
-        if self._route_version != self._topo_version:
-            self._route_cache.clear()
-            self._route_version = self._topo_version
-        key = (
-            src_node,
-            dst_node,
-            -1 if src_nic is None else src_nic.ifindex,
-            -1 if dst_nic is None else dst_nic.ifindex,
-        )
-        route = self._route_cache.get(key)
-        if route is None:
-            route = self._build_route(src_node, dst_node, src_nic, dst_nic)
-            self._route_cache[key] = route
-        return route
-
-    def _build_route(self, src_node: str, dst_node: str, src_nic, dst_nic):
-        src_host = self.hosts.get(src_node)
-        dst_host = self.hosts.get(dst_node)
-        if src_host is None or dst_host is None:
-            raise ValueError(f"unknown endpoint {src_node!r} -> {dst_node!r}")
-        if not src_host.up:
-            return "src_down"
-        resolved = self._resolve_path(src_host, dst_host, src_nic, dst_nic)
-        if type(resolved) is str:
-            return resolved
-        nic_src, nic_dst, path = resolved
-        hops = []
-        dev: Device = nic_src
-        for link in path:
-            end = link.end_from(dev)
-            # Lossless links never consume (or even create) a stream —
-            # the loss_rate == 0 short-circuit the tests pin.
-            stream = self._dir_loss(link, dev) if link.loss_rate > 0.0 else None
-            receiver = link.other(dev)
-            hops.append((link, end, stream, dev, receiver))
-            dev = receiver
-        return _Route(nic_src, nic_dst, tuple(hops))
-
-    def _resolve_path(self, src_host: Host, dst_host: Host, src_nic, dst_nic):
-        """(src NIC, dst NIC, link path) or a drop-reason string."""
-        if src_nic is not None:
-            nic = src_host.nic(src_nic.ifindex)
-            candidates = [nic] if (nic.usable and nic.connected) else []
-        else:
-            candidates = src_host.usable_nics()
-        if not candidates:
-            return "no_src_nic"
-        for cand in candidates:
-            if dst_nic is not None:
-                nic = dst_host.nic(dst_nic.ifindex)
-                path = self.router.path(cand, nic)
-                if path is not None:
-                    return cand, nic, path
-            else:
-                for nic in dst_host.usable_nics():
-                    path = self.router.path(cand, nic)
-                    if path is not None:
-                        return cand, nic, path
-        return "unreachable"
-
-    def _transmit_slow(self, pkt: Packet) -> None:
-        """The original per-hop pipeline (traced packets, armed faults,
-        sharded replicas)."""
-        src_host = self.hosts.get(pkt.src.node)
-        dst_host = self.hosts.get(pkt.dst.node)
-        if src_host is None or dst_host is None:
-            raise ValueError(f"unknown endpoint in {pkt}")
         if pkt.ctx is not None:
-            span_tracer = self.sim.obs.tracer
+            span_tracer = sim.obs.tracer
             if span_tracer is not None:
                 pkt.span = span_tracer.start(
                     "net.packet",
@@ -564,67 +408,128 @@ class Network:
                     dst=pkt.dst.node,
                     size=pkt.size_bytes,
                 )
-        if not src_host.up:
-            self.stats.add("dropped_src_down")
-            self._end_pkt_span(pkt, "error", reason="src_down")
+        if type(route) is str:  # resolution failed: cached drop reason
+            self.stats.add(f"dropped_{route}")
+            self._end_pkt_span(pkt, "error", reason=route)
             return
-        pkt.send_time = self.sim.now
-        resolved = self._resolve_path(src_host, dst_host, pkt.src_nic, pkt.dst_nic)
-        if type(resolved) is str:
-            self.stats.add(f"dropped_{resolved}")
-            self._end_pkt_span(pkt, "error", reason=resolved)
-            return
-        src_nic, dst_nic, path = resolved
-        self.stats.add("packets_sent")
-        if not path:  # same NIC (loopback)
-            self.sim.call_in(0.0, self._deliver, pkt, dst_nic)
-            return
-        self._start_hop(pkt, src_nic, path, 0)
+        pkt.send_time = sim.now
+        self._sums["packets_sent"] += 1.0
+        if route.hops:
+            self._hop(pkt, route, 0)
+        else:  # same NIC (loopback)
+            sim.call_in(0.0, self._deliver, pkt, route.dst_nic)
 
-    def _start_hop(self, pkt: Packet, from_device: Device, path: list[Link], idx: int) -> None:
-        link = path[idx]
+    def _route_for(self, src_node: str, dst_node: str, src_nic, dst_nic):
+        """Cached :class:`_Route` (or a drop-reason string) for a flow."""
+        key = (
+            src_node,
+            dst_node,
+            -1 if src_nic is None else src_nic.ifindex,
+            -1 if dst_nic is None else dst_nic.ifindex,
+        )
+        cache = self._routes()
+        route = cache.get(key)
+        if route is None:
+            route = cache[key] = self._build_route(src_node, dst_node, src_nic, dst_nic)
+        return route
+
+    def _routes(self) -> dict:
+        """The route cache, emptied if the topology version has moved."""
+        if self._route_version != self._topo_version:
+            self._route_cache.clear()
+            self._route_version = self._topo_version
+        return self._route_cache
+
+    def _build_route(self, src_node: str, dst_node: str, src_nic, dst_nic):
+        src_host = self.hosts.get(src_node)
+        dst_host = self.hosts.get(dst_node)
+        if src_host is None or dst_host is None:
+            raise ValueError(f"unknown endpoint {src_node!r} -> {dst_node!r}")
+        if not src_host.up:
+            return "src_down"
+        if src_nic is not None:
+            nic = src_host.nic(src_nic.ifindex)
+            candidates = [nic] if (nic.usable and nic.connected) else []
+        else:
+            candidates = src_host.usable_nics()
+        if not candidates:
+            return "no_src_nic"
+        if dst_nic is not None:
+            targets = [dst_host.nic(dst_nic.ifindex)]
+        else:
+            targets = dst_host.usable_nics()
+        for cand in candidates:
+            for nic in targets:
+                path = self.router.path(cand, nic)
+                if path is not None:
+                    return self._route_over(cand, path)
+        return "unreachable"
+
+    def _route_over(self, src_nic: Nic, path: list[Link]) -> _Route:
+        """The :class:`_Route` leaving ``src_nic`` along ``path``."""
+        hops = []
+        dev: Device = src_nic
+        for link in path:
+            # Lossless links never consume (or even create) a stream —
+            # the loss_rate == 0 short-circuit the tests pin.
+            stream = self._dir_loss(link, dev) if link.loss_rate > 0.0 else None
+            receiver = link.other(dev)
+            hops.append((link, link.end_from(dev), stream, dev, receiver))
+            dev = receiver
+        return _Route(src_nic, tuple(hops))
+
+    def _hop(self, pkt: Packet, route: _Route, idx: int) -> None:
+        """One step of the scalar route: land hop ``idx - 1`` (if any),
+        then clock ``pkt`` onto hop ``idx`` or deliver it."""
+        hops = route.hops
+        if idx:
+            link, _end, _stream, _from_device, device = hops[idx - 1]
+            if not link.up:
+                self._drop(pkt, "link_died_in_flight")
+                return
+            if not device.usable:
+                self._drop(pkt, "device_died_in_flight")
+                return
+            pkt.hops += 1
+            if idx == len(hops):
+                self._deliver(pkt, device)
+                return
+        link, end, stream, from_device, _receiver = hops[idx]
         if not link.up or not from_device.usable:
             self._drop(pkt, "element_down")
             return
-        end = link.end_from(from_device)
-        ser_delay = link.serialization_delay(pkt.wire_bytes)
+        # Link.serialization_delay and LinkEnd.reserve, inlined: this
+        # runs once per packet per hop.
+        wire_bytes = pkt.size_bytes + HEADER_BYTES
+        ser_delay = wire_bytes * 8.0 / link.bandwidth_bps
         now = self.sim.now
-        finish = end.reserve(now, ser_delay)
-        end.bytes_carried += pkt.wire_bytes
+        busy_until = end.busy_until
+        end.busy_until = finish = (now if now >= busy_until else busy_until) + ser_delay
+        end.bytes_carried += wire_bytes
         end.packets_carried += 1
-        self._observe_wait(max(0.0, finish - ser_delay - now))
-        if link.loss_rate > 0.0 and self._dir_loss(link, from_device).one() < link.loss_rate:
+        wait = finish - ser_delay - now
+        self._observe_wait(wait if wait > 0.0 else 0.0)
+        loss_rate = link.loss_rate
+        if loss_rate > 0.0 and stream.one() < loss_rate:
             link.drops += 1
             self._drop(pkt, "link_loss")
             return
-        arrival = finish + link.latency_s
-        receiver = link.other(from_device)
-        self.sim.call_at(arrival, self._arrive_hop, pkt, link, receiver, path, idx)
+        self._forward(pkt, route, idx, finish + link.latency_s)
 
-    def _arrive_hop(
-        self, pkt: Packet, link: Link, device: Device, path: list[Link], idx: int
-    ) -> None:
-        if not link.up:
-            self._drop(pkt, "link_died_in_flight")
-            return
-        if not device.usable:
-            self._drop(pkt, "device_died_in_flight")
-            return
-        pkt.hops += 1
-        if idx + 1 < len(path):
-            self._start_hop(pkt, device, path, idx + 1)
-        else:
-            if not isinstance(device, Nic):
-                self._drop(pkt, "path_ends_off_host")
-                return
-            self._deliver(pkt, device)
+    def _forward(self, pkt: Packet, route: _Route, idx: int, arrival: float) -> None:
+        """Carry ``pkt`` to the far end of hop ``idx`` by ``arrival``
+        (the one step a sharded replica does differently)."""
+        self.sim.call_at(arrival, self._hop, pkt, route, idx + 1)
 
     def _deliver(self, pkt: Packet, nic: Nic) -> None:
-        if not nic.usable:
+        if not (nic.up and nic.host.up):
             self._drop(pkt, "dst_down")
             return
-        self.stats.add("packets_delivered")
-        self.tracer.record(self.sim.now, "deliver", pkt.__str__)
+        self._sums["packets_delivered"] += 1.0
+        if self._trace_counts_eager():
+            self.tracer.record(self.sim.now, "deliver", pkt.__str__)
+        else:
+            self._pending_traces["deliver"] += 1
         span = pkt.span
         if span is None:
             nic.host.deliver(pkt)
@@ -638,15 +543,21 @@ class Network:
             nic.host.deliver(pkt)
 
     def _drop(self, pkt: Packet, reason: str) -> None:
-        self.stats.add("packets_dropped")
-        self.stats.add(f"drop_{reason}")
+        self._count_drops(reason, 1.0)
+        if self._trace_counts_eager():
+            self.tracer.record(self.sim.now, "drop", lambda: f"{pkt} ({reason})")
+        else:
+            self._pending_traces["drop"] += 1
+        self._end_pkt_span(pkt, "error", reason=reason)
+
+    def _count_drops(self, reason: str, k: float) -> None:
+        self._sums["packets_dropped"] += k
+        self._sums[f"drop_{reason}"] += k
         series = self._drop_reason_series.get(reason)
         if series is None:
             series = self._m_drop_reason.labels(reason=reason)
             self._drop_reason_series[reason] = series
-        series.inc()
-        self.tracer.record(self.sim.now, "drop", lambda: f"{pkt} ({reason})")
-        self._end_pkt_span(pkt, "error", reason=reason)
+        series.inc(k)
 
     def _end_pkt_span(self, pkt: Packet, status: str, **attrs) -> None:
         span = pkt.span
@@ -664,15 +575,15 @@ class Network:
         (link, direction, window) consuming the identical stream order
         as per-packet draws, per-packet arrival times kept in the
         ``arrival`` column.  Delivery fires once at the window's last
-        arrival.  A fault-armed network (or a sharded replica, via
-        override) falls back to per-object transmits.
+        arrival.  A fault-armed network (which every sharded replica
+        is) falls back to scalar transmits.
         """
         if batch.src.node not in self.hosts or batch.dst.node not in self.hosts:
             raise ValueError(f"unknown endpoint {batch.src} -> {batch.dst}")
-        if not self._fastpath or self._fault_armed:
+        if self._fault_armed:
             self._transmit_batch_fallback(batch)
             return
-        route = self._fast_route(batch.src.node, batch.dst.node, batch.src_nic, batch.dst_nic)
+        route = self._route_for(batch.src.node, batch.dst.node, batch.src_nic, batch.dst_nic)
         n = len(batch)
         if type(route) is str:
             batch.alive[:] = False
@@ -724,7 +635,10 @@ class Network:
                     return
         arrivals = finish + link.latency_s
         batch.arrival[idxs] = arrivals
-        t_next = float(arrivals[-1])
+        # Survivors of a lost tail may all have landed before this
+        # callback's own time; the window still moves on no earlier
+        # than now.
+        t_next = max(float(arrivals[-1]), sim.now)
         if idx + 1 < len(route.hops):
             sim.call_at(t_next, self._hop_batch, batch, route, idx + 1, batch.arrival)
         else:
@@ -735,13 +649,7 @@ class Network:
         batch.alive[idxs] = False
         if link is not None:
             link.drops += k
-        self._sums["packets_dropped"] += float(k)
-        self._sums[f"drop_{reason}"] += float(k)
-        series = self._drop_reason_series.get(reason)
-        if series is None:
-            series = self._m_drop_reason.labels(reason=reason)
-            self._drop_reason_series[reason] = series
-        series.inc(float(k))
+        self._count_drops(reason, float(k))
         if self._trace_counts_eager():
             now = self.sim.now
             for i in idxs:
@@ -788,11 +696,11 @@ class Network:
         nic.host.deliver_batch(batch, idxs, self.pool)
 
     def _transmit_batch_fallback(self, batch: PacketBatch) -> None:
-        """Per-object fallback: each row becomes an ordinary transmit.
+        """The fallback rule: each row becomes a scalar transmit.
 
-        Used on fault-armed networks and (via the sharded override) for
-        every batch on a sharded replica — exact per-packet semantics,
-        including in-flight fault checks and cross-shard handoffs.
+        Used on fault-armed networks, sharded replicas included — exact
+        per-packet semantics, including in-flight fault checks and
+        cross-shard handoffs.
         """
         batch.send_time[:] = self.sim.now
         for i in range(len(batch)):

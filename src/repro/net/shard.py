@@ -22,135 +22,68 @@ and routing state agree across shards at all times.
 from __future__ import annotations
 
 import pickle
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Optional
+from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
 from ..sim.shard import Handoff, ShardKernel, host_origin, packet_origin
 from .device import Device
 from .link import Link
-from .network import Network
+from .network import Network, _Route
 from .nic import Nic
 from .node import Host
 from .packet import Packet
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .address import Endpoint, NicAddr
-
 __all__ = ["ShardedNetwork"]
 
 
-@dataclass(frozen=True)
-class _WirePacket:
-    """A hop arrival flattened for cross-shard transfer.
-
-    Devices and links are named by replica-stable identities (link ids
-    are list indices; NICs by ``(host, ifindex)``); the live span, if
-    any, travels as its id and is re-attached from the shared open-span
-    table on the receiving side (serial executor only — the
-    multiprocessing executor refuses tracers).
-    """
-
-    src: "Endpoint"
-    dst: "Endpoint"
-    payload: Any
-    size_bytes: int
-    src_nic: Optional["NicAddr"]
-    dst_nic: Optional["NicAddr"]
-    pid: tuple
-    send_time: Optional[float]
-    hops: int
-    ctx: Any
-    span_id: Optional[int]
-    link_lid: int
-    receiver: tuple  # ("nic", host, ifindex) | ("sw", name)
-    path_lids: tuple
-    idx: int
-    arrival: float
-    hop_start: float
-
-
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class _WireBatch:
     """One window's crossing packets to one destination shard, columnar.
 
     The struct-of-arrays layout mirrors :class:`repro.net.batch.
-    PacketBatch`: numeric per-packet fields are parallel numpy columns
-    (one array per field instead of one ``_WirePacket`` per packet), so
-    a whole window serializes as a single pickle with a handful of
-    array buffers, not N object graphs.  Fields that are inherently
-    objects (payloads, endpoints, receiver identities) stay as parallel
-    lists — opaque to the wire format, exactly as ``PacketBatch``
-    carries payloads.
+    PacketBatch`: one column per field, one row per packet.  Crossing
+    hops append straight into the columns while the window runs; the
+    barrier flush turns the numeric ones into numpy arrays, so a whole
+    window serializes as a single pickle with a handful of array
+    buffers, not N object graphs.  Fields that are inherently objects
+    (payloads, endpoints, route keys) stay as lists — opaque to the
+    wire format, exactly as ``PacketBatch`` carries payloads.
 
-    ``send_time`` uses NaN for ``None`` (simulation timestamps are
-    always finite, so the encoding is unambiguous); ``span_id`` rides
-    in the object lane because it is optional and only meaningful under
-    the serial executor's shared open-span tables.
+    Devices and links are named by replica-stable identities (a route
+    key is host name, NIC index and link ids; link ids are list
+    indices).  ``send_time`` uses NaN for ``None`` (simulation
+    timestamps are always finite, so the encoding is unambiguous); the
+    live span, if any, travels as its id in the object lane and is
+    re-attached from the shared open-span table on the receiving side
+    (serial executor only — the multiprocessing executor refuses
+    tracers).
     """
 
-    arrival: np.ndarray  # f8 — per-packet hop arrival time
-    hop_start: np.ndarray  # f8 — hop start (= the keyed sched_time)
-    send_time: np.ndarray  # f8, NaN encodes None
-    idx: np.ndarray  # i8 — hop index into the path (the key seq)
-    link_lid: np.ndarray  # i8 — replica-stable link id of this hop
-    size_bytes: np.ndarray  # i8
-    hops: np.ndarray  # i8 — hop count already accumulated
-    pid_host: np.ndarray  # i8 — packet id = (host index, per-host seq)
-    pid_seq: np.ndarray  # i8
-    src: list
-    dst: list
-    payload: list
-    src_nic: list
-    dst_nic: list
-    ctx: list
-    span_id: list
-    receiver: list  # ("nic", host, ifindex) | ("sw", name)
-    path_lids: list
+    arrival: Any = field(default_factory=list)  # f8 — per-packet hop arrival time
+    hop_start: Any = field(default_factory=list)  # f8 — hop start (= the keyed sched_time)
+    send_time: Any = field(default_factory=list)  # f8, NaN encodes None
+    idx: Any = field(default_factory=list)  # i8 — hop index into the route (the key seq)
+    size_bytes: Any = field(default_factory=list)  # i8
+    hops: Any = field(default_factory=list)  # i8 — hop count already accumulated
+    pid_host: Any = field(default_factory=list)  # i8 — packet id = (host index, per-host seq)
+    pid_seq: Any = field(default_factory=list)  # i8
+    src: list = field(default_factory=list)
+    dst: list = field(default_factory=list)
+    payload: list = field(default_factory=list)
+    src_nic: list = field(default_factory=list)
+    dst_nic: list = field(default_factory=list)
+    ctx: list = field(default_factory=list)
+    span_id: list = field(default_factory=list)
+    route_key: list = field(default_factory=list)  # _Route.key of the path in flight
 
-
-def _pack_wire_batch(wires: list) -> _WireBatch:
-    """Flatten staged :class:`_WirePacket` rows into one columnar blob."""
-    n = len(wires)
-    arrival = np.empty(n, dtype=np.float64)
-    hop_start = np.empty(n, dtype=np.float64)
-    send_time = np.empty(n, dtype=np.float64)
-    idx = np.empty(n, dtype=np.int64)
-    link_lid = np.empty(n, dtype=np.int64)
-    size_bytes = np.empty(n, dtype=np.int64)
-    hops = np.empty(n, dtype=np.int64)
-    pid_host = np.empty(n, dtype=np.int64)
-    pid_seq = np.empty(n, dtype=np.int64)
-    for i, w in enumerate(wires):
-        arrival[i] = w.arrival
-        hop_start[i] = w.hop_start
-        send_time[i] = np.nan if w.send_time is None else w.send_time
-        idx[i] = w.idx
-        link_lid[i] = w.link_lid
-        size_bytes[i] = w.size_bytes
-        hops[i] = w.hops
-        pid_host[i], pid_seq[i] = w.pid
-    return _WireBatch(
-        arrival=arrival,
-        hop_start=hop_start,
-        send_time=send_time,
-        idx=idx,
-        link_lid=link_lid,
-        size_bytes=size_bytes,
-        hops=hops,
-        pid_host=pid_host,
-        pid_seq=pid_seq,
-        src=[w.src for w in wires],
-        dst=[w.dst for w in wires],
-        payload=[w.payload for w in wires],
-        src_nic=[w.src_nic for w in wires],
-        dst_nic=[w.dst_nic for w in wires],
-        ctx=[w.ctx for w in wires],
-        span_id=[w.span_id for w in wires],
-        receiver=[w.receiver for w in wires],
-        path_lids=[w.path_lids for w in wires],
-    )
+    def freeze(self) -> None:
+        """Turn the numeric columns into numpy arrays for the wire."""
+        for name in ("arrival", "hop_start", "send_time"):
+            setattr(self, name, np.array(getattr(self, name), dtype=np.float64))
+        for name in ("idx", "size_bytes", "hops", "pid_host", "pid_seq"):
+            setattr(self, name, np.array(getattr(self, name), dtype=np.int64))
 
 
 class ShardedNetwork(Network):
@@ -184,13 +117,12 @@ class ShardedNetwork(Network):
         #: crossing packets accumulated during the current window,
         #: keyed by destination shard; one columnar Handoff per dest is
         #: emitted at the barrier by :meth:`_flush_staged`.
-        self._staged_wire: dict[int, list] = {}
+        self._staged_wire: dict[int, _WireBatch] = {}
         kernel.outbox_flushers.append(self._flush_staged)
-
-    #: The fused/batched fast paths are off on sharded replicas: the
-    #: per-hop pipeline is what stages cross-shard handoffs and keeps
-    #: the keyed event schedule layout-invariant.
-    _fastpath = False
+        # Batched windows become scalar transmits here: the per-hop
+        # route is what stages cross-shard handoffs and keeps the keyed
+        # event schedule layout-invariant.
+        self.arm_faults()
 
     # -- replica-stable identities --------------------------------------
 
@@ -226,84 +158,53 @@ class ShardedNetwork(Network):
 
     # -- forwarding ------------------------------------------------------
 
-    def _start_hop(self, pkt: Packet, from_device: Device, path: list, idx: int) -> None:
-        link = path[idx]
-        if not link.up or not from_device.usable:
-            self._drop(pkt, "element_down")
-            return
-        end = link.end_from(from_device)
-        ser_delay = link.serialization_delay(pkt.wire_bytes)
+    def _observe_wait(self, delay: float) -> None:
+        # Straight into the exact-sum histogram: its partials are what
+        # make the merged sum independent of the shard layout.
+        self._m_queue_wait.observe(delay)
+
+    def _forward(self, pkt: Packet, route: _Route, idx: int, arrival: float) -> None:
         now = self.sim.now
-        finish = end.reserve(now, ser_delay)
-        end.bytes_carried += pkt.wire_bytes
-        end.packets_carried += 1
-        io = self._link_io.get(link.lid)
-        if io is None:
-            io = self._bind_link_io(link)
-        io[0].inc(pkt.wire_bytes)
-        io[1].inc()
-        self._m_queue_wait.observe(max(0.0, finish - ser_delay - now))
-        if link.loss_rate > 0.0 and self._dir_loss(link, from_device).one() < link.loss_rate:
-            link.drops += 1
-            drops = self._link_drop_series.get(link.lid)
-            if drops is None:
-                drops = self._m_link_drops.labels(link=io[2])
-                self._link_drop_series[link.lid] = drops
-            drops.inc()
-            self._drop(pkt, "link_loss")
-            return
-        arrival = finish + link.latency_s
-        receiver = link.other(from_device)
-        origin = packet_origin(*pkt.pid)
-        dest = self._owner_of(receiver)
+        dest = self._owner_of(route.hops[idx][4])
         if dest == self.rank:
             self.sim.schedule_keyed(
                 arrival,
-                origin,
+                packet_origin(*pkt.pid),
                 idx,
-                self._arrive_hop,
+                self._hop,
                 pkt,
-                link,
-                receiver,
-                path,
-                idx,
+                route,
+                idx + 1,
                 sched_time=now,
             )
             return
-        if isinstance(receiver, Nic):
-            ident = ("nic", receiver.host.name, receiver.ifindex)
-        else:
-            ident = ("sw", receiver.name)
-        span = pkt.span
-        wire = _WirePacket(
-            src=pkt.src,
-            dst=pkt.dst,
-            payload=pkt.payload,
-            size_bytes=pkt.size_bytes,
-            src_nic=pkt.src_nic,
-            dst_nic=pkt.dst_nic,
-            pid=pkt.pid,
-            send_time=pkt.send_time,
-            hops=pkt.hops,
-            ctx=pkt.ctx,
-            span_id=None if span is None else span.span_id,
-            link_lid=link.lid,
-            receiver=ident,
-            path_lids=tuple(lk.lid for lk in path),
-            idx=idx,
-            arrival=arrival,
-            hop_start=now,
-        )
         hb = self.sim._hb
         if hb is not None:
-            # Per-packet stage hook at stage *time*, exactly as on the
-            # unbatched path: HB001/HB002 see every staged arrival even
-            # though the wire blob is built once per window at flush.
+            # Per-packet stage hook at stage *time*: HB001/HB002 see
+            # every staged arrival even though the wire blob is built
+            # once per window at flush.
             hb.on_stage(self.rank, dest, arrival)
-        staged = self._staged_wire.get(dest)
-        if staged is None:
-            staged = self._staged_wire[dest] = []
-        staged.append(wire)
+        wire = self._staged_wire.get(dest)
+        if wire is None:
+            wire = self._staged_wire[dest] = _WireBatch()
+        span = pkt.span
+        send_time = pkt.send_time
+        wire.arrival.append(arrival)
+        wire.hop_start.append(now)
+        wire.send_time.append(np.nan if send_time is None else send_time)
+        wire.idx.append(idx)
+        wire.size_bytes.append(pkt.size_bytes)
+        wire.hops.append(pkt.hops)
+        wire.pid_host.append(pkt.pid[0])
+        wire.pid_seq.append(pkt.pid[1])
+        wire.src.append(pkt.src)
+        wire.dst.append(pkt.dst)
+        wire.payload.append(pkt.payload)
+        wire.src_nic.append(pkt.src_nic)
+        wire.dst_nic.append(pkt.dst_nic)
+        wire.ctx.append(pkt.ctx)
+        wire.span_id.append(None if span is None else span.span_id)
+        wire.route_key.append(route.key)
 
     def _flush_staged(self) -> None:
         """Barrier-time flush: one columnar handoff per destination.
@@ -317,103 +218,58 @@ class ShardedNetwork(Network):
             return
         outbox = self.sim.outbox
         for dest in sorted(staged):
-            wires = staged[dest]
-            batch = _pack_wire_batch(wires)
-            outbox.append(
-                Handoff(dest, float(batch.arrival.min()), pickle.dumps(batch))
-            )
+            wire = staged[dest]
+            wire.freeze()
+            outbox.append(Handoff(dest, float(wire.arrival.min()), pickle.dumps(wire)))
         staged.clear()
 
-    def _inject_arrival(self, wire) -> None:
+    def _inject_arrival(self, wire: _WireBatch) -> None:
         """Barrier-time injection handler (``kernel.on_inject``).
 
-        Rebuilds in-flight packets against this replica's objects and
-        schedules each next-hop arrival with the key the sending shard
-        would have used locally (``sched_time`` = the hop's start time).
-        Accepts a single :class:`_WirePacket` or a columnar
-        :class:`_WireBatch` covering a whole window.
+        Rebuilds one columnar window of in-flight packets against this
+        replica's objects and schedules each next-hop arrival with the
+        key the sending shard would have used locally (``sched_time`` =
+        the hop's start time).
         """
-        if type(wire) is _WireBatch:
-            self._inject_batch(wire)
-            return
-        pkt = Packet(
-            src=wire.src,
-            dst=wire.dst,
-            payload=wire.payload,
-            size_bytes=wire.size_bytes,
-            src_nic=wire.src_nic,
-            dst_nic=wire.dst_nic,
-            pid=wire.pid,
-            send_time=wire.send_time,
-            hops=wire.hops,
-            ctx=wire.ctx,
-        )
-        if wire.span_id is not None:
-            tracer = self.sim.obs.tracer
-            if tracer is not None:
-                pkt.span = tracer._by_id.get(wire.span_id)
-        link = self.links[wire.link_lid]
-        path = [self.links[i] for i in wire.path_lids]
-        if wire.receiver[0] == "nic":
-            receiver: Device = self.hosts[wire.receiver[1]].nic(wire.receiver[2])
-        else:
-            receiver = self.switches[wire.receiver[1]]
-        self.sim.schedule_keyed(
-            wire.arrival,
-            packet_origin(*wire.pid),
-            wire.idx,
-            self._arrive_hop,
-            pkt,
-            link,
-            receiver,
-            path,
-            wire.idx,
-            sched_time=wire.hop_start,
-        )
-
-    def _inject_batch(self, batch: _WireBatch) -> None:
-        """Unpack one columnar window of arrivals into keyed events."""
-        links = self.links
-        hosts = self.hosts
-        switches = self.switches
+        routes = self._routes()
         tracer = self.sim.obs.tracer
         schedule_keyed = self.sim.schedule_keyed
-        arrive = self._arrive_hop
-        send_time = batch.send_time
-        for i in range(len(batch.payload)):
+        hop = self._hop
+        send_time = wire.send_time
+        for i in range(len(wire.payload)):
             st = send_time[i]
             pkt = Packet(
-                src=batch.src[i],
-                dst=batch.dst[i],
-                payload=batch.payload[i],
-                size_bytes=int(batch.size_bytes[i]),
-                src_nic=batch.src_nic[i],
-                dst_nic=batch.dst_nic[i],
-                pid=(int(batch.pid_host[i]), int(batch.pid_seq[i])),
+                src=wire.src[i],
+                dst=wire.dst[i],
+                payload=wire.payload[i],
+                size_bytes=int(wire.size_bytes[i]),
+                src_nic=wire.src_nic[i],
+                dst_nic=wire.dst_nic[i],
+                pid=(int(wire.pid_host[i]), int(wire.pid_seq[i])),
                 send_time=None if st != st else float(st),
-                hops=int(batch.hops[i]),
-                ctx=batch.ctx[i],
+                hops=int(wire.hops[i]),
+                ctx=wire.ctx[i],
             )
-            span_id = batch.span_id[i]
+            span_id = wire.span_id[i]
             if span_id is not None and tracer is not None:
                 pkt.span = tracer._by_id.get(span_id)
-            ident = batch.receiver[i]
-            if ident[0] == "nic":
-                receiver: Device = hosts[ident[1]].nic(ident[2])
-            else:
-                receiver = switches[ident[1]]
-            idx = int(batch.idx[i])
+            key = wire.route_key[i]
+            route = routes.get(key)
+            if route is None:
+                host, ifindex, lids = key
+                route = routes[key] = self._route_over(
+                    self.hosts[host].nic(ifindex), [self.links[lid] for lid in lids]
+                )
+            idx = int(wire.idx[i])
             schedule_keyed(
-                float(batch.arrival[i]),
+                float(wire.arrival[i]),
                 packet_origin(*pkt.pid),
                 idx,
-                arrive,
+                hop,
                 pkt,
-                links[int(batch.link_lid[i])],
-                receiver,
-                [links[lid] for lid in batch.path_lids[i]],
-                idx,
-                sched_time=float(batch.hop_start[i]),
+                route,
+                idx + 1,
+                sched_time=float(wire.hop_start[i]),
             )
 
     def _deliver(self, pkt: Packet, nic: Nic) -> None:

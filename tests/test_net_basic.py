@@ -77,6 +77,38 @@ def test_fifo_serialization_contention():
     assert arrivals[1] == ("p2", pytest.approx(0.3))
 
 
+@pytest.mark.parametrize("armed", [False, True])
+@pytest.mark.parametrize("traced", [False, True])
+def test_shared_link_fifo_is_by_arrival_not_by_send_time(armed, traced):
+    # far -- S1 -- S2 -- dst, near -- S2.  A 100 kB packet sent by `far` at
+    # t=0 needs 800 us per hop; a 1 kB packet sent by `near` at t=100 us
+    # reaches S2 long before it and must take the shared S2->dst link
+    # first -- whether or not an idle FaultInjector exists, traced or not.
+    sim = Simulator(seed=1)
+    net = Network(sim)
+    far, near, dst = (net.add_host(name) for name in ("far", "near", "dst"))
+    s1 = net.add_switch("S1")
+    s2 = net.add_switch("S2")
+    net.link(far.nic(0), s1)
+    net.link(s1, s2)
+    net.link(near.nic(0), s2)
+    net.link(s2, dst.nic(0))
+    if armed:
+        FaultInjector(net)
+    ctx = None
+    if traced:
+        ctx = sim.obs.install_tracer().start("test.root").ctx
+    got = []
+    dst.bind(7, lambda p: got.append((p.payload, round(sim.now * 1e6, 1))))
+    far.send(Endpoint("dst", 7), "far", size_bytes=100_000, ctx=ctx)
+    sim.call_in(
+        100e-6, lambda: near.send(Endpoint("dst", 7), "near", size_bytes=1_000, ctx=ctx)
+    )
+    sim.run(until=1.0)
+    assert got == [("near", 216.7), ("far", 2551.0)]
+    assert dict(net.stats.sums) == {"packets_sent": 2.0, "packets_delivered": 2.0}
+
+
 def test_unknown_endpoint_raises():
     sim, net, a, *_ = two_switch_cluster()
     with pytest.raises(ValueError):

@@ -2,9 +2,9 @@
 
 Covers the batch module itself (LossStream stream parity, FIFO closed
 form, pool invariants), the batched pipeline end to end, and the
-equivalence contracts the fast paths must keep with the per-object
-per-hop pipeline: same drop decisions, same logical kernel event
-counts, same metrics.
+equivalence contract the batched route must keep with its scalar
+fallback: same drop decisions, same logical kernel event counts, same
+metrics.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.net import Network
+from repro.net import HEADER_BYTES, Network
 from repro.net.batch import LossStream, PacketBatch, PacketPool, fifo_finish_times
 from repro.net.link import LinkEnd
 from repro.sim import Simulator
@@ -194,13 +194,44 @@ def test_batch_drops_clear_alive_mask_only():
     assert int(net.stats.sums["drop_link_loss"]) == 400 - survivors
 
 
-# -- equivalence: batched vs per-object, fused vs per-hop -------------------
+def test_hop_batch_survives_a_lost_window_tail():
+    """Tail loss on an idle hop must not schedule in the past.
+
+    50 us links and 4 KiB packets (33 us serialization, so three lost
+    tail packets outweigh one link latency): when the last packets of a
+    window die on the second hop, the survivors' last arrival precedes
+    the hop callback's own time.  The window is delivered at that
+    callback's time; the per-packet ``arrival`` column keeps the true
+    arrivals.
+    """
+    sim = Simulator(seed=3)
+    net = Network(sim)
+    a = net.add_host("A")
+    b = net.add_host("B")
+    s = net.add_switch("S")
+    first = net.link(a.nic(0), s, latency_s=50e-6)
+    net.link(s, b.nic(0), latency_s=50e-6, loss_rate=0.9)
+    seen = []
+    b.bind_batch(7, lambda batch: seen.append(sim.now))
+    sent = a.send_batch(b.endpoint(7), [None] * 32, size_bytes=4096)
+    sim.run(until=1.0)
+    alive = sent.alive_indices()
+    # the scenario this seed was picked for: survivors, and a dead tail
+    assert 0 < len(alive) and alive[-1] < 32 - 3
+    ser = first.serialization_delay(4096 + HEADER_BYTES)
+    window_at_switch = 32 * ser + 50e-6
+    assert sent.arrival[alive[-1]] < window_at_switch  # landed before the callback
+    assert seen == [pytest.approx(window_at_switch)]
+    assert int(net.stats.sums["packets_delivered"]) == len(alive)
 
 
-def _run_batch_flow(fastpath: bool, loss: float = 0.2, n: int = 300):
+# -- equivalence: batched route vs the scalar fallback ----------------------
+
+
+def _run_batch_flow(armed: bool, loss: float = 0.2, n: int = 300):
     sim, net, a, b = two_host_net(seed=21, loss=loss)
-    if not fastpath:
-        net._fastpath = False
+    if armed:
+        net.arm_faults()
     sent = a.send_batch(b.endpoint(7), [None] * n, size_bytes=256)
     base = int(sent.pid[0])
     got = []
@@ -216,60 +247,73 @@ def test_batched_route_matches_per_object_fallback():
 
     With one sender, serializer reservation order is identical on both
     routes, so the per-direction loss streams assign the same draws to
-    the same packets — and the fused paths credit exactly the callbacks
-    they elide.
+    the same packets — and the batched route credits exactly the
+    callbacks it elides.
     """
-    fast_pos, fast_stats, fast_events = _run_batch_flow(True)
-    slow_pos, slow_stats, slow_events = _run_batch_flow(False)
+    fast_pos, fast_stats, fast_events = _run_batch_flow(False)
+    slow_pos, slow_stats, slow_events = _run_batch_flow(True)
     assert fast_pos == slow_pos  # identical drop decisions, window order
     assert fast_stats == slow_stats
     assert fast_events == slow_events
 
 
-def _run_pkt_flow(fastpath: bool, loss: float, n: int = 200):
-    sim, net, a, b = two_host_net(seed=13, loss=loss)
-    if not fastpath:
-        net._fastpath = False
-    got = []
-    b.bind(7, lambda pkt: got.append((pkt.payload, round(sim.now, 12), pkt.hops)))
-    dst = b.endpoint(7)
+def test_send_batch_on_a_sharded_replica_takes_the_fallback():
+    """A sharded replica is fault-armed from construction, so a batch
+    becomes scalar transmits that cross the shard boundary hop by hop."""
+    from repro.net.shard import ShardedNetwork
+    from repro.sim.shard import ShardedSimulator, host_origin
 
-    def burst(k: int) -> None:
-        for i in range(5):
-            a.send(dst, payload=k * 5 + i, size_bytes=1024)
+    ss = ShardedSimulator(seed=5, shards=2, lookahead=40e-6)
+    owner = {"A": 0, "S": 1, "B": 1}
+    host_index = {"A": 0, "B": 1}
+    nets = []
+    for kernel in ss.kernels:
+        net = ShardedNetwork(kernel, owner, host_index)
+        a = net.add_host("A")
+        b = net.add_host("B")
+        s = net.add_switch("S")
+        net.link(a.nic(0), s)
+        net.link(b.nic(0), s)
+        nets.append(net)
+    windows = []
+    nets[1].hosts["B"].bind_batch(7, lambda batch: windows.append(len(batch)))
+    sent = []
+    sender = nets[0].hosts["A"]
+    dst = nets[1].hosts["B"].endpoint(7)
+    ss.kernels[0].schedule_keyed(
+        0.0, host_origin(0), 0, lambda: sent.append(sender.send_batch(dst, ["x"] * 6))
+    )
+    ss.run(0.01)
+    assert windows == [1] * 6  # six one-row batches, not one window of six
+    assert sent[0].n_alive == 0  # the batch itself is spent
+    assert int(nets[0].stats.sums["packets_sent"]) == 6
+    assert int(nets[1].stats.sums["packets_delivered"]) == 6
 
-    for k in range(n // 5):
-        sim.call_in(k * 1e-3, burst, k)
-    sim.run(until=2.0)
-    events = int(sim.obs.metrics.value("sim.kernel.events"))
-    qw = sim.obs.metrics.get("net.link.queue_wait").labels()
-    hist = (qw.count, qw.sum, qw.min, qw.max, tuple(qw.bucket_counts))
-    return got, dict(net.stats.sums), events, hist, dict(net.tracer.counts)
 
+def test_manual_mid_flight_link_kill_is_exact_per_hop():
+    """A link killed by hand (no FaultInjector) drops exactly the packet
+    that meets it: ``element_down`` if the packet has yet to start that
+    hop, ``link_died_in_flight`` if it is already on the wire."""
+    hop = (10_000_000 + HEADER_BYTES) * 8.0 / 1e9 + 50e-6  # one hop of the 10 MB packet
 
-@pytest.mark.parametrize("loss", [0.0, 0.25])
-def test_fused_route_matches_per_hop_pipeline(loss):
-    """Bursty single flow: identical deliveries (payload, time, hops),
-    stats, queue-wait histogram, trace counts, and kernel event count."""
-    fast = _run_pkt_flow(True, loss)
-    slow = _run_pkt_flow(False, loss)
-    assert fast == slow
+    def run(kill_at: float) -> dict:
+        sim, net, a, b = two_host_net()
+        delivered = []
+        b.bind(7, delivered.append)
+        a.send(b.endpoint(7), payload="doomed", size_bytes=10_000_000)
 
+        def kill_link() -> None:
+            net.links[1].up = False  # S <-> B, the second hop
+            net.bump_topology()
 
-def test_fused_in_flight_revalidation_on_manual_topo_change():
-    sim, net, a, b = two_host_net()
-    delivered = []
-    b.bind(7, delivered.append)
-    a.send(b.endpoint(7), payload="doomed", size_bytes=10_000_000)
+        sim.call_in(kill_at, kill_link)
+        sim.run(until=5.0)
+        assert delivered == []
+        assert int(net.stats.sums["packets_dropped"]) == 1
+        return {k: v for k, v in net.stats.sums.items() if k.startswith("drop_")}
 
-    def kill_link() -> None:
-        net.links[1].up = False
-        net.bump_topology()
-
-    sim.call_in(1e-6, kill_link)  # before the slow packet's arrival
-    sim.run(until=5.0)
-    assert delivered == []
-    assert int(net.stats.sums["drop_link_died_in_flight"]) == 1
+    assert run(0.5 * hop) == {"drop_element_down": 1.0}
+    assert run(1.5 * hop) == {"drop_link_died_in_flight": 1.0}
 
 
 # -- satellite 2: batch-minted pids are layout-invariant --------------------
