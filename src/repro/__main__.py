@@ -217,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="worker processes for sharded scenarios (1 = serial barrier "
+        help="worker processes for sharded scenarios (1 = in-process "
         "stepping, the determinism reference)",
     )
     from repro.analysis.cli import (

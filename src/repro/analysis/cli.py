@@ -157,8 +157,8 @@ def add_sanitize_parser(sub: argparse._SubParsersAction) -> argparse.ArgumentPar
         "--shards",
         type=int,
         default=4,
-        help="shard-kernel count (default: 4; 1 degenerates to the "
-        "serial reference with no barriers)",
+        help="shard-kernel count (default: 4; 1 is the reference: one "
+        "kernel, nothing to exchange)",
     )
     p.add_argument(
         "--format",

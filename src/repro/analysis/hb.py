@@ -65,7 +65,7 @@ class HbMonitor:
         self.phase = "build"
         #: end of the current window (the guaranteed lookahead horizon)
         self.window_end: Optional[float] = None
-        #: rank whose window is executing (serial executor: one at a time)
+        #: rank whose window is executing (in-process: one at a time)
         self.executing: Optional[int] = None
         #: per-shard execution frontier (max executed event time)
         self.frontier = [0.0] * shards
@@ -83,7 +83,9 @@ class HbMonitor:
         self.windows += 1
 
     def on_barrier(self, end: float) -> None:
-        """All kernels reached ``end``; handoff exchange begins.
+        """All kernels reached ``end``; handoffs are routed now and
+        injected before the next window (also when that window belongs
+        to a later ``run()`` call, which re-enters this phase first).
 
         The barrier synchronizes every shard: all vector clocks join.
         """
@@ -132,8 +134,8 @@ class HbMonitor:
             # Injection below the horizon: the dest shard already ran to
             # window_end, so an event at t <= window_end is below its
             # execution frontier.  This check lives at the kernel choke
-            # point, not in the coordinator's exchange loop, so a
-            # subclass that drops the exchange-time check is still
+            # point, not in the coordinator's grant/route loop, so a
+            # subclass that drops the routing-time check is still
             # caught.
             end = self.window_end
             if end is not None and t <= end + 1e-12:

@@ -268,11 +268,11 @@ def _wl_shard(quick: bool) -> tuple[int, int]:
 
 def _wl_shard_mp(quick: bool) -> tuple[int, int]:
     # Deliberately reuses the *shard* workload's seed and scenario shape:
-    # the checksum must equal the serial workload's, so every bench run
-    # doubles as a workers=N == workers=1 determinism check, and the
+    # the checksum must equal the in-process workload's, so every bench
+    # run doubles as a workers=N == workers=1 determinism check, and the
     # ops_per_sec ratio between the two workloads IS the parallel
-    # speedup of the fused/promise-granting executor over serial
-    # barrier stepping (worker pool stays warm across the repeats).
+    # speedup of stepping the same windows in worker processes rather
+    # than in-process (worker pool stays warm across the repeats).
     from repro.scenarios import CHURN_1K, CHURN_SMALL, run_churn
 
     shape = CHURN_SMALL if quick else CHURN_1K

@@ -9,8 +9,9 @@ dashboard (``python -m repro serve <scenario>``).
 
 Layering: everything here sits strictly *above* the simulation stack.
 The driver only calls public stepping APIs (:meth:`repro.sim.Simulator.
-run` / :meth:`~repro.sim.Simulator.run_events`, and their
-:class:`~repro.sim.ShardedSimulator` counterparts), and telemetry rides
+run` / :meth:`~repro.sim.Simulator.run_events`, and
+:class:`~repro.sim.ShardedSimulator`'s ``run`` / ``run_events``, both
+callers of its one window protocol), and telemetry rides
 the existing observability substrate (:class:`~repro.obs.EventRing`,
 :class:`~repro.obs.ClusterReport`, :class:`~repro.obs.SpanTracer`), so
 serving a simulation cannot change what it computes.

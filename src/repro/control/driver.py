@@ -9,9 +9,10 @@ funnels every call through one command queue, so nothing here locks.
 
 All stepping goes through the public kernel APIs
 (:meth:`repro.sim.Simulator.run` / :meth:`~repro.sim.Simulator.
-run_events` and the :class:`~repro.sim.ShardedSimulator` equivalents),
-which compose byte-identically with a single batch ``run(horizon)`` —
-the determinism bridge pinned by ``tests/test_control_driver.py``.
+run_events`, and :class:`~repro.sim.ShardedSimulator`'s ``run`` /
+``run_events`` — two callers of its one window protocol), which
+compose byte-identically with a single batch ``run(horizon)`` — the
+determinism bridge pinned by ``tests/test_control_driver.py``.
 """
 
 from __future__ import annotations
@@ -119,9 +120,9 @@ class ScenarioDriver:
         """Run at most ``n`` further events (bounded by the horizon).
 
         Single-kernel scenarios step with exact event granularity; a
-        multi-shard scenario advances whole lookahead windows until the
-        count is reached (the finest stepping the conservative barrier
-        protocol allows).  Returns the number of events executed.
+        multi-shard scenario advances windows of one lookahead (the
+        shortest the window protocol grants) until the count is
+        reached.  Returns the number of events executed.
         """
         if n < 0:
             raise ValueError(f"cannot run a negative event count: {n}")

@@ -57,7 +57,7 @@ class _WireBatch:
     timestamps are always finite, so the encoding is unambiguous); the
     live span, if any, travels as its id in the object lane and is
     re-attached from the shared open-span table on the receiving side
-    (serial executor only — the multiprocessing executor refuses
+    (in-process executor only — the multiprocessing executor refuses
     tracers).
     """
 
@@ -210,8 +210,8 @@ class ShardedNetwork(Network):
         """Barrier-time flush: one columnar handoff per destination.
 
         Destinations are visited in rank order so the outbox — and
-        therefore the coordinator's routing and the serial exchange —
-        is deterministic regardless of dict insertion order.
+        therefore the coordinator's routing — is deterministic
+        regardless of dict insertion order.
         """
         staged = self._staged_wire
         if not staged:

@@ -80,20 +80,20 @@ def run_churn(
 ):
     """Run the churn scenario; returns an object with ``.metrics()``.
 
-    ``workers=1`` (the default and the determinism reference) runs the
-    serial barrier-stepping executor in-process and returns the live
-    :class:`ShardedRainCluster`.  ``workers > 1`` dispatches the shard
-    kernels to a persistent worker-process pool via
-    :mod:`repro.sim.shard_mp` — promise/grant barriers, one pipe
-    round-trip and one columnar handoff blob per boundary per window —
-    and returns a report facade over the merged snapshots.  Either
-    path yields byte-identical reports for the same seed.
+    ``workers=1`` (the default and the determinism reference) steps the
+    window protocol in-process and returns the live
+    :class:`ShardedRainCluster`.  ``workers > 1`` runs the same grant
+    loop with the shard kernels in a persistent worker-process pool
+    (:mod:`repro.sim.shard_mp`) — one pipe round-trip and one columnar
+    handoff blob per boundary per window — and returns a report facade
+    over the merged snapshots.  Either path yields byte-identical
+    reports for the same seed.
     """
     if workers > 1:
         from .sim.shard_mp import run_cluster_mp
 
         return run_cluster_mp(
-            "churn",
+            "repro.scenarios:build_churn_cluster",
             {"seed": seed, "nodes": nodes, "switches": switches},
             shards=shards,
             until=horizon,

@@ -3,15 +3,17 @@
 A :class:`ShardedSimulator` partitions a cluster across N
 :class:`ShardKernel` instances — each a full :class:`Simulator` with its
 own event queue, RNG streams, and observability hub — and advances them
-in *lookahead windows*: every kernel runs independently over the window
-``(V, V + L]`` (L = the minimum latency of any link crossing a shard
-boundary), then cross-shard packets staged during the window are
-exchanged at the barrier.  A packet crossing a boundary at hop-start
-``t > V`` arrives no earlier than ``t + L > V + L``, i.e. strictly
-beyond the window, so nothing a kernel executed inside the window could
-have been affected by a message it had not yet received: the classic
-conservative-PDES argument (Chandy/Misra/Bryant), with the barrier
-playing the role of null messages.
+in *granted windows*: every kernel runs independently over a window
+``(V, W]`` with ``W >= V + L`` (L = the *lookahead*, the minimum latency
+of any link crossing a shard boundary), then cross-shard packets staged
+during the window are routed at the barrier and injected before the
+next window runs.  The protocol rests on one contract: an event
+executing at ``t`` stages boundary arrivals strictly after ``t + L``,
+so nothing a kernel executed inside ``(V, V + L]`` could have been
+affected by a message it had not yet received — the classic
+conservative-PDES argument (Chandy/Misra/Bryant).  Each kernel group's
+*promise*, its earliest queued event plus L, plays CMB's null message
+and lets a grant reach past ``V + L`` when no traffic is about to cross.
 
 Determinism across shard *layouts* (the acceptance bar: ``shards=1``
 byte-identical to ``shards=N``) needs more than conservative windows —
@@ -36,9 +38,12 @@ sender and receiver shared a kernel.  Span ids and packet ids are
 minted from the same origins, which is what lets per-shard traces and
 metrics merge into byte-identical reports (:mod:`repro.obs.merge`).
 
-Serial barrier-stepping (this module) is the default executor and the
-determinism reference; :mod:`repro.sim.shard_mp` runs the same window
-protocol across worker processes.
+The protocol is written once, as two pieces every executor calls:
+:meth:`ShardedSimulator.run_window` (the step) and
+:meth:`WindowGrants.advance` (the grant rule, the single window check,
+the routing).  In-process stepping (:meth:`ShardedSimulator.run`) is
+the default executor and the determinism reference;
+:mod:`repro.sim.shard_mp` sends the same step to worker processes.
 """
 
 from __future__ import annotations
@@ -57,6 +62,7 @@ __all__ = [
     "ShardKernel",
     "ShardedSimulator",
     "SPAN_STRIDE",
+    "WindowGrants",
     "deliver_handoff",
     "host_origin",
     "packet_origin",
@@ -66,6 +72,7 @@ __all__ = [
 CONTROL_ORIGIN = (0,)
 #: span-id stride: ids are ``origin_code * SPAN_STRIDE + per-origin seq``
 SPAN_STRIDE = 1 << 40
+_INF = float("inf")
 
 
 def host_origin(rank: int) -> tuple:
@@ -123,8 +130,8 @@ class _OriginScope:
 class Handoff:
     """One cross-shard message staged for the next barrier.
 
-    The payload is *always* pickled — also under the serial executor —
-    so serial and multiprocessing runs have identical value semantics
+    The payload is *always* pickled — also in-process — so in-process
+    and multiprocessing runs have identical value semantics
     (a receiver never shares mutable state with the sender's copy).
     A handoff may carry one message or a whole batched window of them
     (``time`` is then the *earliest* arrival in the batch, which keeps
@@ -140,10 +147,10 @@ class Handoff:
 def deliver_handoff(kernel: "ShardKernel", h: Handoff) -> None:
     """Decode one handoff at its destination kernel.
 
-    The single decode point shared by the serial barrier loop and the
-    multiprocessing workers: blobs travel opaque through whatever
-    routing sits in between (the coordinator never unpickles), and the
-    payload is decoded only here, in the process that owns the
+    The single decode point, called only by the window step
+    (:meth:`ShardedSimulator.run_window`): blobs travel opaque through
+    whatever routing sits in between (the coordinator never unpickles),
+    and the payload is decoded only here, in the process that owns the
     destination shard.
     """
     if kernel.on_inject is None:
@@ -253,7 +260,7 @@ class ShardKernel(Simulator):
             # The single choke point every schedule funnels through
             # (_schedule_call, schedule_keyed, and therefore barrier
             # injection) — checking here rather than in the coordinator
-            # means a subclass overriding the exchange loop cannot
+            # means a subclass replacing the grant/route loop cannot
             # bypass the sanitizer.
             hb.on_insert(self.rank, t, key)
         call = _KeyedCall(self, t, fn, args)
@@ -441,8 +448,61 @@ class ShardKernel(Simulator):
         return self._now
 
 
+class WindowGrants:
+    """Coordinator half of the window protocol: grant, step, route.
+
+    Holds what the last barrier left behind: its time, one promise per
+    stepping *group* (all kernels in-process, one worker's ranks under
+    :mod:`repro.sim.shard_mp`) and the routed handoffs not yet injected.
+    """
+
+    def __init__(self, lookahead: Optional[float], owner: list, promises: list):
+        #: one kernel has no boundary, so nothing ever crosses and its
+        #: lookahead is unbounded: every grant is simply ``until``
+        self.lookahead = _INF if lookahead is None else lookahead
+        self.owner = owner  # shard rank -> group that steps it
+        self.clock = 0.0
+        self.promises = promises  # one per group
+        self.inbox: list[list[Handoff]] = [[] for _ in promises]
+
+    def advance(self, step: Callable, until: float) -> float:
+        """Grant one window, have ``step`` run it, route what it staged.
+
+        ``step(w_end, inbox)`` runs every group to ``w_end`` (group *g*
+        injecting ``inbox[g]`` first) and returns one ``(staged,
+        promise)`` pair per group.  Blobs are routed opaque and wait in
+        the inbox for the next step — also across ``run()`` calls.
+        """
+        v, la = self.clock, self.lookahead
+        pending_min = min((h.time for g in self.inbox for h in g), default=_INF)
+        # Nothing can arrive at or before the earliest promise, nor
+        # before the earliest pending handoff was injected and had one
+        # lookahead to propagate; never less than the lock-step v + la.
+        w_end = min(until, max(v + la, min(min(self.promises), pending_min + la)))
+        replies = step(w_end, self.inbox)
+        self.clock = w_end
+        self.promises = [promise for _, promise in replies]
+        self.inbox = inbox = [[] for _ in replies]
+        for staged, _ in replies:
+            for h in staged:
+                if len(self.owner) == 1:
+                    raise SimulationError("cross-shard handoff staged with shards=1")
+                if h.time <= w_end:
+                    raise SimulationError(
+                        f"conservative window violated: handoff arriving at "
+                        f"t={h.time} inside the window ending at {w_end} "
+                        "(lookahead exceeds the actual boundary latency)"
+                    )
+                inbox[self.owner[h.dest]].append(h)
+        return w_end
+
+
 class ShardedSimulator:
-    """Coordinator advancing N shard kernels in lookahead windows.
+    """N shard kernels advanced in granted windows, in one process.
+
+    The in-process executor of the window protocol (one stepping group
+    holding every kernel) and the determinism reference; the workers of
+    :mod:`repro.sim.shard_mp` call :meth:`run_window` over their ranks.
 
     Parameters
     ----------
@@ -451,13 +511,13 @@ class ShardedSimulator:
         derived by SHA-256 from (seed, name), so the same stream name
         yields the same sequence in whichever kernel uses it.
     shards:
-        Number of kernels.  ``shards=1`` degenerates to a single keyed
-        kernel run with no barriers (the determinism reference the
-        golden tests compare multi-shard runs against).
+        Number of kernels.  ``shards=1`` is the same protocol with
+        nothing to exchange: each ``run`` is one window (the reference
+        the golden tests compare multi-shard runs against).
     lookahead:
-        Window length = the minimum latency of any boundary link, from
-        the topology partitioner.  Must be > 0 when ``shards > 1`` —
-        zero-latency boundary links are rejected at partition time.
+        The minimum latency of any boundary link, from the topology
+        partitioner: the least a window may span.  Must be > 0 when
+        ``shards > 1``; ``None`` (no boundary) means unbounded.
     """
 
     def __init__(
@@ -472,26 +532,22 @@ class ShardedSimulator:
         self.seed = seed
         self.shards = shards
         self.lookahead = lookahead
-        self.kernels = [
-            ShardKernel(seed, rank=r, shards=shards) for r in range(shards)
-        ]
-        self._clock = 0.0
+        self.kernels = [ShardKernel(seed, rank=r, shards=shards) for r in range(shards)]
+        self._grants = WindowGrants(lookahead, [0] * shards, [_INF])
         self._script_seq = 0
         self.tracers: list = []
         #: happens-before monitor; installed by REPRO_SANITIZE=1 or
         #: repro.analysis.hb.install_sanitizer (None in normal runs)
         self._hb = None
-        from ..analysis.hb import sanitize_enabled
+        from ..analysis.hb import install_sanitizer, sanitize_enabled
 
         if sanitize_enabled():
-            from ..analysis.hb import install_sanitizer
-
             install_sanitizer(self)
 
     @property
     def now(self) -> float:
         """Barrier-synchronized cluster time."""
-        return self._clock
+        return self._grants.clock
 
     # -- observability --------------------------------------------------
 
@@ -500,8 +556,8 @@ class ShardedSimulator:
 
         Sharing ``_open``/``_by_id`` lets a protocol close (by id) a
         span that was minted by a peer host living in another shard —
-        under the serial executor all kernels are in one process, and
-        the close happens at the in-order delivery event, whose time is
+        in-process all kernels share one interpreter, and the close
+        happens at the in-order delivery event, whose time is
         layout-invariant.  The multiprocessing executor refuses tracers.
         """
         if self.tracers:
@@ -576,127 +632,92 @@ class ShardedSimulator:
         """
         return sum(k._n_events for k in self.kernels)
 
-    def run(self, until: float) -> float:
-        """Advance all shards to ``until`` in lookahead windows."""
-        if until < self._clock:
-            raise SimulationError(
-                f"cannot run backwards: until={until} < now={self._clock}"
-            )
+    def promise(self, ranks) -> float:
+        """Earliest crossing arrival the kernels in ``ranks`` could stage."""
+        return min(self.kernels[r].peek() for r in ranks) + self._grants.lookahead
+
+    def run_window(
+        self, ranks, w_end: float, handoffs: list, drive: Callable = ShardKernel.run
+    ) -> tuple[list, float]:
+        """The step of the window protocol over the kernels in ``ranks``.
+
+        Injects the handoffs routed at the last barrier, drives each
+        kernel to ``w_end``, flushes the batched outboxes, and returns
+        ``(staged handoffs, promise)``.  Injection runs in the monitor's
+        "barrier" phase, so HB001 fires at the kernel's ``_insert``
+        whatever the coordinator checked.
+        """
         hb = self._hb
-        if self.shards == 1:
-            if hb is not None:
-                hb.on_window(self._clock, until)
-            k = self.kernels[0]
-            k.run(until=until)
-            k.flush_outbox()
-            if hb is not None:
-                hb.on_idle()
-            if k.outbox:
-                raise SimulationError("cross-shard handoff staged with shards=1")
-            self._clock = until
-            return until
-        v = self._clock
-        while v < until:
-            v = self._advance_window(until)
+        for h in handoffs:
+            deliver_handoff(self.kernels[h.dest], h)
         if hb is not None:
-            hb.on_idle()
-        self._clock = until
-        return until
+            hb.on_window(self.now, w_end)
+        staged: list[Handoff] = []
+        for r in ranks:
+            k = self.kernels[r]
+            drive(k, w_end)
+            k.flush_outbox()
+            staged += k.outbox
+            k.outbox.clear()
+        if hb is not None:
+            hb.on_barrier(w_end)
+        return staged, self.promise(ranks)
 
-    def _advance_window(self, until: float) -> float:
-        """Run one lookahead window ``(clock, w]`` and exchange handoffs.
+    def _advance_window(self, until: float, drive: Callable = ShardKernel.run) -> float:
+        """Run one granted window ``(clock, w]`` and route its handoffs.
 
-        Returns the barrier time ``w``; ``self._clock`` is updated, so
-        callers may invoke this repeatedly.  Window boundaries are *not*
+        Returns the barrier time ``w``.  Window boundaries are *not*
         part of the deterministic contract: every partition of the same
         horizon executes the identical keyed schedule, because handoffs
         always land strictly beyond their staging window and are
         injected with layout-invariant keys (see the module docstring) —
         which is what lets the control plane pause at arbitrary times.
         """
-        v = self._clock
-        w = min(v + self.lookahead, until)
-        hb = self._hb
-        if hb is not None:
-            hb.on_window(v, w)
-        for k in self.kernels:
-            k.run(until=w)
-            k.flush_outbox()
-        if hb is not None:
-            hb.on_barrier(w)
-        self._exchange(w)
-        self._clock = w
-        return w
+        ranks = range(self.shards)
+        return self._grants.advance(
+            lambda w_end, inbox: [self.run_window(ranks, w_end, inbox[0], drive)],
+            until,
+        )
 
-    def step_window(self, until: float) -> float:
-        """Advance exactly one lookahead window (or to ``until`` if
-        nearer); the incremental-stepping entry point for the control
-        plane.  Returns the new barrier-synchronized clock."""
-        if until < self._clock:
+    def _resume(self, until: float) -> None:
+        """Leave the idle phase: anything may have been scheduled since
+        the last barrier, so the promise is re-read from the kernels."""
+        if until < self.now:
             raise SimulationError(
-                f"cannot run backwards: until={until} < now={self._clock}"
+                f"cannot run backwards: until={until} < now={self.now}"
             )
-        if until == self._clock:
-            return self._clock
-        hb = self._hb
-        if self.shards == 1:
-            if hb is not None:
-                hb.on_window(self._clock, until)
-            k = self.kernels[0]
-            k.run(until=until)
-            k.flush_outbox()
-            if k.outbox:
-                raise SimulationError("cross-shard handoff staged with shards=1")
-            self._clock = until
-        else:
-            self._advance_window(until)
-        if hb is not None:
-            hb.on_idle()
-        return self._clock
+        self._grants.promises = [self.promise(range(self.shards))]
+        if self._hb is not None:
+            self._hb.on_barrier(self.now)
+
+    def run(self, until: float) -> float:
+        """Advance all shards to ``until`` in granted windows."""
+        self._resume(until)
+        while self._advance_window(until) < until:
+            pass
+        if self._hb is not None:
+            self._hb.on_idle()
+        return until
 
     def run_events(self, n: int, until: float) -> int:
         """Advance until at least ``n`` more events ran (bounded by
         ``until``); the run-to-event-count stepping mode.
 
         A single kernel steps with event granularity
-        (:meth:`Simulator.run_events`); a multi-shard simulation only
-        observes event counts at barriers, so it advances whole
-        lookahead windows until the count is reached — the finest
-        stepping that preserves the conservative protocol.  Returns the
-        number of events actually executed.
+        (:meth:`Simulator.run_events`) and may stop mid-window; a
+        multi-shard simulation only observes event counts at barriers,
+        so it advances windows bounded at ``clock + lookahead`` — the
+        finest stepping the protocol grants — until the count is
+        reached.  Returns the number of events actually executed.
         """
         start = self.total_events()
-        hb = self._hb
+        self._resume(until)
         if self.shards == 1:
-            k = self.kernels[0]
-            if hb is not None:
-                hb.on_window(self._clock, until)
-            k.run_events(n, until=until)
-            k.flush_outbox()
-            if k.outbox:
-                raise SimulationError("cross-shard handoff staged with shards=1")
-            if hb is not None:
-                hb.on_idle()
-            if k.now > self._clock:
-                self._clock = k.now
-            return self.total_events() - start
-        while self._clock < until and self.total_events() - start < n:
-            self._advance_window(until)
-        if hb is not None:
-            hb.on_idle()
+            self._advance_window(until, lambda k, w_end: k.run_events(n, until=w_end))
+            self._grants.clock = self.kernels[0].now  # it may have stopped mid-window
+        else:
+            while self.now < until and self.total_events() - start < n:
+                self._advance_window(min(until, self.now + self.lookahead))
+        if self._hb is not None:
+            self._hb.on_idle()
         return self.total_events() - start
-
-    def _exchange(self, window_end: float) -> None:
-        staged: list[Handoff] = []
-        for k in self.kernels:
-            if k.outbox:
-                staged.extend(k.outbox)
-                k.outbox = []
-        for h in staged:
-            if h.time <= window_end:
-                raise SimulationError(
-                    f"conservative window violated: handoff arriving at "
-                    f"t={h.time} inside the window ending at {window_end} "
-                    "(lookahead exceeds the actual boundary latency)"
-                )
-            deliver_handoff(self.kernels[h.dest], h)

@@ -1,35 +1,19 @@
 """Multiprocessing executor for sharded simulations.
 
-Runs the same conservative window protocol as
-:meth:`repro.sim.shard.ShardedSimulator.run`, but with shard kernels
-living in worker processes and three executor-level optimizations the
-serial reference does not need:
-
-**Fused steps.**  One pipe round-trip per window: the coordinator sends
-``("step", window_end, handoffs)``, the worker injects the routed
-handoffs, runs its kernels to the window end, flushes the batched
-outboxes, and replies ``("out", staged, promise)``.  The historical
-protocol used two synchronous round-trips (``run``/``outbox`` then
-``inject``/``ack``), which doubled the per-window latency floor.
-
-**Promise/grant window elevation.**  Each worker's reply carries a
-*promise*: the earliest simulation time at which any kernel it owns
-could emit a cross-shard arrival, ``min(peek over owned kernels) +
-lookahead``.  An event executing at time ``t`` stages arrivals strictly
-after ``t + lookahead`` (the serialization delay of a crossing hop is
-strictly positive and its latency is at least the lookahead), so the
-coordinator may grant a window end of ``min(until, min(promises),
-min(pending handoff arrivals) + lookahead)`` without violating
-conservative causality — when no traffic is about to cross, whole
-stretches of lock-step windows collapse into a single grant.  This is
-the classic lookahead/null-message elevation of Chandy–Misra–Bryant,
-with promises playing the null messages.
+The window protocol lives in :mod:`repro.sim.shard`; this module only
+moves its step into worker processes.  :func:`run_sharded_mp` is the
+:meth:`~repro.sim.shard.WindowGrants.advance` loop the in-process
+executor runs, with a ``step`` that broadcasts ``("step", w_end,
+handoffs)`` — one pipe round-trip per granted window — and each worker
+answers ``("out", staged, promise)`` from
+:meth:`~repro.sim.shard.ShardedSimulator.run_window` over its ranks.
 
 **Persistent workers.**  The spawned pool (one pipe + process per
 worker) is kept alive in a module-level registry keyed by worker
 count, so bench repeats and repeated CLI runs in one process reuse the
 warm interpreters instead of paying the ``spawn`` import cost per run;
-each run re-sends its ``build`` op.  Pools are discarded (quit sent,
+each run re-sends its ``build`` op, naming the scenario builder as an
+importable ``"module:attr"`` spec.  Pools are discarded (quit sent,
 pipes closed, processes joined) whenever a run errors, and
 :func:`shutdown_pools` reaps everything explicitly.
 
@@ -39,15 +23,12 @@ unpickles a payload — decoding happens in the destination worker via
 :func:`~repro.sim.shard.deliver_handoff`.  This module deliberately
 does not import ``pickle``, and a unit test pins that.
 
-Because every cross-shard payload is pickled even under the serial
-executor, and every injected event carries an explicit layout-invariant
-key, the worker scheduling adds no nondeterminism: ``workers=N``
-produces the same merged report as ``workers=1``, which the golden
-tests assert.
-
-Tracing is refused here: serial sharded tracers share open-span tables
-across kernels, which has no cross-process equivalent.  Run with
-``workers=1`` when you need span exports.
+Every cross-shard payload is pickled even in-process and every injected
+event carries a layout-invariant key, so worker scheduling adds no
+nondeterminism: ``workers=N`` produces the same merged report as
+``workers=1``, which the golden tests assert.  Tracing is refused here
+(in-process tracers share open-span tables across kernels, which has
+no cross-process equivalent); run with ``workers=1`` for span exports.
 """
 
 from __future__ import annotations
@@ -57,46 +38,22 @@ import importlib
 import multiprocessing as mp
 from typing import Any, Optional
 
-from .shard import Handoff, SimulationError, deliver_handoff
+from .shard import SimulationError, WindowGrants
 
 __all__ = [
     "run_sharded_mp",
     "run_cluster_mp",
-    "register_builder",
     "shutdown_pools",
     "MergedRun",
 ]
 
-#: builder registry: name -> (module, attribute).  Resolved by import in
-#: each worker, so entries must be importable module-level callables
-#: accepting ``(shards=..., **spec)`` and returning an object exposing
-#: ``.sharded`` (a ShardedSimulator) or a ShardedSimulator itself.
-_BUILDERS: dict[str, tuple[str, str]] = {
-    "churn": ("repro.scenarios", "build_churn_cluster"),
-}
-
-
-def register_builder(name: str, module: str, attribute: str) -> None:
-    """Register a scenario builder for worker processes to import.
-
-    Registration lives in the parent process only; ``spawn`` workers
-    re-import this module fresh, so builders registered at runtime are
-    reachable there via the ``"module:attribute"`` direct form instead.
-    """
-    _BUILDERS[name] = (module, attribute)
-
 
 def _resolve(builder: str):
-    entry = _BUILDERS.get(builder)
-    if entry is None:
-        if ":" in builder:
-            entry = tuple(builder.split(":", 1))
-        else:
-            raise SimulationError(f"unknown shard-mp builder {builder!r}")
-    module, attribute = entry
+    """Import the ``"module:attribute"`` builder spec in this process."""
+    module, _, attribute = builder.partition(":")
     try:
         return getattr(importlib.import_module(module), attribute)
-    except (ImportError, AttributeError) as exc:
+    except (ImportError, AttributeError, ValueError) as exc:
         raise SimulationError(
             f"unknown shard-mp builder {builder!r}: {exc}"
         ) from None
@@ -109,78 +66,43 @@ def _worker_main(conn) -> None:
     and *keep the loop alive* — the pool stays drainable and reusable;
     it is the coordinator's choice to discard it after an error.
     """
-    kernels: dict[int, Any] = {}
+    sharded: Any = None
     ranks: list[int] = []
-    lookahead = 0.0
     while True:
         try:
             msg = conn.recv()
         except (EOFError, OSError):
             return
         op = msg[0]
-        if op == "build":
-            _, builder, spec, ranks, shards = msg
-            try:
+        if op == "quit":
+            conn.close()
+            return
+        try:
+            if op == "build":
+                _, builder, spec, ranks, shards = msg
                 built = _resolve(builder)(shards=shards, **spec)
                 sharded = getattr(built, "sharded", built)
-                # Workers drive kernels directly, never the coordinator's
-                # window loop, so an inherited REPRO_SANITIZE monitor
-                # would sit in "build" phase forever while slowing the
-                # run — disable it (the sanitize CLI is serial-only).
+                # The monitor checks one process's kernels against each
+                # other; a worker sees only its own ranks, so an
+                # inherited REPRO_SANITIZE monitor would slow the run
+                # and prove nothing (the sanitize CLI is in-process).
                 sharded._hb = None
                 for k in sharded.kernels:
                     k._hb = None
-                kernels = {r: sharded.kernels[r] for r in ranks}
-                for r in ranks:
-                    if kernels[r].obs.tracer is not None:
-                        raise SimulationError(
-                            "tracers are not supported under workers > 1"
-                        )
-                lookahead = sharded.lookahead or 0.0
-            except Exception as exc:  # noqa: BLE001 — forwarded verbatim
-                conn.send(("error", str(exc) or repr(exc)))
-                continue
-            conn.send(("ready", sharded.lookahead, _promise(kernels, lookahead)))
-        elif op == "step":
-            _, w_end, handoffs = msg
-            try:
-                staged: list[Handoff] = []
-                for h in handoffs:
-                    deliver_handoff(kernels[h.dest], h)
-                for r in ranks:
-                    k = kernels[r]
-                    k.run(until=w_end)
-                    k.flush_outbox()
-                    if k.outbox:
-                        staged.extend(k.outbox)
-                        k.outbox = []
-            except Exception as exc:  # noqa: BLE001 — forwarded verbatim
-                conn.send(("error", str(exc) or repr(exc)))
-                continue
-            conn.send(("out", staged, _promise(kernels, lookahead)))
-        elif op == "snapshot":
-            try:
-                snaps = [
-                    (
-                        kernels[r].obs.metrics.snapshot(),
-                        kernels[r].obs.bus.topic_counts(),
+                if any(sharded.kernels[r].obs.tracer is not None for r in ranks):
+                    raise SimulationError(
+                        "tracers are not supported under workers > 1"
                     )
-                    for r in ranks
-                ]
-            except Exception as exc:  # noqa: BLE001 — forwarded verbatim
-                conn.send(("error", str(exc) or repr(exc)))
-                continue
-            conn.send(("snap", snaps))
-        elif op == "quit":
-            conn.close()
-            return
-
-
-def _promise(kernels: dict, lookahead: float) -> float:
-    """Earliest time any owned kernel could next emit a crossing arrival."""
-    if not kernels:
-        return float("inf")
-    return min(k.peek() for k in kernels.values()) + lookahead
+                reply = ("ready", sharded.lookahead, sharded.promise(ranks))
+            elif op == "step":
+                _, w_end, handoffs = msg
+                reply = ("out", *sharded.run_window(ranks, w_end, handoffs))
+            else:  # "snapshot"
+                hubs = [sharded.kernels[r].obs for r in ranks]
+                reply = ("snap", [(o.metrics.snapshot(), o.bus.topic_counts()) for o in hubs])
+        except Exception as exc:  # noqa: BLE001 — forwarded verbatim
+            reply = ("error", str(exc) or repr(exc))
+        conn.send(reply)
 
 
 class _WorkerPool:
@@ -294,58 +216,23 @@ def run_sharded_mp(
         list(range(w * shards // n_workers, (w + 1) * shards // n_workers))
         for w in range(n_workers)
     ]
-    owner = {r: w for w, ranks in enumerate(rank_sets) for r in ranks}
+    owner = [w for w, ranks in enumerate(rank_sets) for _ in ranks]
     pool = _get_pool(n_workers)
     try:
         replies = pool.broadcast(
             [("build", builder, spec, ranks, shards) for ranks in rank_sets]
         )
-        lookahead = replies[0][1]
-        promises = [reply[2] for reply in replies]
-        if shards > 1 and (lookahead is None or lookahead <= 0.0):
-            raise SimulationError(
-                f"multi-shard run needs positive lookahead, got {lookahead}"
-            )
-        la = lookahead or 0.0
-        v = 0.0
-        inbox: list[list[Handoff]] = [[] for _ in range(n_workers)]
-        pending_min = float("inf")
-        while v < until:
-            if shards == 1:
-                w_end = until
-            else:
-                # Grant: nothing can arrive at or before the earliest
-                # worker promise, nor before the earliest undelivered
-                # handoff has been injected and had one lookahead to
-                # propagate — so the whole span up to that point is one
-                # window.  Always at least the lock-step window v + la.
-                w_end = min(until, max(v + la, min(min(promises), pending_min + la)))
-            replies = pool.broadcast(
-                [("step", w_end, group) for group in inbox]
-            )
-            inbox = [[] for _ in range(n_workers)]
-            pending_min = float("inf")
-            promises = []
-            for reply in replies:
-                _, staged, promise = reply
-                promises.append(promise)
-                for h in staged:
-                    if h.time <= w_end:
-                        raise SimulationError(
-                            f"conservative window violated: handoff at "
-                            f"t={h.time} inside the window ending at {w_end}"
-                        )
-                    inbox[owner[h.dest]].append(h)
-                    if h.time < pending_min:
-                        pending_min = h.time
-            v = w_end
-        metric_snaps: list[dict] = []
-        event_counts: list[dict] = []
-        for reply in pool.broadcast([("snapshot",)] * n_workers):
-            for metrics, events in reply[1]:
-                metric_snaps.append(metrics)
-                event_counts.append(events)
-        return metric_snaps, event_counts
+        grants = WindowGrants(replies[0][1], owner, [reply[2] for reply in replies])
+
+        def step(w_end: float, inbox: list) -> list:
+            msgs = [("step", w_end, group) for group in inbox]
+            return [reply[1:] for reply in pool.broadcast(msgs)]
+
+        while grants.advance(step, until) < until:
+            pass
+        replies = pool.broadcast([("snapshot",)] * n_workers)
+        snaps = [snap for reply in replies for snap in reply[1]]  # rank order
+        return [metrics for metrics, _ in snaps], [events for _, events in snaps]
     except BaseException:
         # Failed runs must not leave workers blocked in recv() or
         # half-way through a protocol exchange: quit + close + join

@@ -17,14 +17,16 @@ subclass and asserts the monitor reports it:
    insert on the foreign kernel.
 
 2. **HB001 — a deleted conservative-window check.**
-   ``_UncheckedShardedSimulator`` overrides ``_exchange`` *without* the
-   ``h.time <= window_end`` guard, the mutation a refactor of the
-   barrier loop could introduce.  A handoff arriving exactly at the
-   window horizon then reaches the destination kernel — legal for
-   ``schedule_keyed`` (not in the past) but below the peer's execution
-   frontier.  Detection must survive because the check lives at the
-   kernel's single scheduling choke point (``ShardKernel._insert``),
-   not in the coordinator loop the mutation removed.
+   ``_UncheckedShardedSimulator`` routes through a copy of
+   ``WindowGrants.advance`` *without* the ``h.time <= w_end`` guard —
+   the protocol's single check site, shared by both executors, so the
+   mutation a refactor of the grant loop could introduce.  A handoff
+   arriving exactly at the window horizon then reaches the destination
+   kernel — legal for ``schedule_keyed`` (not in the past) but below
+   the peer's execution frontier.  Detection must survive because the
+   check lives at the kernel's single scheduling choke point
+   (``ShardKernel._insert``), not in the coordinator loop the mutation
+   removed.
 
 3. **HB003 — a diverged replicated gauge.**  Control-replicated gauges
    (cluster shape) must agree across kernels; poking one replica's
@@ -35,6 +37,7 @@ the bug class, re-introduce it in a throwaway subclass here, and assert
 the new rule fires with everything else silent.
 """
 
+import json
 import pickle
 
 import pytest
@@ -43,7 +46,7 @@ from repro.analysis.hb import HbMonitor, install_sanitizer, sanitize_enabled
 from repro.cluster import ShardedRainCluster
 from repro.rudp import RudpTransport
 from repro.sim import ShardedSimulator, SimulationError, host_origin
-from repro.sim.shard import Handoff, ShardKernel
+from repro.sim.shard import Handoff, ShardKernel, WindowGrants
 from repro.topology import diameter_ring
 
 
@@ -77,6 +80,22 @@ def test_clean_membership_run_has_zero_findings(shards):
         assert report.stats["handoffs"] > 0
         # every shard executed something and the barriers joined clocks
         assert report.stats["vc_min"] > 0
+
+
+def test_elevated_grants_are_live_in_process_and_clean(capsys):
+    """The in-process executor grants promise-elevated windows: far fewer
+    than the ``horizon / lookahead`` lock-step count, with no findings."""
+    from repro.__main__ import main
+    from repro.scenarios import CHURN_SMALL
+
+    assert main(["sanitize", "churn-small", "--shards", "4", "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["findings"] == []
+    stats = report["stats"]
+    lock_step = CHURN_SMALL["horizon"] / stats["lookahead"]
+    assert lock_step == pytest.approx(16_000)
+    assert 0 < stats["windows"] < lock_step / 3  # 3,766 at seed 7
+    assert stats["handoffs"] > 0
 
 
 def test_install_sanitizer_is_idempotent():
@@ -160,23 +179,41 @@ def test_same_shape_on_own_kernel_is_clean():
 # -- mutation 2: a deleted conservative-window check (HB001) ----------------
 
 
+class _UncheckedGrants(WindowGrants):
+    """Throwaway mutant: the stock ``advance`` with the window check
+    (the ``h.time <= w_end`` raise) deleted."""
+
+    def advance(self, step, until):
+        v, la = self.clock, self.lookahead
+        pending_min = min(
+            (h.time for g in self.inbox for h in g), default=float("inf")
+        )
+        w_end = min(until, max(v + la, min(min(self.promises), pending_min + la)))
+        replies = step(w_end, self.inbox)
+        self.clock = w_end
+        self.promises = [promise for _, promise in replies]
+        self.inbox = inbox = [[] for _ in replies]
+        for staged, _ in replies:
+            for h in staged:
+                inbox[self.owner[h.dest]].append(h)
+        return w_end
+
+
 class _UncheckedShardedSimulator(ShardedSimulator):
-    """Throwaway mutant: the exchange loop with the window check deleted
-    (the ``h.time <= window_end`` raise in the stock ``_exchange``)."""
-
-    def _exchange(self, window_end: float) -> None:
-        staged = []
-        for k in self.kernels:
-            if k.outbox:
-                staged.extend(k.outbox)
-                k.outbox = []
-        for h in staged:
-            self.kernels[h.dest].on_inject(pickle.loads(h.blob))
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        stock = self._grants
+        self._grants = _UncheckedGrants(self.lookahead, stock.owner, stock.promises)
 
 
-def _horizon_handoff_run(sim_cls):
+def _horizon_handoff_run(sim_cls, untils=(1.0,)):
     """Drive one window in which shard 0 stages a handoff arriving
-    exactly at the window horizon — below shard 1's execution frontier."""
+    exactly at the window horizon — below shard 1's execution frontier.
+
+    The event at ``t = 0`` breaks the one contract the protocol rests on
+    by the smallest margin: its arrival lands at exactly ``t + L``, not
+    strictly after, which is exactly where shard 0's promise put the
+    end of the first window."""
     sim = sim_cls(seed=7, shards=2, lookahead=0.5)
 
     def inject(arrival: float) -> None:
@@ -189,9 +226,10 @@ def _horizon_handoff_run(sim_cls):
     def stage() -> None:
         sim.kernels[0].outbox.append(Handoff(1, 0.5, pickle.dumps(0.5)))
 
-    sim.kernels[0].schedule_keyed(0.25, (1, 1), 0, stage, sched_time=0.0)
+    sim.kernels[0].schedule_keyed(0.0, (1, 1), 0, stage, sched_time=0.0)
     monitor = install_sanitizer(sim)
-    sim.run(1.0)
+    for until in untils:
+        sim.run(until)
     return monitor
 
 
@@ -201,6 +239,15 @@ def test_hb001_flags_injection_below_horizon_with_check_deleted():
     (finding,) = monitor.violations
     assert finding.path == "shard/1"
     assert "below the window horizon" in finding.message
+
+
+def test_hb001_flags_injection_when_the_handoff_waited_across_runs():
+    """The handoff is staged by the last window of ``run(0.5)`` and
+    injected by the first step of ``run(1.0)``: re-entering from idle
+    restores the barrier horizon, so the injection is still checked."""
+    monitor = _horizon_handoff_run(_UncheckedShardedSimulator, untils=(0.5, 1.0))
+    assert _rules(monitor) == ["HB001"]
+    assert "below the window horizon" in monitor.violations[0].message
 
 
 def test_stock_exchange_still_raises_on_horizon_handoff():

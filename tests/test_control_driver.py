@@ -71,6 +71,21 @@ def test_step_events_is_exact_on_a_single_kernel():
     assert driver.now < driver.horizon
 
 
+def test_step_events_is_exact_on_a_one_shard_sharded_simulator(capsys):
+    """shards=1 of a *sharded* scenario goes through the window protocol
+    (one kernel, unbounded lookahead) yet keeps event granularity, and
+    stopping mid-window composes with the run to the horizon."""
+    batch = _batch_json(capsys, "churn-small", "--shards", "1")
+    driver = ScenarioDriver(build_scenario("churn-small", seed=7, shards=1))
+    assert driver.sharded
+    before = driver.total_events()
+    assert driver.step_events(123) == 123
+    assert driver.total_events() - before == 123
+    assert driver.now < driver.horizon
+    driver.run_to_completion()
+    assert driver.report().to_json() + "\n" == batch
+
+
 def test_simulator_run_events_composes_with_bounded_run():
     """Kernel-level check: run_events + run(until) equals one run(until)."""
     from repro import ClusterConfig, RainCluster, Simulator

@@ -179,6 +179,37 @@ class TestBarrierProtocol:
         sharded.run(0.3)
         assert got == [("pkt", 42)]
 
+    def test_handoff_survives_a_split_run(self):
+        # a handoff staged by the last window of one run() call waits in
+        # the coordinator and is injected by the next call's first step
+        def deliveries(*untils):
+            sharded = ShardedSimulator(seed=1, shards=2, lookahead=0.1)
+            got = []
+
+            def inject(payload):
+                # schedule the arrival the way a network layer would
+                sharded.kernels[1].schedule_keyed(
+                    payload[1], host_origin(1), 0, got.append, payload,
+                    sched_time=0.01,
+                )
+
+            sharded.kernels[1].on_inject = inject
+
+            def stage():
+                sharded.kernels[0].outbox.append(
+                    Handoff(dest=1, time=0.15, blob=pickle.dumps(("pkt", 0.15)))
+                )
+
+            sharded.kernels[0].schedule_keyed(0.01, host_origin(0), 0, stage)
+            for until in untils:
+                sharded.run(until)
+            return got, sharded.now
+
+        assert deliveries(0.3) == ([("pkt", 0.15)], 0.3)
+        assert deliveries(0.12, 0.3) == deliveries(0.3)
+        # not yet delivered when the first call returns, and not lost
+        assert deliveries(0.12) == ([], 0.12)
+
     def test_missing_injection_handler_raises(self):
         sharded = ShardedSimulator(seed=1, shards=2, lookahead=0.1)
 

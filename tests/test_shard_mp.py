@@ -36,9 +36,19 @@ def _assert_reaped():
 # -- error paths -------------------------------------------------------------
 
 
-def test_unknown_builder_raises_and_reaps():
+@pytest.mark.parametrize(
+    "builder",
+    [
+        "no-such-builder",  # colon-less: only "module:attr" specs resolve
+        "churn",  # the registry entry that used to exist
+        "tests.mp_builders:no_such_attr",
+        "no_such_module:build",
+        ":build",
+    ],
+)
+def test_unknown_builder_raises_and_reaps(builder):
     with pytest.raises(SimulationError, match="unknown shard-mp builder"):
-        run_sharded_mp("no-such-builder", {}, shards=2, until=0.5, workers=2)
+        run_sharded_mp(builder, {}, shards=2, until=0.5, workers=2)
     _assert_reaped()
 
 
