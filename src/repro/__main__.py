@@ -17,6 +17,8 @@ import argparse
 import os
 import sys
 
+from repro.scenarios import SCENARIOS
+
 
 def _scenario_quickstart() -> None:
     from repro import ClusterConfig, RainCluster, Simulator
@@ -84,7 +86,7 @@ def _scenario_topology() -> None:
                 print(f"{name:>12} {n:>4} {k:>7} {wc.max_lost:>5} {wc.max_touched:>8}")
 
 
-SCENARIOS = {
+DEMOS = {
     "quickstart": _scenario_quickstart,
     "codes": _scenario_codes,
     "membership": _scenario_membership,
@@ -92,91 +94,16 @@ SCENARIOS = {
 }
 
 
-def _metrics_testbed(seed: int):
-    """The Fig. 1 testbed under a representative workload; returns the
-    cluster so the report covers every emitting subsystem."""
-    from repro import RainCluster, Simulator
-    from repro.codes import BCode
-
-    sim = Simulator(seed=seed)
-    cluster = RainCluster.testbed(sim)
-    sim.run(until=3.0)  # membership converges, monitors mark paths Up
-    store = cluster.store_on(0, BCode(10))
-    payload = b"computing in the RAIN " * 64
-    sim.run_process(store.store("fig1", payload), until=sim.now + 10)
-    cluster.crash(7)
-    sim.run(until=sim.now + 5.0)  # detection, exclusion, leader stable
-    out = sim.run_process(store.retrieve("fig1"), until=sim.now + 30)
-    assert out == payload
-    return cluster
-
-
-def _metrics_quickstart(seed: int):
-    """The 6-node quickstart cluster with a store/retrieve round."""
-    from repro import ClusterConfig, RainCluster, Simulator
-    from repro.codes import BCode
-
-    sim = Simulator(seed=seed)
-    cluster = RainCluster(sim, ClusterConfig(nodes=6))
-    sim.run(until=2.0)
-    store = cluster.store_on(0, BCode(6))
-    payload = b"no single point of failure " * 64
-    sim.run_process(store.store("demo", payload), until=sim.now + 10)
-    sim.run_process(store.retrieve("demo"), until=sim.now + 10)
-    return cluster
-
-
-def _metrics_membership(seed: int):
-    """The steerable membership scenario, run to its horizon in one
-    batch call — the byte-identity reference for the control plane's
-    determinism bridge (``tests/test_control_driver.py``)."""
-    from repro.control.scenarios import build_scenario
-
-    built = build_scenario("membership", seed=seed)
-    return built.run_to_horizon()
-
-
-def _metrics_shard1k(seed: int, shards: int = 1, workers: int = 1):
-    """The sharded-simulation flagship: 1,000 nodes, 64 switches, token
-    membership under churn (see :mod:`repro.scenarios`).  The report is
-    byte-identical for every ``--shards``/``--workers`` value."""
-    from repro.scenarios import CHURN_1K, run_churn
-
-    return run_churn(seed=seed, shards=shards, workers=workers, **CHURN_1K)
-
-
-def _metrics_churn_small(seed: int, shards: int = 1, workers: int = 1):
-    """The scaled-down churn demo (200 nodes); same construction as the
-    ``churn-small`` control scenario, so it too is a batch reference."""
-    from repro.scenarios import CHURN_SMALL, run_churn
-
-    return run_churn(seed=seed, shards=shards, workers=workers, **CHURN_SMALL)
-
-
-METRICS_SCENARIOS = {
-    "testbed": _metrics_testbed,
-    "quickstart": _metrics_quickstart,
-    "membership": _metrics_membership,
-    "shard1k": _metrics_shard1k,
-    "churn-small": _metrics_churn_small,
-}
-
-#: scenarios that understand --shards / --workers
-SHARDED_SCENARIOS = {"shard1k", "churn-small"}
-
-
 def _run_metrics(
     scenario: str, seed: int, as_json: bool, shards: int = 1, workers: int = 1
 ) -> int:
-    if scenario in SHARDED_SCENARIOS:
-        cluster = METRICS_SCENARIOS[scenario](seed, shards=shards, workers=workers)
-    else:
-        if shards != 1 or workers != 1:
-            print(
-                f"note: scenario {scenario!r} ignores --shards/--workers",
-                file=sys.stderr,
-            )
-        cluster = METRICS_SCENARIOS[scenario](seed)
+    entry = SCENARIOS[scenario]
+    if entry.horizon is None and (shards != 1 or workers != 1):
+        print(
+            f"note: scenario {scenario!r} ignores --shards/--workers",
+            file=sys.stderr,
+        )
+    cluster = entry.run(seed, shards=shards, workers=workers)
     report = cluster.metrics(scenario=scenario, seed=seed)
     print(report.to_json() if as_json else report.render())
     return 0
@@ -190,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="RAIN reproduction demo scenarios and tooling",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name in sorted(SCENARIOS):
+    for name in sorted(DEMOS):
         sub.add_parser(name, help=f"run the {name} demo")
     metrics_p = sub.add_parser(
         "metrics", help="run a scenario and print its cluster observability report"
@@ -199,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
         "scenario",
         nargs="?",
         default="testbed",
-        choices=sorted(METRICS_SCENARIOS),
+        choices=sorted(SCENARIOS),
         help="workload to run (default: the Fig. 1 testbed)",
     )
     metrics_p.add_argument("--seed", type=int, default=7, help="simulation seed")
@@ -273,7 +200,7 @@ def main(argv: list[str] | None = None) -> int:
         from repro.control.server import cmd_serve
 
         return cmd_serve(args)
-    SCENARIOS[args.command]()
+    DEMOS[args.command]()
     return 0
 
 

@@ -4,17 +4,17 @@ Two engines keep the codebase honest about the properties the paper
 proves and the determinism the simulation promises:
 
 - :mod:`repro.analysis.linter` (**rainlint**) — per-file AST rules
-  RL001–RL008 for simulation determinism (no wall clock, no global RNG,
+  RL001–RL007 for simulation determinism (no wall clock, no global RNG,
   no memory addresses in traces, no unordered iteration feeding events,
   no mutable defaults, no swallowed triggers, no hot-path metric
-  lookups, no cross-object kernel reach), with
-  ``# rainlint: disable=...`` pragmas;
+  lookups), with ``# rainlint: disable=...`` pragmas;
 - :mod:`repro.analysis.program` (**RainSan, static head**) — a
   whole-program import/call graph making rainlint interprocedural
   under ``lint --strict``: RL009–RL012 track wall-clock reachability
   from handlers, dropped ctx/span on handoff paths, unordered data
-  escaping into serialization, and cross-shard kernel aliasing; gated
-  in CI by a suppression baseline (:mod:`repro.analysis.baseline`);
+  escaping into serialization, and reaching, aliasing or shipping
+  another object's kernel; gated in CI by a suppression baseline
+  (:mod:`repro.analysis.baseline`);
 - :mod:`repro.analysis.hb` (**RainSan, dynamic head**) — a vector-clock
   happens-before sanitizer for the sharded DES (``python -m repro
   sanitize``, or ``REPRO_SANITIZE=1``): HB001–HB003 catch events below

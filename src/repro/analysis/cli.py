@@ -8,10 +8,10 @@ Wired into ``python -m repro`` by :mod:`repro.__main__`:
   compares against the committed suppression baseline
   (:mod:`repro.analysis.baseline`); ``--update-baseline`` re-snapshots
   it.
-- ``python -m repro sanitize <scenario> [--shards N]`` — run a shipped
-  sharded scenario under the happens-before sanitizer
-  (:mod:`repro.analysis.hb`) and report HB001–HB003 violations; exit 0
-  iff the run is clean.
+- ``python -m repro sanitize <scenario> [--shards N]`` — run a scripted
+  entry of :data:`repro.scenarios.SCENARIOS` under the happens-before
+  sanitizer (:mod:`repro.analysis.hb`) and report HB001–HB003
+  violations; exit 0 iff the run is clean.
 - ``python -m repro modelcheck [--quick] [--json] [--slack N ...]`` —
   exhaustively verify the consistent-history pair machine (token
   conservation, bounded slack, stability, the Fig. 7 reachable set) and
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 
+from ..scenarios import SCENARIOS, scripted
 from .baseline import DEFAULT_BASELINE, apply_baseline, load_baseline, write_baseline
 from .chm_model import pair_report
 from .linter import lint_paths
@@ -35,7 +36,6 @@ __all__ = [
     "cmd_lint",
     "cmd_modelcheck",
     "cmd_sanitize",
-    "SANITIZE_SCENARIOS",
 ]
 
 _DEFAULT_LINT_PATHS = ("src", "benchmarks")
@@ -78,69 +78,6 @@ def add_lint_parser(sub: argparse._SubParsersAction) -> argparse.ArgumentParser:
     return p
 
 
-# -- sanitize ----------------------------------------------------------------
-
-
-def _sanitize_membership(seed: int, shards: int):
-    """The 6-node golden membership scenario (crash + 911 rejoin)."""
-    from ..cluster import ShardedRainCluster
-    from ..topology import diameter_ring
-
-    cluster = ShardedRainCluster(diameter_ring(6), seed=seed, shards=shards)
-    cluster.crash_at(1.0, 4)
-    cluster.recover_at(2.0, 4)
-    return cluster, 6.0
-
-
-def _sanitize_rainfs(seed: int, shards: int):
-    """Erasure-coded store, a storage-node crash, then a degraded read."""
-    from ..cluster import ShardedRainCluster
-    from ..codes import BCode
-    from ..topology import diameter_ring
-
-    cluster = ShardedRainCluster(diameter_ring(6), seed=seed, shards=shards)
-    store = cluster.store_on(0, BCode(6))
-    payload = b"sanitize payload " * 32
-
-    def make_store(rep):
-        def gen():
-            yield from store.store("sanitize", payload)
-
-        return gen()
-
-    def make_retrieve(rep):
-        def gen():
-            yield from store.retrieve("sanitize")
-
-        return gen()
-
-    cluster.run_on(0.5, 0, make_store, name="store")
-    cluster.crash_at(1.5, 3)
-    cluster.run_on(2.0, 0, make_retrieve, name="retrieve")
-    return cluster, 5.0
-
-
-def _sanitize_churn(spec_name: str):
-    def build(seed: int, shards: int):
-        from ..scenarios import CHURN_1K, CHURN_SMALL, build_churn_cluster
-
-        spec = dict(CHURN_1K if spec_name == "shard1k" else CHURN_SMALL)
-        horizon = spec.pop("horizon")
-        cluster = build_churn_cluster(seed, shards, **spec)
-        return cluster, horizon
-
-    return build
-
-
-#: scenario name -> builder returning ``(cluster, horizon)``
-SANITIZE_SCENARIOS = {
-    "membership": _sanitize_membership,
-    "rainfs": _sanitize_rainfs,
-    "shard1k": _sanitize_churn("shard1k"),
-    "churn-small": _sanitize_churn("churn-small"),
-}
-
-
 def add_sanitize_parser(sub: argparse._SubParsersAction) -> argparse.ArgumentParser:
     p = sub.add_parser(
         "sanitize",
@@ -149,8 +86,8 @@ def add_sanitize_parser(sub: argparse._SubParsersAction) -> argparse.ArgumentPar
     )
     p.add_argument(
         "scenario",
-        choices=sorted(SANITIZE_SCENARIOS),
-        help="shipped scenario to drive under the monitor",
+        choices=scripted(),
+        help="scripted scenario to drive under the monitor",
     )
     p.add_argument("--seed", type=int, default=7, help="simulation seed")
     p.add_argument(
@@ -218,11 +155,11 @@ def cmd_lint(args: argparse.Namespace) -> int:
 def cmd_sanitize(args: argparse.Namespace) -> int:
     from .hb import install_sanitizer
 
-    cluster, horizon = SANITIZE_SCENARIOS[args.scenario](args.seed, args.shards)
-    sharded = getattr(cluster, "sharded", cluster)
-    monitor = install_sanitizer(sharded)
-    cluster.run(horizon)
-    monitor.check_gauges([k.obs.metrics.snapshot() for k in sharded.kernels])
+    scenario = SCENARIOS[args.scenario]
+    cluster = scenario.build(args.seed, args.shards)
+    monitor = install_sanitizer(cluster.sharded)
+    cluster.run(scenario.horizon)
+    monitor.check_gauges([k.obs.metrics.snapshot() for k in cluster.sharded.kernels])
     report = monitor.report()
     report.stats["scenario"] = args.scenario
     report.stats["seed"] = args.seed

@@ -41,14 +41,6 @@ Rules
   per event.  Bind the series once at init and update the bound series;
   a lazily-bound cache (``.labels()`` assigned into a dict on first
   miss) is fine and not flagged.
-- **RL008** — dotted reach through *another object's* simulator:
-  ``a.b.sim.now``, ``self.transport.sim.obs``, ... (two or more hops
-  before ``.sim``, then a clock/queue/RNG/scheduling attribute).  Under
-  sharded simulation each shard owns a distinct kernel, so a component
-  that tunnels through a peer's ``.sim`` silently couples itself to
-  whichever kernel that peer happens to hold.  Bind the kernel once at
-  init (``self.sim = owner.sim``) and use ``self.sim``; bare ``sim.X``,
-  ``self.sim.X``, and the single-hop handle ``host.sim`` stay legal.
 """
 
 from __future__ import annotations
@@ -150,31 +142,6 @@ _EFFECT_NAMES = {"print"}
 _METRIC_FACTORIES = {"counter", "gauge", "histogram"}
 #: attribute chain tails identifying a metrics registry receiver
 _METRIC_REGISTRIES = {"metrics", "registry"}
-
-# -- RL008: cross-object simulator reach -------------------------------------
-
-#: simulator attributes that read the clock, touch the event queue or
-#: RNG, or schedule work — the state that is per-shard under sharding
-_SIM_SENSITIVE = {
-    "now",
-    "rng",
-    "obs",
-    "_now",
-    "_times",
-    "_buckets",
-    "_schedule_call",
-    "call_in",
-    "call_at",
-    "timeout",
-    "process",
-    "event",
-    "any_of",
-    "all_of",
-    "run",
-    "step",
-    "peek",
-}
-
 
 def _is_generator_fn(node: ast.AST) -> bool:
     """Whether a function has a yield of its own (nested defs excluded)."""
@@ -377,24 +344,6 @@ class _FileChecker(ast.NodeVisitor):
         self._check_rng(node, dotted)
         self._check_id_hash_context(node)
         self._check_hot_metrics(node, dotted)
-        self.generic_visit(node)
-
-    # -- attribute chains (RL008) ------------------------------------------
-
-    def visit_Attribute(self, node: ast.Attribute) -> None:
-        """RL008: ``<a.b...>.sim.<sensitive>`` with two or more hops
-        before ``.sim``.
-
-        Only the node whose attribute IS the sensitive name fires, so a
-        long chain yields one finding; ``sim.X``/``self.sim.X`` and the
-        one-hop handle grab ``host.sim`` are allowed.
-        """
-        if node.attr in _SIM_SENSITIVE:
-            owner = _dotted(node.value)
-            if owner is not None:
-                parts = owner.split(".")
-                if len(parts) >= 3 and parts[-1] == "sim":
-                    self._flag(node, "RL008", f"{owner}.{node.attr}")
         self.generic_visit(node)
 
     def visit_JoinedStr(self, node: ast.JoinedStr) -> None:

@@ -70,7 +70,8 @@ _WALL_CLOCK_SINKS = {
     "date.today",
 }
 
-#: simulator attributes considered per-shard state (mirrors RL008)
+#: simulator attributes that read the clock, touch the event queue or
+#: RNG, or schedule work — the state that is per-shard under sharding
 _SIM_SENSITIVE = {
     "now",
     "rng",
@@ -976,18 +977,15 @@ class _ProgramLinter:
                             f"{stmt.targets[0].id} = {raw} aliases another "
                             f"object's kernel in {info.qualname}",
                         )
-                # chained reach through a non-'sim' kernel attribute
-                # (literal .sim chains are RL008's per-file business)
+                # chained reach through a kernel attribute (the literal
+                # ``a.b.sim.now`` included): two or more hops, then a
+                # clock/queue/RNG/scheduling attribute
                 if isinstance(stmt, ast.Attribute) and stmt.attr in _SIM_SENSITIVE:
                     raw = _dotted(stmt.value)
                     if raw is None:
                         continue
                     parts = raw.split(".")
-                    if (
-                        len(parts) >= 3
-                        and parts[-1] in kattrs
-                        and parts[-1] != "sim"
-                    ):
+                    if len(parts) >= 3 and parts[-1] in kattrs:
                         self._flag(
                             info.path,
                             stmt.lineno,

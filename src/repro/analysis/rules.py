@@ -71,14 +71,6 @@ _ALL = [
         "registry counter/gauge/histogram lookups per event dominate "
         "hot-handler cost",
     ),
-    Rule(
-        "RL008",
-        "cross-object reach into another simulator's clock/queue/RNG",
-        "bind the kernel once at init (self.sim = owner.sim) and go "
-        "through self.sim; a dotted reach through another object's .sim "
-        "couples components to a single-kernel world and breaks under "
-        "sharded simulation, where each shard owns its own kernel",
-    ),
     # -- whole-program rules (repro.analysis.program; need the import/call
     # -- graph, so they only run under ``lint --strict``) ------------------
     Rule(
@@ -114,11 +106,11 @@ _ALL = [
         "reaching a peer object's kernel through a kernel-valued "
         "attribute (any attribute the program binds from *.sim or a "
         "kernel constructor, not just one literally named 'sim') and "
-        "then scheduling on it, aliasing it into a local, mutating "
-        "state through it, or shipping it through a pipe send couples "
-        "two shards outside the barrier protocol; bind your own kernel "
-        "once at init and let cross-shard effects travel as handoffs "
-        "(opaque blobs — never live kernel objects)",
+        "then reading its clock, scheduling on it, aliasing it into a "
+        "local, mutating state through it, or shipping it through a "
+        "pipe send couples two shards outside the barrier protocol; "
+        "bind your own kernel once at init and let cross-shard effects "
+        "travel as handoffs (opaque blobs — never live kernel objects)",
     ),
 ]
 

@@ -251,12 +251,12 @@ def _wl_codes(quick: bool) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _wl_shard(quick: bool) -> tuple[int, int]:
-    from repro.scenarios import CHURN_1K, CHURN_SMALL, run_churn
+def _wl_shard(quick: bool, workers: int = 1) -> tuple[int, int]:
+    from repro.scenarios import SCENARIOS
 
-    shape = CHURN_SMALL if quick else CHURN_1K
-    cluster = run_churn(seed=bench_seed("shard"), shards=4, **shape)
-    report = cluster.metrics(scenario="bench_shard")
+    scenario = SCENARIOS["churn-small" if quick else "shard1k"]
+    run = scenario.run(bench_seed("shard"), shards=4, workers=workers)
+    report = run.metrics(scenario="bench_shard")
     ops = int(report.metrics["sim.kernel.events"]["series"][0]["value"])
     return ops, checksum(ops, zlib.crc32(report.to_json().encode()))
 
@@ -273,15 +273,7 @@ def _wl_shard_mp(quick: bool) -> tuple[int, int]:
     # ops_per_sec ratio between the two workloads IS the parallel
     # speedup of stepping the same windows in worker processes rather
     # than in-process (worker pool stays warm across the repeats).
-    from repro.scenarios import CHURN_1K, CHURN_SMALL, run_churn
-
-    shape = CHURN_SMALL if quick else CHURN_1K
-    run = run_churn(
-        seed=bench_seed("shard"), shards=4, workers=2 if quick else 4, **shape
-    )
-    report = run.metrics(scenario="bench_shard")
-    ops = int(report.metrics["sim.kernel.events"]["series"][0]["value"])
-    return ops, checksum(ops, zlib.crc32(report.to_json().encode()))
+    return _wl_shard(quick, workers=2 if quick else 4)
 
 
 WORKLOADS: dict[str, Workload] = {

@@ -9,7 +9,7 @@ applications (:mod:`repro.apps`) and the examples build on this facade.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from .channel import MonitorConfig
@@ -41,6 +41,13 @@ class ClusterConfig:
         default_factory=lambda: MonitorConfig(ping_interval=0.1, timeout=0.5)
     )
     node_prefix: str = "node"
+
+    def rudp_config(self) -> RudpConfig:
+        """``rudp`` with the cluster-level ``monitor`` filled in unless
+        the transport config names its own."""
+        if self.monitor is None or self.rudp.monitor is not None:
+            return self.rudp
+        return replace(self.rudp, monitor=self.monitor)
 
 
 class RainCluster:
@@ -120,15 +127,7 @@ class RainCluster:
             paths = [
                 (j, j) for j in range(config.nics)
             ]  # mirrored NIC pairing between any two nodes
-        rudp_cfg = config.rudp
-        if config.monitor is not None and rudp_cfg.monitor is None:
-            rudp_cfg = RudpConfig(
-                window=rudp_cfg.window,
-                rto=rudp_cfg.rto,
-                ack_delay=rudp_cfg.ack_delay,
-                policy=rudp_cfg.policy,
-                monitor=config.monitor,
-            )
+        rudp_cfg = config.rudp_config()
         self.transports: list[RudpTransport] = [
             RudpTransport(h, rudp_cfg) for h in self.hosts
         ]
@@ -277,6 +276,7 @@ class ShardedRainCluster:
         with_storage: bool = True,
     ):
         from .net.shard import ShardedNetwork
+        from .topology.deploy import wire
         from .topology.partition import partition_topology
 
         config = config if config is not None else ClusterConfig()
@@ -293,31 +293,11 @@ class ShardedRainCluster:
         )
         self.owner = owner
         host_index = {self.names[i]: i for i in range(topo.num_nodes)}
-        node_deg, switch_deg = topo.degrees()
-        ports = max(config.switch_ports, max(switch_deg.values(), default=0))
-        rudp_cfg = config.rudp
-        if config.monitor is not None and rudp_cfg.monitor is None:
-            rudp_cfg = RudpConfig(
-                window=rudp_cfg.window,
-                rto=rudp_cfg.rto,
-                ack_delay=rudp_cfg.ack_delay,
-                policy=rudp_cfg.policy,
-                monitor=config.monitor,
-            )
+        rudp_cfg = config.rudp_config()
         self.replicas: list[_ShardReplica] = []
         for kernel in self.sharded.kernels:
             net = ShardedNetwork(kernel, owner, host_index, default_latency_s=latency_s)
-            switches = [net.add_switch(f"sw{j}", ports=ports) for j in range(topo.num_switches)]
-            hosts = [
-                net.add_host(self.names[i], nics=max(1, node_deg.get(i, 0)))
-                for i in range(topo.num_nodes)
-            ]
-            next_nic = [0] * topo.num_nodes
-            for ni, sj in topo.node_links:
-                net.link(hosts[ni].nic(next_nic[ni]), switches[sj])
-                next_nic[ni] += 1
-            for a, b in topo.switch_links:
-                net.link(switches[a], switches[b])
+            hosts, switches, _, _ = wire(net, topo, self.names, "sw", config.switch_ports)
             rep = _ShardReplica(kernel, net, FaultInjector(net), hosts, switches)
             for i in range(topo.num_nodes):
                 if owner[self.names[i]] != kernel.rank:

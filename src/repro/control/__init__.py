@@ -2,21 +2,21 @@
 
 The batch entry points (``python -m repro metrics``, the benchmarks)
 run a scenario to its horizon and print one report.  This package wraps
-the same scenarios in a *steerable* driver — run/pause/resume, step by
+the scripted entries of the same table (:data:`repro.scenarios.SCENARIOS`,
+those with a ``horizon``) in a *steerable* driver — run/pause/resume, step by
 simulated duration, run to an event count — and serves live telemetry
 over a stdlib HTTP JSON API plus a zero-dependency single-file HTML
 dashboard (``python -m repro serve <scenario>``).
 
 Layering: everything here sits strictly *above* the simulation stack.
-The driver only calls public stepping APIs (:meth:`repro.sim.Simulator.
-run` / :meth:`~repro.sim.Simulator.run_events`, and
-:class:`~repro.sim.ShardedSimulator`'s ``run`` / ``run_events``, both
-callers of its one window protocol), and telemetry rides
+The driver only calls :class:`~repro.sim.ShardedSimulator`'s public
+``run`` / ``run_events`` (both callers of its one window protocol; one
+shard is its exact event-granularity case), and telemetry rides
 the existing observability substrate (:class:`~repro.obs.EventRing`,
 :class:`~repro.obs.ClusterReport`, :class:`~repro.obs.SpanTracer`), so
 serving a simulation cannot change what it computes.
 
-Determinism contract: control scenarios are **fully scripted at build
+Determinism contract: scripted scenarios are **fully scripted at build
 time** — faults and workloads are scheduled before the first step — so
 driving one to its horizon through any sequence of pause/step/run calls
 yields a :class:`~repro.obs.ClusterReport` byte-identical to the batch
@@ -31,12 +31,5 @@ the injection times.
 from __future__ import annotations
 
 from .driver import ScenarioDriver
-from .scenarios import CONTROL_SCENARIOS, BuiltScenario, ScenarioSpec, build_scenario
 
-__all__ = [
-    "BuiltScenario",
-    "CONTROL_SCENARIOS",
-    "ScenarioDriver",
-    "ScenarioSpec",
-    "build_scenario",
-]
+__all__ = ["ScenarioDriver"]

@@ -7,12 +7,13 @@ snapshot accessors (report, topology, event tail, trace) and programmatic
 fault injection.  It is deliberately single-threaded: the HTTP server
 funnels every call through one command queue, so nothing here locks.
 
-All stepping goes through the public kernel APIs
-(:meth:`repro.sim.Simulator.run` / :meth:`~repro.sim.Simulator.
-run_events`, and :class:`~repro.sim.ShardedSimulator`'s ``run`` /
-``run_events`` — two callers of its one window protocol), which
-compose byte-identically with a single batch ``run(horizon)`` — the
-determinism bridge pinned by ``tests/test_control_driver.py``.
+All stepping goes through :class:`~repro.sim.ShardedSimulator`'s
+public ``run`` / ``run_events`` — two callers of its one window
+protocol, which compose byte-identically with a single batch
+``run(horizon)`` — the determinism bridge pinned by
+``tests/test_control_driver.py``.  One shard is the exact
+event-granularity case of the same protocol, so there is no separate
+single-kernel path.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..obs import EventRing
-from .scenarios import BuiltScenario
+from ..scenarios import Scenario
 
 __all__ = ["ScenarioDriver"]
 
@@ -36,8 +37,10 @@ class ScenarioDriver:
 
     Parameters
     ----------
-    built:
-        A :func:`repro.control.scenarios.build_scenario` result.
+    scenario:
+        A scripted (``horizon is not None``) entry of
+        :data:`repro.scenarios.SCENARIOS`; built here with ``seed`` and
+        ``shards``.
     ring_capacity:
         Bounded event-tail size for ``GET /api/events`` (per driver, not
         per bus — shard buses share one sequence-numbered ring).
@@ -49,42 +52,36 @@ class ScenarioDriver:
 
     def __init__(
         self,
-        built: BuiltScenario,
+        scenario: Scenario,
+        seed: int = 7,
+        shards: int = 1,
         ring_capacity: int = 1024,
         trace: bool = False,
     ):
-        self.built = built
-        self.cluster = built.cluster
-        self.horizon = built.horizon
-        self.sharded = built.sharded
-        self.traced = trace
+        if scenario.horizon is None:
+            raise ValueError(
+                f"scenario {scenario.name!r} is batch-only: it has no "
+                f"horizon to step towards"
+            )
+        self.name = scenario.name
+        self.horizon = scenario.horizon
+        self.seed = seed
+        self.shards = shards
+        self.cluster = scenario.build(seed, shards)
+        # bound once: every stepping call goes through this simulator
+        self.engine = self.cluster.sharded
         self.ring = EventRing(capacity=ring_capacity)
-        # Bind the execution substrate once (rainlint RL008): exactly
-        # one of these is set, and every stepping call goes through it.
-        self.sim = built.sim
-        self.sharded_sim = self.cluster.sharded if self.sharded else None
-        if self.sharded:
-            for kernel in self.sharded_sim.kernels:
-                self.ring.attach(kernel.obs.bus, label=f"shard{kernel.rank}")
-            if trace:
-                self.cluster.install_tracer()
-        else:
-            self.ring.attach(self.sim.obs.bus)
-            if trace:
-                self.sim.obs.install_tracer()
+        for kernel in self.engine.kernels:
+            self.ring.attach(kernel.obs.bus, label=f"shard{kernel.rank}")
+        if trace:
+            self.cluster.install_tracer()
 
     # -- clocks ----------------------------------------------------------
 
     @property
-    def name(self) -> str:
-        return self.built.name
-
-    @property
     def now(self) -> float:
         """Current simulated time."""
-        if self.sharded:
-            return self.sharded_sim.now
-        return self.sim.now
+        return self.engine.now
 
     @property
     def done(self) -> bool:
@@ -93,9 +90,7 @@ class ScenarioDriver:
 
     def total_events(self) -> int:
         """Events executed so far (cheap counter read, no flush)."""
-        if self.sharded:
-            return self.sharded_sim.total_events()
-        return self.sim.n_events
+        return self.engine.total_events()
 
     # -- stepping --------------------------------------------------------
 
@@ -104,10 +99,7 @@ class ScenarioDriver:
         horizon; no-op when already past).  Returns the new clock."""
         target = min(float(t), self.horizon)
         if target > self.now:
-            if self.sharded:
-                self.sharded_sim.run(target)
-            else:
-                self.sim.run(until=target)
+            self.engine.run(target)
         return self.now
 
     def step_for(self, dt: float) -> float:
@@ -119,16 +111,14 @@ class ScenarioDriver:
     def step_events(self, n: int) -> int:
         """Run at most ``n`` further events (bounded by the horizon).
 
-        Single-kernel scenarios step with exact event granularity; a
-        multi-shard scenario advances windows of one lookahead (the
-        shortest the window protocol grants) until the count is
-        reached.  Returns the number of events executed.
+        One shard steps with exact event granularity; a multi-shard
+        run advances windows of one lookahead (the shortest the window
+        protocol grants) until the count is reached.  Returns the
+        number of events executed.
         """
         if n < 0:
             raise ValueError(f"cannot run a negative event count: {n}")
-        if self.sharded:
-            return self.sharded_sim.run_events(n, self.horizon)
-        return self.sim.run_events(n, until=self.horizon)
+        return self.engine.run_events(n, self.horizon)
 
     def run_to_completion(self) -> float:
         """Advance straight to the horizon (the batch-equivalent run)."""
@@ -139,27 +129,16 @@ class ScenarioDriver:
     def report(self):
         """Live :class:`~repro.obs.ClusterReport` — the same call the
         batch CLI makes, so a completed stepped run matches it exactly."""
-        return self.cluster.metrics(scenario=self.name, seed=self.built.seed)
+        return self.cluster.metrics(scenario=self.name, seed=self.seed)
 
     def token_holders(self) -> list[str]:
         """Names of nodes currently holding a membership token."""
-        holders = []
-        if self.sharded:
-            for rep in self.cluster.replicas:
-                for i in sorted(rep.members):
-                    if rep.members[i].holding is not None:
-                        holders.append(rep.hosts[i].name)
-        else:
-            for m in self.cluster.membership:
-                if m.holding is not None:
-                    holders.append(m.host.name)
-        return sorted(holders)
-
-    def _networks(self) -> list:
-        """Per-replica network list (length 1 for a plain cluster)."""
-        if self.sharded:
-            return [rep.net for rep in self.cluster.replicas]
-        return [self.cluster.network]
+        return sorted(
+            rep.hosts[i].name
+            for rep in self.cluster.replicas
+            for i, member in rep.members.items()
+            if member.holding is not None
+        )
 
     def topology(self) -> dict:
         """Live topology snapshot: devices, link states, token position.
@@ -169,7 +148,7 @@ class ScenarioDriver:
         summed across replicas because traffic is metered on the
         sender's shard until handoff.
         """
-        nets = self._networks()
+        nets = [rep.net for rep in self.cluster.replicas]
         net0 = nets[0]
         node_bytes: dict[str, int] = {name: 0 for name in net0.hosts}
         for net in nets:
@@ -203,8 +182,8 @@ class ScenarioDriver:
         ]
         return {
             "scenario": self.name,
-            "seed": self.built.seed,
-            "shards": self.built.shards,
+            "seed": self.seed,
+            "shards": self.shards,
             "now": self.now,
             "horizon": self.horizon,
             "done": self.done,
@@ -235,17 +214,15 @@ class ScenarioDriver:
 
     def trace_doc(self) -> Optional[dict]:
         """Chrome trace-event document, or ``None`` when untraced."""
-        if not self.traced:
+        if not self.engine.tracers:
             return None
-        if self.sharded:
-            # install_tracer() attached one tracer per kernel; a viewer
-            # groups lanes by pid (= trace id), so concatenating the
-            # per-shard documents yields one loadable trace.
-            events: list[dict] = []
-            for tracer in self.sharded_sim.tracers:
-                events.extend(tracer.to_chrome_trace()["traceEvents"])
-            return {"traceEvents": events, "displayTimeUnit": "ms"}
-        return self.sim.obs.tracer.to_chrome_trace()
+        # install_tracer() attached one tracer per kernel; a viewer
+        # groups lanes by pid (= trace id), so concatenating the
+        # per-shard documents yields one loadable trace.
+        events: list[dict] = []
+        for tracer in self.engine.tracers:
+            events.extend(tracer.to_chrome_trace()["traceEvents"])
+        return {"traceEvents": events, "displayTimeUnit": "ms"}
 
     # -- fault injection -------------------------------------------------
 
@@ -275,14 +252,9 @@ class ScenarioDriver:
         if action not in ("fail", "repair"):
             raise KeyError(f"unknown fault action {action!r} (fail, repair)")
         state = None
-        if self.sharded:
-            for rep in self.cluster.replicas:
-                element = self._element(rep.net, kind, target)
-                getattr(rep.faults, action)(element)
-                state = element.up
-        else:
-            element = self._element(self.cluster.network, kind, target)
-            getattr(self.cluster.faults, action)(element)
+        for rep in self.cluster.replicas:
+            element = self._element(rep.net, kind, target)
+            getattr(rep.faults, action)(element)
             state = element.up
         return {
             "action": action,

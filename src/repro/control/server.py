@@ -34,13 +34,14 @@ from __future__ import annotations
 
 import json
 import queue
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
+from ..scenarios import SCENARIOS, scripted
 from .driver import ScenarioDriver
-from .scenarios import CONTROL_SCENARIOS, build_scenario
 
 __all__ = ["ControlServer", "add_serve_parser", "cmd_serve"]
 
@@ -230,7 +231,17 @@ class _ControlRequestHandler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802 - stdlib handler name
         url = urlparse(self.path)
         ctl = self.server.control
-        length = int(self.headers.get("Content-Length") or 0)
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # the body's extent is unknown, so the connection cannot be reused
+            self.close_connection = True
+            self._send_json(
+                {"error": "Content-Length must be a non-negative integer"}, 400
+            )
+            return
         raw = self.rfile.read(length) if length else b"{}"
         try:
             payload = json.loads(raw.decode("utf-8") or "{}")
@@ -275,8 +286,8 @@ def add_serve_parser(sub) -> None:
         "scenario",
         nargs="?",
         default="membership",
-        choices=sorted(CONTROL_SCENARIOS),
-        help="steerable scenario to drive (default: the membership demo)",
+        choices=scripted(),
+        help="scripted scenario to drive (default: the membership ring)",
     )
     p.add_argument("--seed", type=int, default=7, help="simulation seed")
     p.add_argument(
@@ -313,9 +324,15 @@ def add_serve_parser(sub) -> None:
 
 
 def cmd_serve(args) -> int:
-    built = build_scenario(args.scenario, seed=args.seed, shards=args.shards)
-    driver = ScenarioDriver(built, trace=args.trace)
-    server = ControlServer(driver, host=args.host, port=args.port, speed=args.speed)
+    driver = ScenarioDriver(
+        SCENARIOS[args.scenario], seed=args.seed, shards=args.shards, trace=args.trace
+    )
+    try:
+        server = ControlServer(driver, host=args.host, port=args.port, speed=args.speed)
+    except OSError as exc:
+        driver.close()
+        print(f"serve: cannot listen on {args.host}:{args.port}: {exc}", file=sys.stderr)
+        return 2
     if args.run:
         server.state = "running"
     print(

@@ -53,9 +53,6 @@ class FaultInjector:
     # -- immediate ---------------------------------------------------------
 
     def _set(self, element: Failable, up: bool) -> None:
-        kind = getattr(element, "kind", None) or (
-            "link" if isinstance(element, Link) else "host"
-        )
         if isinstance(element, Link):
             kind = "link"
         elif isinstance(element, Switch):

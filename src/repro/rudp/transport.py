@@ -53,7 +53,7 @@ class RudpConnection:
 
     def __init__(self, transport: "RudpTransport", peer: str, paths: Sequence[Path], policy: str):
         self.transport = transport
-        self.sim = transport.sim  # bound once: never reach through transport.sim (RL008)
+        self.sim = transport.sim  # bound once: never reach through transport.sim (RL012)
         self.peer = peer
         self.bundle = PathBundle(
             peer,

@@ -9,12 +9,13 @@ traffic, and subjected to fault injection.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from ..net import FaultInjector, Host, Link, Network, Switch
 from ..sim import Simulator
 from .graph import TopologyGraph
 
-__all__ = ["Deployment", "deploy"]
+__all__ = ["Deployment", "deploy", "wire"]
 
 
 @dataclass
@@ -42,28 +43,34 @@ class Deployment:
         return self.switches[j]
 
 
-def deploy(
+def wire(
+    net: Network,
     topo: TopologyGraph,
-    sim: Simulator,
-    switch_ports: int = 8,
+    node_names: Sequence[str],
+    switch_prefix: str,
+    switch_ports: int,
     **link_kwargs,
-) -> Deployment:
-    """Build hosts, switches, and cables matching ``topo``.
+) -> tuple[list[Host], list[Switch], dict[tuple[int, int], Link], list[Link]]:
+    """Build ``topo``'s switches, hosts, node links and switch links on
+    ``net`` — in that order, which fixes every link id.
 
-    Host ``c<i>`` gets one NIC per attachment, in the order the
-    construction listed them; switch port budgets are taken from
-    ``switch_ports`` (raise it for high-degree constructions).
+    Host ``i`` gets one NIC per attachment, in the order the
+    construction listed them; the switch port budget is ``switch_ports``
+    raised to the construction's highest switch degree.  Returns
+    ``(hosts, switches, node_links, switch_links)``.
     """
-    net = Network(sim)
     nd, sd = topo.degrees()
-    max_sd = max(sd.values()) if sd else 0
-    ports = max(switch_ports, max_sd)
-    switches = [net.add_switch(f"s{j}", ports=ports) for j in range(topo.num_switches)]
+    ports = max(switch_ports, max(sd.values(), default=0))
+    switches = [
+        net.add_switch(f"{switch_prefix}{j}", ports=ports)
+        for j in range(topo.num_switches)
+    ]
     hosts = [
-        net.add_host(f"c{i}", nics=max(1, nd.get(i, 0))) for i in range(topo.num_nodes)
+        net.add_host(node_names[i], nics=max(1, nd.get(i, 0)))
+        for i in range(topo.num_nodes)
     ]
     node_links: dict[tuple[int, int], Link] = {}
-    next_nic = {i: 0 for i in range(topo.num_nodes)}
+    next_nic = [0] * topo.num_nodes
     for n, s in topo.node_links:
         k = next_nic[n]
         next_nic[n] += 1
@@ -71,6 +78,23 @@ def deploy(
     switch_links = [
         net.link(switches[a], switches[b], **link_kwargs) for a, b in topo.switch_links
     ]
+    return hosts, switches, node_links, switch_links
+
+
+def deploy(
+    topo: TopologyGraph,
+    sim: Simulator,
+    switch_ports: int = 8,
+    **link_kwargs,
+) -> Deployment:
+    """Build hosts ``c<i>``, switches ``s<j>`` and cables matching
+    ``topo`` on a fresh network (raise ``switch_ports`` for high-degree
+    constructions; see :func:`wire`)."""
+    net = Network(sim)
+    names = [f"c{i}" for i in range(topo.num_nodes)]
+    hosts, switches, node_links, switch_links = wire(
+        net, topo, names, "s", switch_ports, **link_kwargs
+    )
     gauges = sim.obs.metrics.gauge(
         "topology.deploy.elements", help="live elements built from the topology graph"
     )

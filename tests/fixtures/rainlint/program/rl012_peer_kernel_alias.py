@@ -1,7 +1,7 @@
 """RL012 fixture: scheduling through a peer's kernel-valued attribute.
 
-``Member.__init__`` binds ``self.kernel = host.sim`` — legal under
-RL008 (a one-hop grab at init) and invisible to it afterwards, because
+``Member.__init__`` binds ``self.kernel = host.sim`` — a legal one-hop
+grab at init, and no per-file pattern can follow it afterwards, because
 the attribute is not literally named ``sim``.  The whole-program pass
 infers that ``kernel`` is kernel-valued and flags ``Gossiper.poke``
 aliasing a *peer's* kernel into a local to schedule on it.  Exactly

@@ -43,15 +43,18 @@ import pickle
 import pytest
 
 from repro.analysis.hb import HbMonitor, install_sanitizer, sanitize_enabled
-from repro.cluster import ShardedRainCluster
 from repro.rudp import RudpTransport
+from repro.scenarios import SCENARIOS
 from repro.sim import ShardedSimulator, SimulationError, host_origin
 from repro.sim.shard import Handoff, ShardKernel, WindowGrants
-from repro.topology import diameter_ring
 
 
-def _membership_cluster(shards: int) -> ShardedRainCluster:
-    return ShardedRainCluster(diameter_ring(6), seed=7, shards=shards)
+MEMBERSHIP = SCENARIOS["membership"]
+
+
+def _membership_cluster(shards: int):
+    """The table's 6-node ring, crash-4 / 911-rejoin script installed."""
+    return MEMBERSHIP.build(7, shards)
 
 
 def _rules(monitor: HbMonitor) -> list:
@@ -64,10 +67,8 @@ def _rules(monitor: HbMonitor) -> list:
 @pytest.mark.parametrize("shards", [1, 4])
 def test_clean_membership_run_has_zero_findings(shards):
     cluster = _membership_cluster(shards)
-    cluster.crash_at(1.0, 4)
-    cluster.recover_at(2.0, 4)
     monitor = install_sanitizer(cluster.sharded)
-    cluster.run(6.0)
+    cluster.run(MEMBERSHIP.horizon)
     monitor.check_gauges(
         [k.obs.metrics.snapshot() for k in cluster.sharded.kernels]
     )

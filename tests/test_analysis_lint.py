@@ -1,4 +1,4 @@
-"""Tests for rainlint: per-file rules RL001-RL008, pragmas, runner, CLI.
+"""Tests for rainlint: per-file rules RL001-RL007, pragmas, runner, CLI.
 
 The interprocedural rules RL009-RL012 (``lint --strict``) are covered
 in ``test_analysis_program.py``; here they only appear where the CLI
@@ -31,7 +31,6 @@ SEEDED = {
     "rl005_mutable_default": "RL005",
     "rl006_bare_except": "RL006",
     "rl007_hot_metric_lookup": "RL007",
-    "rl008_cross_sim": "RL008",
 }
 
 #: expected findings per rule across the fixture tree (RL004 is seeded
@@ -309,45 +308,6 @@ class TestRL007HotMetricLookup:
             "        self._m.labels(kind='summary').inc()\n"
         )
         assert rules_of(src) == []
-
-
-class TestRL008CrossSimReach:
-    def test_two_hop_clock_read_flagged(self):
-        src = "def f(self):\n    return self.transport.sim.now\n"
-        assert rules_of(src) == ["RL008"]
-
-    def test_two_hop_obs_chain_flagged(self):
-        src = "def f(self):\n    self.transport.sim.obs.bus.publish('x')\n"
-        assert rules_of(src) == ["RL008"]
-
-    def test_two_hop_scheduling_flagged(self):
-        src = "def f(a):\n    a.owner.sim.call_in(1.0, a.tick)\n"
-        assert rules_of(src) == ["RL008"]
-
-    def test_own_bound_kernel_clean(self):
-        src = "def f(self):\n    return self.sim.now\n"
-        assert rules_of(src) == []
-
-    def test_bare_sim_clean(self):
-        src = "def f(sim):\n    sim.call_in(1.0, f)\n"
-        assert rules_of(src) == []
-
-    def test_single_hop_handle_grab_clean(self):
-        # binding a peer's kernel once at init is the sanctioned fix
-        src = (
-            "class C:\n"
-            "    def __init__(self, host):\n"
-            "        self.sim = host.sim\n"
-        )
-        assert rules_of(src) == []
-
-    def test_non_sensitive_attribute_clean(self):
-        src = "def f(self):\n    return self.transport.sim.lookahead\n"
-        assert rules_of(src) == []
-
-    def test_one_finding_per_chain(self):
-        src = "def f(self):\n    self.transport.sim.obs.tracer.start('x')\n"
-        assert rules_of(src) == ["RL008"]
 
 
 class TestPragmas:

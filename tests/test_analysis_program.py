@@ -29,6 +29,7 @@ SEEDED = {
     "rl009_handler_wall_clock": ("RL009", 12),
     "rl010_ctx_dropped": ("RL010", 33),
     "rl011_unordered_pickle": ("RL011", 19),
+    "rl012_cross_sim": ("RL012", 19),
     "rl012_peer_kernel_alias": ("RL012", 22),
     "rl012_pipe_send": ("RL012", 25),
 }
@@ -53,12 +54,49 @@ def test_fixture_is_invisible_to_the_per_file_pass(stem):
     assert lint_file(FIXTURES / f"{stem}.py") == []
 
 
+# -- RL012's literal-``.sim`` reach (the per-file RL008 it absorbed) --------
+
+_SIM_REACH_CASES = {
+    "two_hop_clock_read": ("def f(self):\n    return self.transport.sim.now\n", 1),
+    "two_hop_obs_chain": (
+        "def f(self):\n    self.transport.sim.obs.bus.publish('x')\n",
+        1,
+    ),
+    "two_hop_scheduling": ("def f(a):\n    a.owner.sim.call_in(1.0, a.tick)\n", 1),
+    "one_finding_per_chain": (
+        "def f(self):\n    self.transport.sim.obs.tracer.start('x')\n",
+        1,
+    ),
+    "own_bound_kernel": ("def f(self):\n    return self.sim.now\n", 0),
+    "bare_sim": ("def f(sim):\n    sim.call_in(1.0, f)\n", 0),
+    # binding a peer's kernel once at init is the sanctioned fix
+    "single_hop_handle_grab": (
+        "class C:\n    def __init__(self, host):\n        self.sim = host.sim\n",
+        0,
+    ),
+    "non_sensitive_attribute": (
+        "def f(self):\n    return self.transport.sim.lookahead\n",
+        0,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SIM_REACH_CASES))
+def test_rl012_literal_sim_reach(tmp_path, case):
+    source, expected = _SIM_REACH_CASES[case]
+    target = tmp_path / f"{case}.py"
+    target.write_text(source, encoding="utf-8")
+    findings, _ = lint_program([target])
+    assert [f.rule for f in findings] == ["RL012"] * expected
+
+
 def test_program_dir_yields_all_four_rules_in_canonical_order():
     findings, suppressed = lint_program([FIXTURES])
     assert [f.rule for f in findings] == [
         "RL009",
         "RL010",
         "RL011",
+        "RL012",
         "RL012",
         "RL012",
     ]
@@ -148,6 +186,7 @@ def test_lint_paths_strict_merges_program_findings():
         "RL011",
         "RL012",
         "RL012",
+        "RL012",
     ]
     # suppression counts merge per rule (the hidden RL001 sink pragma)
     assert strict.suppressed.get("RL001", 0) >= 1
@@ -166,15 +205,15 @@ def test_clean_tree_is_strict_clean():
 
 def test_baseline_round_trip_accepts_known_findings(tmp_path):
     report = lint_paths([FIXTURES], strict=True)
-    assert len(report.findings) == 5
+    assert len(report.findings) == 6
     baseline_file = tmp_path / "baseline.json"
     accepted = write_baseline(baseline_file, report)
-    assert sum(accepted.values()) == 5
+    assert sum(accepted.values()) == 6
     # a fresh identical run gates clean against the snapshot
     fresh = lint_paths([FIXTURES], strict=True)
     gated = apply_baseline(fresh, load_baseline(baseline_file))
     assert gated.findings == []
-    assert gated.stats["baselined"] == 5
+    assert gated.stats["baselined"] == 6
     assert gated.stats["baseline_stale"] == 0
 
 
@@ -189,7 +228,7 @@ def test_baseline_does_not_mask_new_findings(tmp_path):
     # a second file's findings are NOT covered by the snapshot
     wider = lint_paths([FIXTURES], strict=True)
     gated = apply_baseline(wider, load_baseline(baseline_file))
-    assert [f.rule for f in gated.findings] == ["RL010", "RL011", "RL012", "RL012"]
+    assert [f.rule for f in gated.findings] == ["RL010", "RL011"] + ["RL012"] * 3
     assert gated.stats["baselined"] == 1
 
 

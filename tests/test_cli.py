@@ -4,11 +4,12 @@ import json
 
 import pytest
 
-from repro.__main__ import SCENARIOS, build_parser, main
+from repro.__main__ import DEMOS, build_parser, main
+from repro.scenarios import SCENARIOS, build, scripted
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_scenarios_run_clean(name, capsys):
+@pytest.mark.parametrize("name", sorted(DEMOS))
+def test_demos_run_clean(name, capsys):
     assert main([name]) == 0
     out = capsys.readouterr().out
     assert out.strip(), f"scenario {name} produced no output"
@@ -98,13 +99,26 @@ def test_trace_unknown_scenario_rejected(capsys):
 # -- help audit --------------------------------------------------------------
 
 
+def _subparsers():
+    (sub,) = [
+        a
+        for a in build_parser()._actions
+        if a.__class__.__name__ == "_SubParsersAction"
+    ]
+    return sub
+
+
 def _subcommand_helps() -> dict:
     """Map of subcommand name -> its one-line help string."""
-    parser = build_parser()
-    (sub,) = [
-        a for a in parser._actions if a.__class__.__name__ == "_SubParsersAction"
-    ]
-    return {act.dest: act.help for act in sub._choices_actions}
+    return {act.dest: act.help for act in _subparsers()._choices_actions}
+
+
+def _assert_one_line_help(name: str, help_text: str) -> None:
+    assert help_text, f"{name!r} has no help string"
+    assert "\n" not in help_text, f"{name!r} help spans multiple lines"
+    assert len(help_text) <= 79, f"{name!r} help exceeds one terminal line"
+    assert help_text[0].islower(), f"{name!r} help must start lowercase: {help_text!r}"
+    assert not help_text.endswith("."), f"{name!r} help ends with a period"
 
 
 EXPECTED_COMMANDS = {
@@ -119,12 +133,7 @@ def test_every_subcommand_is_registered():
 
 def test_every_subcommand_has_a_consistent_one_line_help():
     for name, help_text in sorted(_subcommand_helps().items()):
-        assert help_text, f"subcommand {name!r} has no help string"
-        assert "\n" not in help_text, f"{name!r} help spans multiple lines"
-        assert len(help_text) <= 79, f"{name!r} help exceeds one terminal line"
-        first = help_text[0]
-        assert first.islower(), f"{name!r} help must start lowercase: {help_text!r}"
-        assert not help_text.endswith("."), f"{name!r} help ends with a period"
+        _assert_one_line_help(name, help_text)
 
 
 def test_root_help_lists_serve(capsys):
@@ -135,14 +144,48 @@ def test_root_help_lists_serve(capsys):
     assert "serve" in out and "metrics" in out
 
 
-# -- metrics: new scenarios and the report schema ---------------------------
+# -- the one scenario table --------------------------------------------------
+
+
+def test_every_scenario_taking_command_accepts_exactly_the_table():
+    """``metrics`` takes every entry; ``sanitize`` and ``serve`` take the
+    scripted subset — derived from the table, never a second list."""
+
+    def choices(command: str) -> list:
+        (positional,) = [
+            a for a in _subparsers().choices[command]._actions if a.dest == "scenario"
+        ]
+        return list(positional.choices)
+
+    assert choices("metrics") == sorted(SCENARIOS)
+    assert choices("sanitize") == choices("serve") == scripted()
+    assert scripted() == sorted(n for n, s in SCENARIOS.items() if s.horizon)
+    assert set(SCENARIOS) - set(scripted()) == {"testbed", "quickstart"}
+
+
+def test_every_table_entry_is_named_and_described():
+    for name, scenario in SCENARIOS.items():
+        assert scenario.name == name
+        _assert_one_line_help(name, scenario.help)
+    with pytest.raises(KeyError, match="warp-drive"):
+        build("warp-drive")
+
+
+def test_batch_only_scenario_notes_ignored_shards(capsys):
+    assert main(["metrics", "quickstart", "--shards", "4", "--json"]) == 0
+    captured = capsys.readouterr()
+    assert "ignores --shards/--workers" in captured.err
+    assert json.loads(captured.out)["scenario"] == "quickstart"
+
+
+# -- metrics: the report schema ----------------------------------------------
 
 
 def test_metrics_membership_scenario_runs(capsys):
     assert main(["metrics", "membership", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["scenario"] == "membership"
-    assert report["sim_time"] == 25.0
+    assert report["sim_time"] == SCENARIOS["membership"].horizon == 6.0
     assert "membership" in report["subsystems"]
 
 

@@ -3,13 +3,17 @@
 The bridge is the load-bearing contract: driving a scripted scenario to
 its horizon through any sequence of pause/step/run calls must produce a
 ClusterReport byte-identical to the batch ``python -m repro metrics
-<scenario>`` run (same seed).
+<scenario>`` run (same seed) — for every scripted entry of the one
+scenario table, at one shard and at several.
 """
 
 import pytest
 
 from repro.__main__ import main
-from repro.control import CONTROL_SCENARIOS, ScenarioDriver, build_scenario
+from repro.control import ScenarioDriver
+from repro.scenarios import SCENARIOS, scripted
+
+MEMBERSHIP = SCENARIOS["membership"]
 
 
 def _batch_json(capsys, scenario: str, *extra: str) -> str:
@@ -20,64 +24,52 @@ def _batch_json(capsys, scenario: str, *extra: str) -> str:
 # -- determinism bridge ------------------------------------------------------
 
 
-def test_stepped_membership_matches_batch_metrics_byte_identically(capsys):
-    batch = _batch_json(capsys, "membership")
-    driver = ScenarioDriver(build_scenario("membership", seed=7))
-    # A deliberately ragged schedule: duration steps, an event-count
-    # step, an absolute target, then completion.
-    driver.step_for(1.3)
-    assert driver.step_events(500) == 500
-    driver.run_to(11.7)
+@pytest.mark.parametrize("shards", [1, 2])
+@pytest.mark.parametrize("name", scripted())
+def test_stepped_run_matches_batch_metrics_byte_identically(capsys, name, shards):
+    batch = _batch_json(capsys, name, "--shards", str(shards))
+    driver = ScenarioDriver(SCENARIOS[name], seed=7, shards=shards)
+    h = driver.horizon
+    # A deliberately ragged schedule: a duration step, an event-count
+    # step, an absolute target, then uneven steps to completion.
+    driver.step_for(0.17 * h)
+    assert driver.step_events(300) >= 300
+    driver.run_to(0.61 * h)
     while not driver.done:
-        driver.step_for(3.1)
-    assert driver.now == driver.horizon
-    assert driver.report().to_json() + "\n" == batch
-
-
-def test_stepped_sharded_churn_matches_batch_metrics_byte_identically(capsys):
-    batch = _batch_json(capsys, "churn-small")
-    driver = ScenarioDriver(build_scenario("churn-small", seed=7, shards=2))
-    driver.step_for(0.13)
-    assert driver.step_events(2000) >= 2000
-    driver.run_to(0.55)
-    driver.run_to_completion()
-    assert driver.done
+        driver.step_for(0.13 * h)
+    assert driver.now == h
     assert driver.report().to_json() + "\n" == batch
 
 
 # -- stepping semantics ------------------------------------------------------
 
 
+def test_batch_only_scenarios_are_refused():
+    with pytest.raises(ValueError, match="batch-only"):
+        ScenarioDriver(SCENARIOS["testbed"])
+
+
 def test_run_to_clamps_to_horizon_and_is_idempotent():
-    driver = ScenarioDriver(build_scenario("membership"))
+    driver = ScenarioDriver(MEMBERSHIP)
     assert driver.run_to(1e9) == driver.horizon
     assert driver.done
     assert driver.run_to(0.5) == driver.horizon  # past targets are no-ops
 
 
 def test_step_for_rejects_negative_duration():
-    driver = ScenarioDriver(build_scenario("membership"))
+    driver = ScenarioDriver(MEMBERSHIP)
     with pytest.raises(ValueError):
         driver.step_for(-1.0)
     with pytest.raises(ValueError):
         driver.step_events(-5)
 
 
-def test_step_events_is_exact_on_a_single_kernel():
-    driver = ScenarioDriver(build_scenario("membership"))
-    before = driver.total_events()
-    assert driver.step_events(123) == 123
-    assert driver.total_events() - before == 123
-    assert driver.now < driver.horizon
-
-
-def test_step_events_is_exact_on_a_one_shard_sharded_simulator(capsys):
-    """shards=1 of a *sharded* scenario goes through the window protocol
-    (one kernel, unbounded lookahead) yet keeps event granularity, and
-    stopping mid-window composes with the run to the horizon."""
+def test_step_events_is_exact_on_one_shard(capsys):
+    """shards=1 goes through the window protocol (one kernel, unbounded
+    lookahead) yet keeps event granularity, and stopping mid-window
+    composes with the run to the horizon."""
     batch = _batch_json(capsys, "churn-small", "--shards", "1")
-    driver = ScenarioDriver(build_scenario("churn-small", seed=7, shards=1))
-    assert driver.sharded
+    driver = ScenarioDriver(SCENARIOS["churn-small"], seed=7, shards=1)
     before = driver.total_events()
     assert driver.step_events(123) == 123
     assert driver.total_events() - before == 123
@@ -108,31 +100,31 @@ def test_simulator_run_events_composes_with_bounded_run():
 
 
 def test_topology_snapshot_shape_and_token_marker():
-    driver = ScenarioDriver(build_scenario("membership"))
-    driver.run_to(2.5)
+    driver = ScenarioDriver(MEMBERSHIP)
+    driver.run_to(0.9)
     topo = driver.topology()
     assert topo["scenario"] == "membership"
-    assert len(topo["nodes"]) == 5
-    assert len(topo["switches"]) == 2
+    assert len(topo["nodes"]) == 6
+    assert len(topo["switches"]) == 6
     assert topo["links"] and all(l["up"] for l in topo["links"])
     assert topo["events_total"] == driver.total_events() > 0
-    # by 2.5 s the ring has converged and someone holds the token
+    # by 0.9 s the ring has converged and someone holds the token
     held = [n["name"] for n in topo["nodes"] if n["token"]]
     assert held == topo["token_holders"] == driver.token_holders()
     assert any(n["bytes"] > 0 for n in topo["nodes"])
 
 
 def test_scripted_crash_shows_up_as_down_node():
-    driver = ScenarioDriver(build_scenario("membership"))
-    driver.run_to(5.0)  # crash is scripted at 3.0, recovery at 10.0
+    driver = ScenarioDriver(MEMBERSHIP)
+    driver.run_to(1.5)  # crash is scripted at 1.0, recovery at 2.0
     down = [n["name"] for n in driver.topology()["nodes"] if not n["up"]]
-    assert down == ["node2"]
-    driver.run_to(12.0)
+    assert down == ["node4"]
+    driver.run_to(2.5)
     assert all(n["up"] for n in driver.topology()["nodes"])
 
 
 def test_event_ring_streams_with_cursor_resume():
-    driver = ScenarioDriver(build_scenario("membership"), ring_capacity=64)
+    driver = ScenarioDriver(MEMBERSHIP, ring_capacity=64)
     driver.run_to(1.0)
     first = driver.events_since(-1)
     assert 0 < len(first["events"]) <= 64
@@ -147,10 +139,10 @@ def test_event_ring_streams_with_cursor_resume():
 
 
 def test_trace_doc_gated_on_trace_flag():
-    untraced = ScenarioDriver(build_scenario("membership"))
+    untraced = ScenarioDriver(MEMBERSHIP)
     assert untraced.trace_doc() is None
 
-    traced = ScenarioDriver(build_scenario("membership"), trace=True)
+    traced = ScenarioDriver(MEMBERSHIP, trace=True)
     traced.run_to(1.0)
     doc = traced.trace_doc()
     from repro.obs import validate_chrome_trace
@@ -163,18 +155,19 @@ def test_trace_doc_gated_on_trace_flag():
 
 
 def test_inject_fault_flips_elements_and_rejects_unknowns():
-    driver = ScenarioDriver(build_scenario("membership"))
+    driver = ScenarioDriver(MEMBERSHIP)
     driver.run_to(1.0)
     out = driver.inject_fault("fail", "node", "node1")
     assert out["up"] is False and out["time"] == driver.now
-    assert not driver.cluster.hosts[1].up
+    rep = driver.cluster.replicas[0]
+    assert not rep.hosts[1].up
     driver.inject_fault("repair", "node", "node1")
-    assert driver.cluster.hosts[1].up
+    assert rep.hosts[1].up
 
     driver.inject_fault("fail", "link", "L0")
-    assert not driver.cluster.network.links[0].up
+    assert not rep.net.links[0].up
     driver.inject_fault("fail", "switch", "sw0")
-    assert not driver.cluster.switches[0].up
+    assert not rep.switches[0].up
 
     for action, kind, target in (
         ("explode", "node", "node1"),
@@ -188,23 +181,8 @@ def test_inject_fault_flips_elements_and_rejects_unknowns():
 
 
 def test_inject_fault_replicates_across_shards():
-    driver = ScenarioDriver(build_scenario("churn-small", shards=2))
+    driver = ScenarioDriver(SCENARIOS["churn-small"], shards=2)
     driver.step_for(0.05)
     driver.inject_fault("fail", "node", "node7")
     for rep in driver.cluster.replicas:
         assert not rep.net.hosts["node7"].up
-
-
-# -- registry ----------------------------------------------------------------
-
-
-def test_scenario_registry_is_validated():
-    assert set(CONTROL_SCENARIOS) == {"membership", "churn-small"}
-    from repro.scenarios import CHURN_SMALL
-
-    # the spec horizon is a literal; keep it pinned to the real shape
-    assert CONTROL_SCENARIOS["churn-small"].horizon == CHURN_SMALL["horizon"]
-    with pytest.raises(KeyError):
-        build_scenario("warp-drive")
-    with pytest.raises(ValueError):
-        build_scenario("membership", shards=2)

@@ -1,23 +1,29 @@
 """Control-plane HTTP server: API surface, faults, dashboard, shutdown.
 
-One server fixture per test keeps the simulation small (the 5-node
+One server fixture per test keeps the simulation small (the 6-node
 membership scenario) and every request on an ephemeral loopback port.
 """
 
+import http.client
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
 
 import pytest
 
-from repro.control import ScenarioDriver, build_scenario
+from repro.__main__ import main
+from repro.control import ScenarioDriver
 from repro.control.server import ControlServer
+from repro.scenarios import SCENARIOS
+
+MEMBERSHIP = SCENARIOS["membership"]
 
 
 @pytest.fixture()
 def server():
-    driver = ScenarioDriver(build_scenario("membership", seed=7))
+    driver = ScenarioDriver(MEMBERSHIP, seed=7)
     srv = ControlServer(driver, port=0)
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
     thread.start()
@@ -84,15 +90,15 @@ def test_control_ops_step_and_report_progress(server):
 
 
 def test_free_run_is_speed_limited_and_pausable(server):
-    status, st = _post(server, "/api/control", {"op": "run", "speed": 10.0})
+    status, st = _post(server, "/api/control", {"op": "run", "speed": 5.0})
     assert status == 200 and st["state"] == "running"
     import time
 
     time.sleep(0.35)
     status, st = _post(server, "/api/control", {"op": "pause"})
     assert status == 200 and st["state"] == "paused"
-    # ~0.35 real seconds at 10 sim-s/real-s: clearly advanced, clearly
-    # not the whole 25 s horizon (that would mean pacing is broken)
+    # ~0.35 real seconds at 5 sim-s/real-s: clearly advanced, clearly
+    # not the whole 6 s horizon (that would mean pacing is broken)
     assert 0.0 < st["now"] < st["horizon"]
 
 
@@ -136,6 +142,36 @@ def test_error_paths_return_json_errors(server):
     assert status == 400 and "--trace" in err["error"]
 
 
+@pytest.mark.parametrize("length", ["banana", "-1"])
+def test_malformed_content_length_is_a_400_not_a_hang(server, length):
+    """Outside input: a non-integer header used to raise in the handler
+    thread, a negative one to block on ``rfile.read(-1)``."""
+    conn = http.client.HTTPConnection(server.host, server.port, timeout=5)
+    try:
+        conn.putrequest("POST", "/api/control")
+        conn.putheader("Content-Length", length)
+        conn.endheaders()
+        resp = conn.getresponse()
+        assert resp.status == 400
+        assert "Content-Length" in json.loads(resp.read())["error"]
+    finally:
+        conn.close()
+    # the server is still answering
+    status, st = _post(server, "/api/control", {"op": "pause"})
+    assert status == 200 and st["state"] == "paused"
+
+
+def test_serve_on_a_port_in_use_exits_2_with_one_line(capsys):
+    with socket.socket() as busy:
+        busy.bind(("127.0.0.1", 0))
+        busy.listen(1)
+        port = busy.getsockname()[1]
+        assert main(["serve", "membership", "--port", str(port)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(port) in err
+    assert "Traceback" not in err
+
+
 def test_topology_carries_driver_status(server):
     status, topo = _get_json(server, "/api/topology")
     assert status == 200
@@ -147,7 +183,7 @@ def test_topology_carries_driver_status(server):
 def test_traced_server_exports_chrome_trace():
     from repro.obs import validate_chrome_trace
 
-    driver = ScenarioDriver(build_scenario("membership", seed=7), trace=True)
+    driver = ScenarioDriver(MEMBERSHIP, seed=7, trace=True)
     srv = ControlServer(driver, port=0)
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
     thread.start()

@@ -19,13 +19,11 @@ Regenerating fixtures (only for an *intentional* behaviour change)::
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 
 import pytest
 
-from repro.cluster import ShardedRainCluster
-from repro.topology import diameter_ring
+from repro.scenarios import SCENARIOS
 
 from .test_golden_trace import _canon, check_golden
 
@@ -51,12 +49,12 @@ def _env_shards() -> int:
 
 
 def membership_scenario(shards: int) -> dict:
-    """Six nodes on a diameter ring: converge, crash node 4, 911 rejoin."""
-    cluster = ShardedRainCluster(diameter_ring(6), seed=7, shards=shards)
+    """The table's ``membership`` entry (six nodes on a diameter ring:
+    converge, crash node 4, 911 rejoin), traced."""
+    scenario = SCENARIOS["membership"]
+    cluster = scenario.build(7, shards)
     cluster.install_tracer()
-    cluster.crash_at(1.0, 4)
-    cluster.recover_at(2.0, 4)
-    cluster.run(6.0)
+    cluster.run(scenario.horizon)
     assert cluster.live_members_converged()
     return {
         "report": cluster.metrics(scenario="shard-membership", seed=7).to_dict(),
@@ -79,34 +77,14 @@ def test_membership_matches_golden_fixture():
 
 
 def rainfs_scenario(shards: int) -> dict:
-    """Erasure-coded store, a storage-node crash, then a degraded read."""
-    from repro.codes import BCode
-
-    cluster = ShardedRainCluster(diameter_ring(6), seed=7, shards=shards)
-    store = cluster.store_on(0, BCode(6))
-    payload = b"shard golden payload " * 32
-    outcome: dict = {}
-
-    def make_store(rep):
-        def gen():
-            result = yield from store.store("golden", payload)
-            outcome["stored"] = result
-
-        return gen()
-
-    def make_retrieve(rep):
-        def gen():
-            data = yield from store.retrieve("golden")
-            outcome["data"] = data
-
-        return gen()
-
-    cluster.run_on(0.5, 0, make_store, name="store")
-    cluster.crash_at(1.5, 3)
-    cluster.run_on(2.0, 0, make_retrieve, name="retrieve")
-    cluster.run(5.0)
-    assert outcome.get("data") == payload, "degraded read failed"
-    return {"report": cluster.metrics(scenario="shard-rainfs", seed=7).to_dict()}
+    """The table's ``rainfs`` entry: erasure-coded store, a storage-node
+    crash, then a degraded read (the script itself stops the run if the
+    bytes read back differ from the bytes stored)."""
+    cluster = SCENARIOS["rainfs"].run(7, shards)
+    report = cluster.metrics(scenario="shard-rainfs", seed=7).to_dict()
+    (reads,) = report["metrics"]["storage.retrieve.latency"]["series"]
+    assert reads["count"] == 1, "degraded read did not complete"
+    return {"report": report}
 
 
 def test_rainfs_layouts_byte_identical():
@@ -129,9 +107,7 @@ SHARD1K_SHA256 = "b7f858b65b03b4fbc52b3f39eaff49fc0fa7533dcf1fed0617e49ea9c3310d
 
 
 def shard1k_report(shards: int) -> str:
-    from repro.scenarios import CHURN_1K, run_churn
-
-    cluster = run_churn(seed=7, shards=shards, **CHURN_1K)
+    cluster = SCENARIOS["shard1k"].run(7, shards)
     return cluster.metrics(scenario="shard1k", seed=7).to_json() + "\n"
 
 
@@ -153,11 +129,24 @@ def test_shard1k_demo_byte_identical_and_pinned():
 
 def test_mp_executor_matches_serial():
     """workers=2 (spawn) produces the same merged report as workers=1."""
-    from repro.scenarios import run_churn
+    from repro.scenarios import build_churn_cluster
+    from repro.sim.shard_mp import run_cluster_mp
 
-    shape = {"nodes": 60, "switches": 8, "horizon": 0.4}
-    serial = run_churn(seed=7, shards=4, workers=1, **shape)
-    parallel = run_churn(seed=7, shards=4, workers=2, **shape)
+    shape = {"seed": 7, "nodes": 60, "switches": 8}
+    serial = build_churn_cluster(shards=4, **shape)
+    serial.run(0.4)
+    parallel = run_cluster_mp(
+        "repro.scenarios:build_churn_cluster", shape, shards=4, until=0.4, workers=2
+    )
     a = serial.metrics(scenario="mp", seed=7).to_json()
     b = parallel.metrics(scenario="mp", seed=7).to_json()
+    assert a == b
+
+
+def test_mp_executor_runs_a_workload_scripted_table_entry():
+    """``--workers`` holds for every scripted entry, not just churn: the
+    workers rebuild ``rainfs`` (store, crash, degraded read) by name."""
+    rainfs = SCENARIOS["rainfs"]
+    a = rainfs.run(7, shards=4).metrics(scenario="mp", seed=7).to_json()
+    b = rainfs.run(7, shards=4, workers=2).metrics(scenario="mp", seed=7).to_json()
     assert a == b
