@@ -17,7 +17,8 @@ import argparse
 import os
 import sys
 
-from repro.scenarios import SCENARIOS
+from repro.scenarios import SCENARIOS, layout_count
+from repro.topology import LayoutError
 
 
 def _scenario_quickstart() -> None:
@@ -135,14 +136,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     metrics_p.add_argument(
         "--shards",
-        type=int,
-        default=int(os.environ.get("REPRO_SHARDS", "1")),
+        type=layout_count,
+        default=os.environ.get("REPRO_SHARDS", "1"),
         help="shard-kernel count for sharded scenarios "
         "(default: $REPRO_SHARDS or 1; output is identical for any value)",
     )
     metrics_p.add_argument(
         "--workers",
-        type=int,
+        type=layout_count,
         default=1,
         help="worker processes for sharded scenarios (1 = in-process "
         "stepping, the determinism reference)",
@@ -169,9 +170,18 @@ def main(argv: list[str] | None = None) -> int:
     """Entry point: dispatch on the subcommand.
 
     Unknown subcommands exit non-zero with a usage message (argparse
-    prints usage to stderr and exits with status 2).
+    prints usage to stderr and exits with status 2); so does a shard
+    count the scenario's topology cannot be cut into.
     """
     args = build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except LayoutError as exc:
+        print(f"python -m repro {args.command}: error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "metrics":
         return _run_metrics(
             args.scenario, args.seed, args.json, shards=args.shards, workers=args.workers

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import argparse
 
-from ..scenarios import SCENARIOS, scripted
+from ..scenarios import SCENARIOS, layout_count, scripted
 from .baseline import DEFAULT_BASELINE, apply_baseline, load_baseline, write_baseline
 from .chm_model import pair_report
 from .linter import lint_paths
@@ -92,7 +92,7 @@ def add_sanitize_parser(sub: argparse._SubParsersAction) -> argparse.ArgumentPar
     p.add_argument("--seed", type=int, default=7, help="simulation seed")
     p.add_argument(
         "--shards",
-        type=int,
+        type=layout_count,
         default=4,
         help="shard-kernel count (default: 4; 1 is the reference: one "
         "kernel, nothing to exchange)",

@@ -40,7 +40,7 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
-from ..scenarios import SCENARIOS, scripted
+from ..scenarios import SCENARIOS, layout_count, scripted
 from .driver import ScenarioDriver
 
 __all__ = ["ControlServer", "add_serve_parser", "cmd_serve"]
@@ -292,7 +292,7 @@ def add_serve_parser(sub) -> None:
     p.add_argument("--seed", type=int, default=7, help="simulation seed")
     p.add_argument(
         "--shards",
-        type=int,
+        type=layout_count,
         default=1,
         help="shard-kernel count for sharded scenarios (report is "
         "identical for any value)",

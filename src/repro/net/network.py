@@ -37,10 +37,10 @@ deterministic under a fixed seed no matter which route traffic takes.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Optional, Union
 
-from ..sim import Simulator, StatCounters, Tracer
+from ..obs.metrics import DeferredHistogram
+from ..sim import Simulator, StatCounters
 from .address import NicAddr
 from .batch import LossStream, PacketBatch, PacketPool, fifo_finish_times
 from .device import Device
@@ -105,11 +105,9 @@ class Network:
         self.links: list[Link] = []
         self._topo_version = 0
         self.router = Router(self)
-        # Legacy counters/tracer, shimmed onto the unified observability
-        # layer: sums mirror to net.network.* metrics, trace records
-        # republish on the bus under net.trace.*.
+        # Legacy counters: sums mirror to net.network.* metrics at flush.
         self.stats = StatCounters(registry=sim.obs.metrics, prefix="net.network")
-        self.tracer = Tracer(enabled_categories=(), bus=sim.obs.bus, topic="net.trace")
+        # Per-packet deliver/drop records go out as net.trace.* events.
         self._bus = sim.obs.bus
         self._m_link_bytes = sim.obs.metrics.counter(
             "net.link.bytes", help="bytes clocked onto each link"
@@ -123,9 +121,11 @@ class Network:
         self._m_drop_reason = sim.obs.metrics.counter(
             "net.packets.dropped", help="end-to-end drops by reason"
         )
-        self._m_queue_wait = sim.obs.metrics.histogram(
-            "net.link.queue_wait", help="serializer queueing delay per hop"
-        ).labels()
+        self._queue_wait = DeferredHistogram(
+            sim.obs.metrics.histogram(
+                "net.link.queue_wait", help="serializer queueing delay per hop"
+            ).labels()
+        )
         # Per-(link, direction) loss streams, consumed in reservation
         # order by both forwarding routes (one shared stream would be
         # drawn in shard-local order on a sharded replica).
@@ -147,18 +147,11 @@ class Network:
         # Deferred hot-path accumulators, pushed into registry series by
         # the flush hook below (same pattern as the kernel's counters).
         self._sums = self.stats.sums
-        qw = self._m_queue_wait
-        self._qw_bounds = qw.bounds
-        self._qw_counts = [0] * (len(qw.bounds) + 1)
-        self._qw_n = 0
-        self._qw_sum = 0.0
-        self._qw_min: Optional[float] = None
-        self._qw_max: Optional[float] = None
-        self._pending_traces = {"deliver": 0, "drop": 0}
+        self._pending_traces = {"net.trace.deliver": 0, "net.trace.drop": 0}
         #: Free-list recycler behind per-object materialization of
         #: batched survivors (see ``PacketBatch.materialize``).
         self.pool = PacketPool()
-        sim.obs.metrics.add_flush_hook(self._flush_net_metrics)
+        sim.obs.add_flush_hook(self._flush_net_metrics)
 
     @staticmethod
     def _link_label(link: Link) -> str:
@@ -294,48 +287,11 @@ class Network:
 
     # -- deferred metrics --------------------------------------------------
 
-    def _observe_wait(self, delay: float) -> None:
-        # Inline histogram aggregation, same arithmetic order as
-        # Histogram.observe so flushed values are bit-identical.
-        self._qw_counts[bisect_left(self._qw_bounds, delay)] += 1
-        self._qw_n += 1
-        self._qw_sum += delay
-        if self._qw_min is None or delay < self._qw_min:
-            self._qw_min = delay
-        if self._qw_max is None or delay > self._qw_max:
-            self._qw_max = delay
-
-    def _observe_wait_batch(self, waits) -> None:
-        import numpy as np
-
-        idx = np.searchsorted(self._qw_bounds, waits, side="left")
-        counts = np.bincount(idx, minlength=len(self._qw_counts))
-        qc = self._qw_counts
-        for i in counts.nonzero()[0]:
-            qc[i] += int(counts[i])
-        self._qw_n += len(waits)
-        self._qw_sum += float(waits.sum())
-        lo = float(waits.min())
-        hi = float(waits.max())
-        if self._qw_min is None or lo < self._qw_min:
-            self._qw_min = lo
-        if self._qw_max is None or hi > self._qw_max:
-            self._qw_max = hi
-
     def _flush_net_metrics(self) -> None:
-        """Registry flush hook: push deferred accumulators into series.
-
-        Idempotent between accumulations.  A sharded replica observes
-        queue waits straight into its exact-sum histogram, so its
-        ``_qw_n`` stays 0 and the histogram block is skipped.
+        """Flush hook: push deferred accumulators into their metric
+        series and bus topic counts.  Idempotent between accumulations.
         """
-        if self._qw_n:
-            h = self._m_queue_wait
-            h.bucket_counts = list(self._qw_counts)
-            h.count = self._qw_n
-            h.sum = self._qw_sum
-            h.min = self._qw_min
-            h.max = self._qw_max
+        self._queue_wait.flush()
         for link in self.links:  # construction order: deterministic
             ea, eb = link.end_a, link.end_b
             pk = ea.packets_carried + eb.packets_carried
@@ -353,26 +309,12 @@ class Network:
                     drops = self._m_link_drops.labels(link=label)
                     self._link_drop_series[link.lid] = drops
                 drops.value = float(link.drops)
-        sums = self._sums
-        if sums:
-            bound = self.stats._bound_counters
-            registry = self.stats.registry
-            prefix = self.stats.prefix
-            for key in sorted(sums):
-                series = bound.get(key)
-                if series is None:
-                    series = registry.counter(f"{prefix}.{key}").labels()
-                    bound[key] = series
-                series.value = float(sums[key])
+        self.stats.mirror()
         pending = self._pending_traces
-        for category in ("deliver", "drop"):
-            n = pending[category]
+        for topic, n in pending.items():
             if n:
-                pending[category] = 0
-                self.tracer.counts[category] += n
-                topic = f"net.trace.{category}"
-                counts = self._bus._counts
-                counts[topic] = counts.get(topic, 0) + n
+                pending[topic] = 0
+                self._bus.tally(topic, n)
 
     def _bind_link_io(self, link: Link) -> tuple:
         label = self._link_label(link)
@@ -383,13 +325,6 @@ class Network:
         )
         self._link_io[link.lid] = io
         return io
-
-    def _trace_counts_eager(self) -> bool:
-        # When anything can actually observe trace records — a bus
-        # subscriber, a tracer subscriber, or an un-filtered category
-        # set — emit per-packet records; otherwise count and defer.
-        tr = self.tracer
-        return bool(self._bus._n_subs or tr._subscribers or tr.enabled is None or tr.enabled)
 
     # -- transmission ----------------------------------------------------
 
@@ -508,7 +443,7 @@ class Network:
         end.bytes_carried += wire_bytes
         end.packets_carried += 1
         wait = finish - ser_delay - now
-        self._observe_wait(wait if wait > 0.0 else 0.0)
+        self._queue_wait.observe(wait if wait > 0.0 else 0.0)
         loss_rate = link.loss_rate
         if loss_rate > 0.0 and stream.one() < loss_rate:
             link.drops += 1
@@ -518,7 +453,7 @@ class Network:
 
     def _forward(self, pkt: Packet, route: _Route, idx: int, arrival: float) -> None:
         """Carry ``pkt`` to the far end of hop ``idx`` by ``arrival``
-        (the one step a sharded replica does differently)."""
+        (a sharded replica overrides this and ``_deliver``)."""
         self.sim.call_at(arrival, self._hop, pkt, route, idx + 1)
 
     def _deliver(self, pkt: Packet, nic: Nic) -> None:
@@ -526,10 +461,12 @@ class Network:
             self._drop(pkt, "dst_down")
             return
         self._sums["packets_delivered"] += 1.0
-        if self._trace_counts_eager():
-            self.tracer.record(self.sim.now, "deliver", pkt.__str__)
+        # Render per-packet records only when someone can observe them;
+        # otherwise count, and tally at flush.
+        if self._bus.has_subscribers:
+            self._bus.publish("net.trace.deliver", message=str(pkt))
         else:
-            self._pending_traces["deliver"] += 1
+            self._pending_traces["net.trace.deliver"] += 1
         span = pkt.span
         if span is None:
             nic.host.deliver(pkt)
@@ -544,10 +481,10 @@ class Network:
 
     def _drop(self, pkt: Packet, reason: str) -> None:
         self._count_drops(reason, 1.0)
-        if self._trace_counts_eager():
-            self.tracer.record(self.sim.now, "drop", lambda: f"{pkt} ({reason})")
+        if self._bus.has_subscribers:
+            self._bus.publish("net.trace.drop", message=f"{pkt} ({reason})")
         else:
-            self._pending_traces["drop"] += 1
+            self._pending_traces["net.trace.drop"] += 1
         self._end_pkt_span(pkt, "error", reason=reason)
 
     def _count_drops(self, reason: str, k: float) -> None:
@@ -621,7 +558,7 @@ class Network:
         end.busy_until = float(finish[-1])
         end.bytes_carried += int(wire.sum())
         end.packets_carried += k
-        self._observe_wait_batch(finish - ser - np.asarray(ready)[idxs])
+        self._queue_wait.observe_many(finish - ser - np.asarray(ready)[idxs])
         lr = link.loss_rate
         if lr > 0.0:
             draws = stream.draw(k)
@@ -650,15 +587,18 @@ class Network:
         if link is not None:
             link.drops += k
         self._count_drops(reason, float(k))
-        if self._trace_counts_eager():
-            now = self.sim.now
+        self._trace_batch("net.trace.drop", batch, idxs, f" ({reason})")
+
+    def _trace_batch(self, topic: str, batch: PacketBatch, idxs, suffix: str = "") -> None:
+        """One record per row of ``idxs``: published (rendered) when the
+        bus is observed, counted for the flush hook otherwise."""
+        if self._bus.has_subscribers:
             for i in idxs:
-                pid = batch.pid[i]
-                self.tracer.record(
-                    now, "drop", f"pkt#{pid} {batch.src}->{batch.dst} ({reason})"
+                self._bus.publish(
+                    topic, message=f"pkt#{batch.pid[i]} {batch.src}->{batch.dst}{suffix}"
                 )
         else:
-            self._pending_traces["drop"] += k
+            self._pending_traces[topic] += len(idxs)
 
     def _deliver_batch(self, batch: PacketBatch, route: _Route, version: int) -> None:
         """Single delivery callback at the window's last arrival."""
@@ -684,15 +624,7 @@ class Network:
             return
         batch.hops[idxs] += len(route.hops)
         self._sums["packets_delivered"] += float(k)
-        if self._trace_counts_eager():
-            now = sim.now
-            for i in idxs:
-                pid = batch.pid[i]
-                self.tracer.record(
-                    now, "deliver", f"pkt#{pid} {batch.src}->{batch.dst}"
-                )
-        else:
-            self._pending_traces["deliver"] += k
+        self._trace_batch("net.trace.deliver", batch, idxs)
         nic.host.deliver_batch(batch, idxs, self.pool)
 
     def _transmit_batch_fallback(self, batch: PacketBatch) -> None:

@@ -158,11 +158,6 @@ class ShardedNetwork(Network):
 
     # -- forwarding ------------------------------------------------------
 
-    def _observe_wait(self, delay: float) -> None:
-        # Straight into the exact-sum histogram: its partials are what
-        # make the merged sum independent of the shard layout.
-        self._m_queue_wait.observe(delay)
-
     def _forward(self, pkt: Packet, route: _Route, idx: int, arrival: float) -> None:
         now = self.sim.now
         dest = self._owner_of(route.hops[idx][4])

@@ -7,9 +7,8 @@ package gives every subsystem one substrate to emit them through:
 
 - :class:`MetricsRegistry` — labeled counters, gauges, and histograms,
   timestamped in *simulated* time;
-- :class:`EventBus` — pub/sub structured events, subsuming the old
-  :class:`repro.sim.Tracer` attachment pattern (which survives as a thin
-  shim over the bus);
+- :class:`EventBus` — pub/sub structured events (the network's
+  per-packet ``net.trace.*`` records are published here directly);
 - :class:`ClusterReport` — a deterministic snapshot/JSON exporter so
   tests and benchmarks can diff whole-cluster behaviour byte-for-byte.
 
@@ -93,6 +92,10 @@ class Observability:
         self.time_fn = time_fn
         self.metrics = MetricsRegistry(time_fn, exact_sums=exact_sums)
         self.bus = EventBus(time_fn)
+        self._flush_hooks: list[Callable[[], None]] = []
+        # One hook list for both: a read of either the registry or the
+        # bus first pushes every deferred hot-path tally in.
+        self.metrics.flush = self.bus.flush = self.flush
         #: Causal span tracer; ``None`` until :meth:`install_tracer` is
         #: called.  Instrumentation sites guard on this, so an untraced
         #: simulation pays one attribute load per site.
@@ -108,10 +111,18 @@ class Observability:
         """Attach a :class:`FlightRecorder` ring buffer to the bus."""
         return FlightRecorder(self, capacity=capacity)
 
+    def add_flush_hook(self, fn: Callable[[], None]) -> None:
+        """Register ``fn`` to push deferred hot-path tallies into their
+        metric series and bus topic counts.  Hooks run (in registration
+        order) before every read of the registry or the bus, so
+        components may accumulate in plain ints and still present exact
+        values to every observer.  Hooks must be idempotent."""
+        self._flush_hooks.append(fn)
+
     def flush(self) -> None:
-        """Push deferred hot-path counters into the registry (see
-        :meth:`MetricsRegistry.add_flush_hook`)."""
-        self.metrics.flush()
+        """Run every registered flush hook."""
+        for fn in self._flush_hooks:
+            fn()
 
     def snapshot(self) -> dict:
         """Deterministic combined snapshot (metrics + event counts)."""

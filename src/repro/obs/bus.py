@@ -6,10 +6,6 @@ tests, benchmarks, and other subsystems ``subscribe`` by exact topic or
 by prefix (``"membership.*"``).  The bus always counts events per topic
 — cheap enough to leave on — but retains event *objects* only for
 subscribers, so an unobserved simulation does not accumulate memory.
-
-This subsumes the old :class:`repro.sim.Tracer` attachment pattern:
-``Tracer`` is now a shim that republishes its records here (see
-:mod:`repro.sim.trace`).
 """
 
 from __future__ import annotations
@@ -55,6 +51,8 @@ class EventBus:
         self._prefix: list[tuple[str, Callable[[Event], None]]] = []
         self._all: list[Callable[[Event], None]] = []
         self._n_subs = 0
+        #: Called before every count read; see ``MetricsRegistry.flush``.
+        self.flush: Callable[[], None] = lambda: None
 
     # -- publishing --------------------------------------------------------
 
@@ -85,6 +83,12 @@ class EventBus:
         for fn in targets:
             fn(ev)
         return ev
+
+    def tally(self, topic: str, n: int) -> None:
+        """Count ``n`` publishes under ``topic`` that no subscriber could
+        have seen (hot publishers defer them while the bus is unobserved
+        and push the total from a flush hook)."""
+        self._counts[topic] = self._counts.get(topic, 0) + n
 
     # -- subscribing -------------------------------------------------------
 
@@ -131,10 +135,12 @@ class EventBus:
 
     def count(self, topic: str) -> int:
         """How many events have been published under exactly ``topic``."""
+        self.flush()
         return self._counts.get(topic, 0)
 
     def topic_counts(self, prefix: str = "") -> dict[str, int]:
         """Per-topic publish counts (optionally filtered), sorted."""
+        self.flush()
         return {
             t: n
             for t, n in sorted(self._counts.items())
@@ -147,6 +153,7 @@ class EventBus:
         Sorted tuple (not a raw set) so callers iterating it into
         reports stay deterministic (rainlint RL004).
         """
+        self.flush()
         return tuple(sorted({t.split(".", 1)[0] for t in self._counts}))
 
 

@@ -25,6 +25,7 @@ from typing import Callable, Iterable, Optional
 
 __all__ = [
     "Counter",
+    "DeferredHistogram",
     "ExactCounter",
     "ExactHistogram",
     "Gauge",
@@ -226,28 +227,88 @@ class ExactHistogram(Histogram):
         super().observe(value)
         exact_add(self.partials, value)
 
-    def set_exact(
-        self,
-        count: int,
-        bucket_counts: list,
-        partials: list,
-        min_value: Optional[float],
-        max_value: Optional[float],
-    ) -> None:
-        """Wholesale assignment used by deferred kernel flush hooks."""
-        self.count = count
-        self.bucket_counts = list(bucket_counts)
-        self.partials = list(partials)
-        self.sum = math.fsum(partials)
-        self.min = min_value
-        self.max = max_value
-        self._touch()
-
     def _snapshot(self) -> dict:
         snap = super()._snapshot()
         snap["sum"] = math.fsum(self.partials) if self.partials else self.sum
         snap["_partials"] = list(self.partials)
         return snap
+
+
+class DeferredHistogram:
+    """Hot-path accumulator for one histogram series.
+
+    The one place that mirrors :meth:`Histogram.observe`: samples are
+    aggregated off the registry in the same arithmetic order — a running
+    float, or Shewchuk partials when ``series`` is an
+    :class:`ExactHistogram` — and :meth:`flush` (called from the owner's
+    flush hook) assigns the totals to the series, so flushed values are
+    bit-identical to observing each sample directly.
+    """
+
+    __slots__ = ("series", "bounds", "counts", "n", "sum", "partials", "min", "max")
+
+    def __init__(self, series: Histogram):
+        self.series = series
+        self.bounds = series.bounds
+        self.counts = [0] * (len(self.bounds) + 1)
+        self.n = 0
+        self.sum = 0.0
+        self.partials: Optional[list[float]] = (
+            [] if isinstance(series, ExactHistogram) else None
+        )
+        self.min: Optional[float] = None
+        self.max: Optional[float] = None
+
+    def observe(self, value: float) -> None:
+        """Record one sample."""
+        self.counts[bisect_left(self.bounds, value)] += 1
+        self.n += 1
+        if self.partials is None:
+            self.sum += value
+        else:
+            exact_add(self.partials, value)
+        if self.min is None or value < self.min:
+            self.min = value
+        if self.max is None or value > self.max:
+            self.max = value
+
+    def observe_many(self, values) -> None:
+        """Record a non-empty numpy array of samples (one batched window)."""
+        import numpy as np
+
+        idx = np.searchsorted(self.bounds, values, side="left")
+        binned = np.bincount(idx, minlength=len(self.counts))
+        counts = self.counts
+        for i in binned.nonzero()[0]:
+            counts[i] += int(binned[i])
+        self.n += len(values)
+        if self.partials is None:
+            self.sum += float(values.sum())
+        else:
+            for v in values.tolist():
+                exact_add(self.partials, v)
+        lo = float(values.min())
+        hi = float(values.max())
+        if self.min is None or lo < self.min:
+            self.min = lo
+        if self.max is None or hi > self.max:
+            self.max = hi
+
+    def flush(self) -> None:
+        """Assign the totals to the series (idempotent; a series nothing
+        was observed into is left untouched)."""
+        if not self.n:
+            return
+        h = self.series
+        h.bucket_counts = list(self.counts)
+        h.count = self.n
+        h.min = self.min
+        h.max = self.max
+        if self.partials is None:
+            h.sum = self.sum
+        else:
+            h.partials = list(self.partials)
+            h.sum = math.fsum(self.partials)
 
 
 #: instrument kind -> exact-sum variant (identity for Gauge)
@@ -311,20 +372,12 @@ class MetricsRegistry:
         self.time_fn = time_fn
         self.exact_sums = exact_sums
         self._families: dict[str, _Family] = {}
-        self._flush_hooks: list[Callable[[], None]] = []
-
-    def add_flush_hook(self, fn: Callable[[], None]) -> None:
-        """Register ``fn`` to push deferred hot-path counters into their
-        series.  Hooks run (in registration order) before every read —
-        :meth:`get`, :meth:`value`, :meth:`snapshot` — so components may
-        accumulate in plain ints off the registry and still present
-        exact values to every observer.  Hooks must be idempotent."""
-        self._flush_hooks.append(fn)
-
-    def flush(self) -> None:
-        """Run every registered flush hook."""
-        for fn in self._flush_hooks:
-            fn()
+        #: Called before every read (:meth:`get`, :meth:`value`,
+        #: :meth:`snapshot`).  The owning :class:`repro.obs.Observability`
+        #: points it at its flush-hook list, so components may accumulate
+        #: in plain ints off the registry and still present exact values
+        #: to every observer; a standalone registry has nothing deferred.
+        self.flush: Callable[[], None] = lambda: None
 
     def _family(self, name: str, kind: type, **kwargs) -> _Family:
         if self.exact_sums:

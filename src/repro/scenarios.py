@@ -32,6 +32,7 @@ token's failure path rather than by a thousand simultaneous 911s.
 
 from __future__ import annotations
 
+import argparse
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -45,6 +46,7 @@ __all__ = [
     "Scenario",
     "SCENARIOS",
     "build",
+    "layout_count",
     "scripted",
     "build_churn_cluster",
     "CHURN_1K",
@@ -239,6 +241,19 @@ SCENARIOS: dict[str, Scenario] = {
 def scripted() -> list[str]:
     """Names of the scripted (steerable, shardable) entries, sorted."""
     return sorted(n for n, s in SCENARIOS.items() if s.horizon is not None)
+
+
+def layout_count(text: str) -> int:
+    """argparse ``type`` of every ``--shards`` / ``--workers`` flag: an
+    integer >= 1.  A string default (``$REPRO_SHARDS``) goes through it
+    too, lazily — only when the subcommand that owns the flag runs."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
 
 
 def build(name: str, seed: int = 7, shards: int = 1):

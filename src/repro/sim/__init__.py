@@ -6,7 +6,7 @@ Public surface:
 - :class:`Process`, :class:`Signal`, :class:`Timeout` — waitables.
 - :class:`Interrupt` — exception delivered by ``Process.interrupt``.
 - :class:`Mailbox` — blocking FIFO for processes.
-- :class:`Tracer`, :class:`StatCounters` — structured observation.
+- :class:`StatCounters` — named sums mirrored into ``sim.obs.metrics``.
 - :class:`RngRegistry` — deterministic named RNG streams.
 """
 
@@ -32,7 +32,7 @@ from .shard import (
     host_origin,
     packet_origin,
 )
-from .trace import StatCounters, TraceRecord, Tracer
+from .trace import StatCounters
 
 __all__ = [
     "AllOf",
@@ -52,8 +52,6 @@ __all__ = [
     "StatCounters",
     "StopSimulation",
     "Timeout",
-    "TraceRecord",
-    "Tracer",
     "Waitable",
     "host_origin",
     "packet_origin",

@@ -33,7 +33,6 @@ when a snapshot or query asks for them.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left
 from collections import deque
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -359,7 +358,7 @@ class Process(Waitable):
             return
         self._waiting_on = None
         sim = self.sim
-        sim._observe_wait(sim._now - self._wait_since)
+        sim._wait.observe(sim._now - self._wait_since)
         if target._ok:
             self._step(target._value, None)
         else:
@@ -439,6 +438,7 @@ class Simulator:
 
     def __init__(self, seed: int = 0):
         from ..obs import Observability
+        from ..obs.metrics import DeferredHistogram
         from .rng import RngRegistry  # local import to avoid cycle
 
         self._now = 0.0
@@ -462,21 +462,18 @@ class Simulator:
         self._m_processes = self.obs.metrics.counter(
             "sim.kernel.processes", help="processes launched"
         ).labels()
-        self._m_wait = self.obs.metrics.histogram(
-            "sim.process.wait_time",
-            help="simulated seconds a process waited before each resumption",
-        ).labels()
-        # Kernel hot counters: plain ints/floats on the hot path, pushed
-        # into the registry series above only when a snapshot/query runs.
+        # Kernel hot counters: plain ints (and one deferred histogram)
+        # on the hot path, pushed into the registry series only when a
+        # snapshot/query runs.
         self._n_events = 0
         self._n_processes = 0
-        self._wait_bounds = self._m_wait.bounds
-        self._wait_counts = [0] * (len(self._wait_bounds) + 1)
-        self._wait_n = 0
-        self._wait_sum = 0.0
-        self._wait_min: Optional[float] = None
-        self._wait_max: Optional[float] = None
-        self.obs.metrics.add_flush_hook(self._flush_kernel_metrics)
+        self._wait = DeferredHistogram(
+            self.obs.metrics.histogram(
+                "sim.process.wait_time",
+                help="simulated seconds a process waited before each resumption",
+            ).labels()
+        )
+        self.obs.add_flush_hook(self._flush_kernel_metrics)
 
     # -- time ---------------------------------------------------------
 
@@ -486,17 +483,6 @@ class Simulator:
         return self._now
 
     # -- metrics ------------------------------------------------------
-
-    def _observe_wait(self, delay: float) -> None:
-        # Inline histogram aggregation, same arithmetic order as
-        # Histogram.observe so flushed values are bit-identical.
-        self._wait_counts[bisect_left(self._wait_bounds, delay)] += 1
-        self._wait_n += 1
-        self._wait_sum += delay
-        if self._wait_min is None or delay < self._wait_min:
-            self._wait_min = delay
-        if self._wait_max is None or delay > self._wait_max:
-            self._wait_max = delay
 
     def credit_events(self, n: int) -> None:
         """Credit ``n`` elided callbacks to the kernel event counter.
@@ -512,12 +498,7 @@ class Simulator:
     def _flush_kernel_metrics(self) -> None:
         self._m_events.value = float(self._n_events)
         self._m_processes.value = float(self._n_processes)
-        h = self._m_wait
-        h.bucket_counts = list(self._wait_counts)
-        h.count = self._wait_n
-        h.sum = self._wait_sum
-        h.min = self._wait_min
-        h.max = self._wait_max
+        self._wait.flush()
 
     # -- scheduling primitives ----------------------------------------
 

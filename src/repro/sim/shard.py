@@ -19,9 +19,11 @@ Determinism across shard *layouts* (the acceptance bar: ``shards=1``
 byte-identical to ``shards=N``) needs more than conservative windows —
 equal-time events that land in one kernel under one layout may land in
 different kernels under another, so FIFO insertion order is not
-portable.  Shard kernels therefore execute equal-time events in **key
-order**, where an event's key ``(sched_time, origin, seq)`` is derived
-from its *logical* cause, not from arrival order:
+portable.  Shard kernels therefore *insert* equal-time events in **key
+order** into the plain kernel's bucket queue (the one drain loop,
+:class:`~repro.sim.core.Simulator`'s, then runs them front to back),
+where an event's key ``(sched_time, origin, seq)`` is derived from its
+*logical* cause, not from arrival order:
 
 - ``origin`` names the causal domain: ``(0, j)`` for replicated control
   actions (fault scripts), ``(1, rank)`` for everything a host does,
@@ -50,7 +52,8 @@ from __future__ import annotations
 
 import heapq
 import pickle
-from bisect import bisect_left, insort
+from bisect import insort
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
@@ -159,14 +162,17 @@ def deliver_handoff(kernel: "ShardKernel", h: Handoff) -> None:
 
 
 class ShardKernel(Simulator):
-    """One shard's event kernel: a :class:`Simulator` with keyed ordering.
+    """One shard's event kernel: a :class:`Simulator` with keyed insertion.
 
-    Equal-time events execute in ``(sched_time, origin, seq)`` order
-    instead of FIFO, making the schedule a pure function of the event
-    keys — identical whichever kernel each event happens to live in.
-    The ``_times`` heap stays a heap of bare floats so the fused
-    timeout-resume fast path in :class:`Timeout` is untouched; buckets
-    become key-sorted lists.
+    Equal-time events are queued in ``(sched_time, origin, seq)`` order
+    instead of arrival order, making the schedule a pure function of the
+    event keys — identical whichever kernel each event happens to live
+    in.  Only insertion differs from the base class: the queue keeps the
+    plain kernel's representation (a heap of bare float timestamps, one
+    bare-call-or-deque bucket each), so ``peek`` / ``step`` / ``run`` /
+    ``run_events`` / ``_compact`` and the fused timeout-resume fast path
+    in :class:`Timeout` are the inherited ones, and every keyed callback
+    is wrapped in :meth:`_enter`, which installs its origin.
     """
 
     _EXACT_OBS = True
@@ -185,7 +191,6 @@ class ShardKernel(Simulator):
         self._cur_origin = CONTROL_ORIGIN
         self._origin_seq: dict[tuple, int] = {}
         self._span_seq: dict[tuple, int] = {}
-        self._wait_partials: list[float] = []
         self.rank = rank
         self.shards = shards
         #: cross-shard handoffs staged during the current window
@@ -228,30 +233,6 @@ class ShardKernel(Simulator):
         self._origin_seq[origin] = seq + 1
         return seq
 
-    # -- exact kernel metrics ------------------------------------------
-
-    def _observe_wait(self, delay: float) -> None:
-        from ..obs.metrics import exact_add
-
-        self._wait_counts[bisect_left(self._wait_bounds, delay)] += 1
-        self._wait_n += 1
-        exact_add(self._wait_partials, delay)
-        if self._wait_min is None or delay < self._wait_min:
-            self._wait_min = delay
-        if self._wait_max is None or delay > self._wait_max:
-            self._wait_max = delay
-
-    def _flush_kernel_metrics(self) -> None:
-        self._m_events.value = float(self._n_events)
-        self._m_processes.value = float(self._n_processes)
-        self._m_wait.set_exact(
-            self._wait_n,
-            self._wait_counts,
-            self._wait_partials,
-            self._wait_min,
-            self._wait_max,
-        )
-
     # -- keyed scheduling ----------------------------------------------
 
     def _insert(self, t: float, key: tuple, fn: Callable, args: tuple) -> _KeyedCall:
@@ -263,17 +244,38 @@ class ShardKernel(Simulator):
             # means a subclass replacing the grant/route loop cannot
             # bypass the sanitizer.
             hb.on_insert(self.rank, t, key)
-        call = _KeyedCall(self, t, fn, args)
+        call = _KeyedCall(self, t, self._enter, (key[1], fn, args))
         call.key = key
+        # The plain kernel's bucket representation (bare call, promoted
+        # to a deque on the first collision) filled in key order instead
+        # of arrival order, so the base class's drain loops serve both.
         buckets = self._buckets
         b = buckets.get(t)
         if b is None:
-            buckets[t] = [call]
+            buckets[t] = call
             heapq.heappush(self._times, t)
-        else:
+        elif type(b) is deque:
             insort(b, call, key=_call_key)
+        else:
+            buckets[t] = deque((call, b) if key < b.key else (b, call))
         self._n_queued += 1
         return call
+
+    def _enter(self, origin: tuple, fn: Callable, args: tuple) -> None:
+        """Run one keyed callback under its origin (what the event loop
+        calls; ``fn(*args)`` is what was scheduled)."""
+        # Control-origin events are executor machinery: replicated
+        # scripts run once per *replica*, so counting them would make
+        # the merged event total depend on the shard layout.  The drain
+        # loop counts every dispatch; take this one back.
+        if origin[0] == 0:
+            self._n_events -= 1
+        ambient = self._cur_origin
+        self._cur_origin = origin
+        try:
+            fn(*args)
+        finally:
+            self._cur_origin = ambient
 
     def _schedule_call(self, delay: float, fn: Callable, args: tuple) -> _KeyedCall:
         if delay < 0:
@@ -307,81 +309,11 @@ class ShardKernel(Simulator):
         key = (self._now if sched_time is None else sched_time, origin, seq)
         return self._insert(time, key, fn, args)
 
-    # -- queue maintenance (list buckets) ------------------------------
-
-    def _compact(self) -> None:
-        buckets = self._buckets
-        dead: list[float] = []
-        live = 0
-        for t, b in buckets.items():
-            kept = [c for c in b if not c.cancelled]
-            if kept:
-                b[:] = kept
-                live += len(kept)
-            else:
-                dead.append(t)
-        for t in dead:
-            del buckets[t]
-        times = self._times
-        times[:] = buckets.keys()
-        heapq.heapify(times)
-        self._n_queued = live
-        self._n_cancelled = 0
-
-    def peek(self) -> float:
-        times = self._times
-        buckets = self._buckets
-        while times:
-            t = times[0]
-            b = buckets[t]
-            while b and b[0].cancelled:
-                b.pop(0)
-                self._n_queued -= 1
-                self._n_cancelled -= 1
-            if b:
-                return t
-            del buckets[t]
-            heapq.heappop(times)
-        return float("inf")
-
-    def step(self) -> bool:
-        times = self._times
-        buckets = self._buckets
-        while times:
-            t = times[0]
-            b = buckets[t]
-            call = b.pop(0)
-            if not b:
-                del buckets[t]
-                heapq.heappop(times)
-            self._n_queued -= 1
-            if call.cancelled:
-                self._n_cancelled -= 1
-                continue
-            if t < self._now - 1e-12:
-                raise SimulationError("event queue time went backwards")
-            if t > self._now:
-                self._now = t
-            # Control-origin events are executor machinery: replicated
-            # scripts run once per *replica*, so counting them would make
-            # the merged event total depend on the shard layout.
-            if call.key[1][0] != 0:
-                self._n_events += 1
-            call.cancelled = True
-            prev = self._cur_origin
-            self._cur_origin = call.key[1]
-            try:
-                call.fn(*call.args)
-            finally:
-                self._cur_origin = prev
-            return True
-        return False
-
     def _run_sanitized(self, until: Optional[float]) -> float:
         """Instrumented window drive: step() with happens-before hooks.
 
-        Only entered when a monitor is installed, so the fused ``run``
-        loop below stays untouched (and cost-free) in normal runs.
+        Only entered when a monitor is installed, so the inherited
+        ``run`` loop stays untouched (and cost-free) in normal runs.
         """
         hb = self._hb
         hb.on_run_enter(self.rank, until)
@@ -406,46 +338,7 @@ class ShardKernel(Simulator):
     def run(self, until: Optional[float] = None) -> float:
         if self._hb is not None:
             return self._run_sanitized(until)
-        self._stopped = False
-        times = self._times
-        buckets = self._buckets
-        heappop = heapq.heappop
-        bound = float("inf") if until is None else until
-        n_events = 0
-        now = self._now
-        try:
-            while times:
-                t = times[0]
-                if t > bound:
-                    break
-                b = buckets[t]
-                call = b.pop(0)
-                if not b:
-                    del buckets[t]
-                    heappop(times)
-                self._n_queued -= 1
-                if call.cancelled:
-                    self._n_cancelled -= 1
-                    continue
-                if t < now - 1e-12:
-                    raise SimulationError("event queue time went backwards")
-                if t > now:
-                    now = t
-                    self._now = t
-                if call.key[1][0] != 0:  # see step(): control events excluded
-                    n_events += 1
-                call.cancelled = True  # consumed; a late cancel() is a no-op
-                self._cur_origin = call.key[1]
-                call.fn(*call.args)
-                if self._stopped:
-                    break
-                now = self._now
-        finally:
-            self._n_events += n_events
-            self._cur_origin = CONTROL_ORIGIN
-        if not self._stopped and until is not None and self._now < until:
-            self._now = until
-        return self._now
+        return super().run(until)
 
 
 class WindowGrants:

@@ -1,147 +1,32 @@
-"""Structured tracing and counters for simulations.
-
-Protocol experiments in the paper are judged by *traces* — e.g. the
-sequence of Up/Down transitions each endpoint of a channel observed
-(Fig. 6), or the path the membership token took around the ring (Fig. 9).
-This module records such traces uniformly so tests and benchmarks can
-assert on them.
+"""Scalar accumulators mirrored into the metrics registry.
 
 .. deprecated::
-    :class:`Tracer` and :class:`StatCounters` are retained as thin shims
-    over the unified observability layer (:mod:`repro.obs`).  When
-    constructed with a ``bus``/``registry``, every record and counter
-    update is mirrored onto the :class:`repro.obs.EventBus` /
-    :class:`repro.obs.MetricsRegistry`, which is where new code should
-    subscribe.  See docs/reproduction_notes.md for the migration path.
+    What is left of the pre-:mod:`repro.obs` tracing module: the
+    record-list tracer shim is gone (the network publishes
+    ``net.trace.*`` on ``sim.obs.bus`` itself) and :class:`StatCounters`
+    keeps only what has a caller — ``sums``, ``add`` and the registry
+    mirror behind ``Network.stats``.  The file stays at this path
+    because ``benchmarks/e2e`` maps it in its layer table and reads
+    ``net.stats.sums``; new code should use ``sim.obs.metrics`` directly.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional
+from collections import defaultdict
+from typing import TYPE_CHECKING, Any, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..obs import EventBus, MetricsRegistry
+    from ..obs import MetricsRegistry
 
-__all__ = ["TraceRecord", "Tracer", "StatCounters"]
-
-
-@dataclass(frozen=True)
-class TraceRecord:
-    """One timestamped trace entry."""
-
-    time: float
-    category: str
-    message: str
-    data: dict = field(default_factory=dict)
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        extra = f" {self.data}" if self.data else ""
-        return f"[{self.time:12.6f}] {self.category}: {self.message}{extra}"
-
-
-class Tracer:
-    """Collects :class:`TraceRecord` entries and per-category counters.
-
-    A tracer can be attached to any component; ``enabled_categories``
-    limits recording (None = record everything).  When ``bus`` is given,
-    every record — filtered or not — is republished on the event bus
-    under ``{topic}.{category}``, making the tracer a compatibility shim
-    over :class:`repro.obs.EventBus`.
-    """
-
-    def __init__(
-        self,
-        enabled_categories: Optional[Iterable[str]] = None,
-        bus: Optional["EventBus"] = None,
-        topic: str = "trace",
-    ):
-        self.records: list[TraceRecord] = []
-        self.enabled = set(enabled_categories) if enabled_categories is not None else None
-        self.counts: Counter[str] = Counter()
-        self.bus = bus
-        self.topic = topic
-        self._subscribers: list[Callable[[TraceRecord], None]] = []
-        self._topics: dict[str, str] = {}
-
-    def record(
-        self,
-        time: float,
-        category: str,
-        message: str | Callable[[], str],
-        **data: Any,
-    ) -> None:
-        """Append a record (no-op if the category is filtered out).
-
-        ``message`` may be a zero-argument callable; it is rendered only
-        when someone actually observes the record (a bus subscriber, the
-        records list, or a tracer subscriber), so hot paths can defer
-        string formatting on unobserved simulations.
-
-        Note that ``counts`` tallies *every* call, including records a
-        category filter keeps out of ``records`` — the counter tracks
-        what happened, the list tracks what was retained.
-        """
-        self.counts[category] += 1
-        text: Optional[str] = message if isinstance(message, str) else None
-        bus = self.bus
-        if bus is not None:
-            topic = self._topics.get(category)
-            if topic is None:
-                topic = f"{self.topic}.{category}"
-                self._topics[category] = topic
-            if bus.has_subscribers:
-                if text is None:
-                    text = message()
-                bus.publish(topic, message=text, **data)
-            else:
-                bus.publish(topic)  # count-only fast path
-        if self.enabled is not None and category not in self.enabled:
-            return
-        if text is None:
-            text = message()
-        rec = TraceRecord(time, category, text, data)
-        self.records.append(rec)
-        for sub in self._subscribers:
-            sub(rec)
-
-    def subscribe(self, fn: Callable[[TraceRecord], None]) -> None:
-        """Invoke ``fn`` on every record as it is captured."""
-        self._subscribers.append(fn)
-
-    def by_category(self, category: str) -> list[TraceRecord]:
-        """All records of one category, in time order."""
-        return [r for r in self.records if r.category == category]
-
-    def between(self, t0: float, t1: float) -> list[TraceRecord]:
-        """Records with ``t0 <= time < t1``."""
-        return [r for r in self.records if t0 <= r.time < t1]
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self.records)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def clear(self) -> None:
-        """Drop all records, counters, and the category→topic memo.
-
-        The memo must reset with the rest of the state: a tracer whose
-        ``topic`` is re-pointed after ``clear()`` would otherwise keep
-        publishing under the stale topic names."""
-        self.records.clear()
-        self.counts.clear()
-        self._topics.clear()
+__all__ = ["StatCounters"]
 
 
 class StatCounters:
-    """Scalar accumulators (sums, maxima, time series) for benchmarks.
+    """Named float sums, mirrored to ``{prefix}.{key}`` registry counters.
 
-    When ``registry`` is given, every accumulator is mirrored into the
-    metrics registry under ``{prefix}.{key}`` — ``add`` to a counter,
-    ``observe_max`` to a gauge, ``sample`` to a histogram — so legacy
-    call sites feed the unified observability layer for free.
+    ``sums`` is a plain ``defaultdict`` so hot paths may accumulate into
+    it directly; :meth:`mirror` (the owner's flush hook calls it)
+    assigns every sum to its counter series.
     """
 
     def __init__(
@@ -150,50 +35,25 @@ class StatCounters:
         prefix: str = "stats",
     ):
         self.sums: defaultdict[str, float] = defaultdict(float)
-        self.maxima: dict[str, float] = {}
-        self.series: defaultdict[str, list[tuple[float, float]]] = defaultdict(list)
         self.registry = registry
         self.prefix = prefix
-        # key -> bound registry series, so hot counters skip the family
-        # lookup + label sort on every update.
+        # key -> bound registry series, so mirroring skips the family
+        # lookup + label sort.
         self._bound_counters: dict[str, Any] = {}
-        self._bound_gauges: dict[str, Any] = {}
-        self._bound_hists: dict[str, Any] = {}
 
     def add(self, key: str, amount: float = 1.0) -> None:
         """Accumulate ``amount`` into counter ``key``."""
         self.sums[key] += amount
-        if self.registry is not None:
+
+    def mirror(self) -> None:
+        """Assign every sum to its registry counter (no-op without a
+        registry; keys in sorted order so series creation is
+        deterministic)."""
+        if self.registry is None:
+            return
+        for key in sorted(self.sums):
             series = self._bound_counters.get(key)
             if series is None:
                 series = self.registry.counter(f"{self.prefix}.{key}").labels()
                 self._bound_counters[key] = series
-            series.inc(amount)
-
-    def observe_max(self, key: str, value: float) -> None:
-        """Track the running maximum of ``key``."""
-        cur = self.maxima.get(key)
-        if cur is None or value > cur:
-            self.maxima[key] = value
-            if self.registry is not None:
-                series = self._bound_gauges.get(key)
-                if series is None:
-                    series = self.registry.gauge(f"{self.prefix}.{key}.max").labels()
-                    self._bound_gauges[key] = series
-                series.set(value)
-
-    def sample(self, key: str, time: float, value: float) -> None:
-        """Append ``(time, value)`` to the time series ``key``."""
-        self.series[key].append((time, value))
-        if self.registry is not None:
-            series = self._bound_hists.get(key)
-            if series is None:
-                series = self.registry.histogram(f"{self.prefix}.{key}").labels()
-                self._bound_hists[key] = series
-            series.observe(value)
-
-    def rate(self, key: str, duration: float) -> float:
-        """Counter ``key`` divided by ``duration`` (0 for empty/zero)."""
-        if duration <= 0:
-            return 0.0
-        return self.sums.get(key, 0.0) / duration
+            series.value = float(self.sums[key])

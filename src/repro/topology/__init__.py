@@ -18,7 +18,7 @@ from .constructions import (
 )
 from .deploy import Deployment, deploy
 from .graph import EdgeId, TopologyGraph, Vertex, node_v, switch_v
-from .partition import Partition, partition_topology
+from .partition import LayoutError, Partition, partition_topology
 from .render import render_attachment_table, render_ring_construction
 from .resilience import (
     FaultSet,
@@ -35,6 +35,7 @@ __all__ = [
     "Deployment",
     "EdgeId",
     "FaultSet",
+    "LayoutError",
     "Partition",
     "PartitionReport",
     "TopologyGraph",

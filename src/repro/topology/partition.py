@@ -25,7 +25,15 @@ from typing import Callable, Optional
 
 from .graph import EdgeId, TopologyGraph
 
-__all__ = ["Partition", "partition_topology"]
+__all__ = ["LayoutError", "Partition", "partition_topology"]
+
+
+class LayoutError(ValueError):
+    """A shard count the topology cannot be cut into.
+
+    Its own class because the count is outside input (``--shards``):
+    the CLI reports it in one line instead of a traceback.
+    """
 
 
 @dataclass(frozen=True)
@@ -96,15 +104,16 @@ def partition_topology(
     ``(min boundary latency, -boundary count)`` wins; uniform latencies
     skip the search (all rotations tie on the metric that matters).
 
-    Raises ``ValueError`` for ``shards`` outside ``[1, num_switches]``
-    and — at partition time, before any simulation starts — for any
-    boundary edge with non-positive latency, which would force a zero
-    lookahead and stall the conservative window protocol.
+    Raises :class:`LayoutError` for ``shards`` outside ``[1,
+    num_switches]`` and ``ValueError`` — at partition time, before any
+    simulation starts — for any boundary edge with non-positive latency,
+    which would force a zero lookahead and stall the conservative window
+    protocol.
     """
     if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
+        raise LayoutError(f"shards must be >= 1, got {shards}")
     if shards > topo.num_switches:
-        raise ValueError(
+        raise LayoutError(
             f"cannot cut {topo.num_switches} switches into {shards} shards"
         )
     primary = _primary_switches(topo)

@@ -178,6 +178,50 @@ def test_batch_only_scenario_notes_ignored_shards(capsys):
     assert json.loads(captured.out)["scenario"] == "quickstart"
 
 
+# -- layout flags are outside input: bad values are usage errors -------------
+
+
+def _usage_error(argv, capsys):
+    """Run ``argv`` expecting exit status 2; returns the last stderr line."""
+    try:
+        status = main(argv)
+    except SystemExit as exc:  # argparse's own usage errors
+        status = exc.code
+    captured = capsys.readouterr()
+    assert status == 2 and captured.out == ""
+    assert "Traceback" not in captured.err
+    return captured.err.strip().splitlines()[-1]
+
+
+@pytest.mark.parametrize("command", ["metrics", "sanitize", "serve"])
+@pytest.mark.parametrize("value", ["0", "-2", "x"])
+def test_shard_counts_below_one_are_usage_errors(command, value, capsys):
+    line = _usage_error([command, "membership", "--shards", value], capsys)
+    assert f"argument --shards: expected an integer >= 1, got {value!r}" in line
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_worker_counts_below_one_are_usage_errors(value, capsys):
+    line = _usage_error(["metrics", "membership", "--workers", value], capsys)
+    assert f"argument --workers: expected an integer >= 1, got {value!r}" in line
+
+
+@pytest.mark.parametrize("command", ["metrics", "sanitize", "serve"])
+def test_more_shards_than_switches_is_one_stderr_line(command, capsys):
+    line = _usage_error([command, "membership", "--shards", "7"], capsys)
+    assert line == f"python -m repro {command}: error: cannot cut 6 switches into 7 shards"
+
+
+def test_bad_repro_shards_only_fails_the_command_that_reads_it(monkeypatch, capsys):
+    monkeypatch.setenv("REPRO_SHARDS", "abc")
+    assert main(["codes"]) == 0  # the parser still builds
+    capsys.readouterr()
+    assert main(["metrics", "membership", "--shards", "2", "--json"]) == 0  # flag wins
+    capsys.readouterr()
+    line = _usage_error(["metrics", "membership"], capsys)
+    assert "argument --shards: expected an integer >= 1, got 'abc'" in line
+
+
 # -- metrics: the report schema ----------------------------------------------
 
 

@@ -40,6 +40,38 @@ def test_basic_delivery():
     assert got == ["hello"]
 
 
+def _one_packet(loss, observe=False):
+    sim, net, a, b, s0, s1 = two_switch_cluster(loss=loss)
+    seen = sim.obs.bus.record("net.trace.*") if observe else None
+    b.bind(7, lambda p: None)
+    a.send(Endpoint("B", 7), "hello", size_bytes=64)
+    sim.run()
+    return sim.obs.bus, seen
+
+
+def test_bus_counts_are_right_without_a_metrics_read_first():
+    # Unobserved deliver/drop records are tallied off the bus and pushed
+    # in by a flush hook; the bus's own reads must trigger it.
+    bus, _ = _one_packet(loss=0.0)
+    assert bus.count("net.trace.deliver") == 1
+    bus, _ = _one_packet(loss=1.0)
+    assert bus.topic_counts("net.trace") == {"net.trace.drop": 1}
+    bus, _ = _one_packet(loss=0.0)
+    assert bus.subsystems() == ("net",)
+
+
+def test_trace_records_carry_rendered_messages_when_the_bus_is_observed():
+    seen = [
+        (e.topic, e.data["message"].split(" ", 1)[1])  # pids are process-global
+        for loss in (0.0, 1.0)
+        for e in _one_packet(loss, observe=True)[1]
+    ]
+    assert seen == [
+        ("net.trace.deliver", "A:0->B:7 (64B)"),
+        ("net.trace.drop", "A:0->B:7 (64B) (link_loss)"),
+    ]
+
+
 def test_delivery_latency_includes_hops():
     # nic0 -> S0 -> nic0: two links, each 1 ms latency plus serialization.
     sim = Simulator()

@@ -194,6 +194,24 @@ def test_batch_drops_clear_alive_mask_only():
     assert int(net.stats.sums["drop_link_loss"]) == 400 - survivors
 
 
+@pytest.mark.parametrize("observed", [False, True])
+def test_batched_windows_count_one_trace_record_per_packet(observed):
+    sim, net, a, b = two_host_net(seed=3, loss=0.3)
+    seen = sim.obs.bus.record("net.trace.*") if observed else None
+    b.bind_batch(7, lambda batch: None)
+    sent = a.send_batch(b.endpoint(7), [None] * 400)
+    sim.run(until=2.0)
+    dropped = 400 - sent.n_alive
+    assert sim.obs.bus.topic_counts("net.trace") == {
+        "net.trace.deliver": sent.n_alive,
+        "net.trace.drop": dropped,
+    }
+    if observed:  # rendered per row, drops carrying their reason
+        messages = [e.data["message"] for e in seen]
+        assert len(messages) == 400 and all(m.startswith("pkt#") for m in messages)
+        assert sum(m.endswith("(link_loss)") for m in messages) == dropped
+
+
 def test_hop_batch_survives_a_lost_window_tail():
     """Tail loss on an idle hop must not schedule in the past.
 

@@ -7,7 +7,10 @@ non-trivial and byte-identical across same-seed runs.
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro import ClusterConfig, RainCluster, Simulator
 from repro.obs import (
@@ -15,6 +18,7 @@ from repro.obs import (
     LabelCardinalityError,
     MetricsRegistry,
 )
+from repro.obs.metrics import DeferredHistogram
 
 
 class Clock:
@@ -93,6 +97,52 @@ def test_histogram_stats(registry):
 def test_histogram_empty_mean_is_zero(registry):
     h = registry.histogram("x.y.z").labels()
     assert h.mean() == 0.0
+
+
+# The deferred accumulator is the one place that mirrors Histogram.observe:
+# flushed, it must be indistinguishable from observing every sample directly,
+# with a running float (plain registry) and with Shewchuk partials (exact).
+_SAMPLES = st.lists(
+    st.floats(min_value=0.0, max_value=1e9, allow_nan=False)
+    | st.sampled_from((0.0, 1e-6, 2.5e-6, 0.1, 1e16, 1.0)),  # bucket edges, cancellation
+    max_size=40,
+)
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["plain", "exact"])
+@given(samples=_SAMPLES, split=st.integers(0, 40))
+def test_deferred_histogram_flushes_to_what_direct_observation_gives(exact, samples, split):
+    registry = MetricsRegistry(lambda: 0.0, exact_sums=exact)
+    direct = registry.histogram("x.direct").labels()
+    series = registry.histogram("x.deferred").labels()
+    deferred = DeferredHistogram(series)
+    for v in samples[:split]:
+        direct.observe(v)
+        deferred.observe(v)
+    deferred.flush()  # a mid-run read; accumulation carries on after it
+    for v in samples[split:]:
+        direct.observe(v)
+        deferred.observe(v)
+    deferred.flush()
+    deferred.flush()  # idempotent
+    assert series._snapshot() == direct._snapshot()
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["plain", "exact"])
+@given(samples=_SAMPLES.filter(len))
+def test_deferred_histogram_window_matches_sample_by_sample(exact, samples):
+    registry = MetricsRegistry(lambda: 0.0, exact_sums=exact)
+    direct = registry.histogram("x.direct").labels()
+    series = registry.histogram("x.window").labels()
+    for v in samples:
+        direct.observe(v)
+    window = DeferredHistogram(series)
+    window.observe_many(np.array(samples))
+    window.flush()
+    got, want = series._snapshot(), direct._snapshot()
+    if not exact:  # numpy sums a window pairwise, not left to right
+        assert got.pop("sum") == pytest.approx(want.pop("sum"))
+    assert got == want
 
 
 # -- simulated-time stamping ----------------------------------------------

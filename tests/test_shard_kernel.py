@@ -5,10 +5,14 @@ lives in ``test_shard_golden.py``; this file pins the mechanisms that
 make it possible, plus the barrier edge cases the issue calls out.
 """
 
+import itertools
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.analysis.hb import HbMonitor
 from repro.obs.merge import (
     merge_event_counts,
     merge_metric_snapshots,
@@ -100,6 +104,145 @@ class TestKeyedOrdering:
         # per-kernel suffixes of the global order: a,c in kernel 0; b in 1
         assert one == ["a", "b", "c"]
         assert two == ["a", "c", "b"]  # kernel 0 fully drains first (serial)
+
+
+# -- the one drain loop, driven every way it can be ---------------------------
+#
+# ShardKernel only *inserts* differently; peek/step/run/run_events/_compact
+# are Simulator's.  The schedules below collide on a five-instant grid, mix
+# control, host and packet-chain origins, spawn children at the current
+# instant on both sides of the rest of the bucket, and cancel more than
+# Simulator._COMPACT_MIN calls from inside a callback so compaction rebuilds
+# keyed deque buckets while the loop is draining them.
+
+_GRID = (0.25, 0.5, 0.75, 1.0, 1.25)
+_HORIZON = 1.0  # the 1.25 instant stays queued: the bound is part of the test
+_ORIGINS = (
+    (0, 3),
+    (0, 8),
+    host_origin(0),
+    host_origin(1),
+    packet_origin(0, 2),
+    packet_origin(1, 0),
+)
+#: a child is ("after-parent" | "minted", delay): keyed right behind its
+#: parent (ahead of everything else pending at that instant), or minted by
+#: call_in under the parent's origin (behind every build-time key)
+_CHILDREN = st.lists(
+    st.tuples(st.sampled_from(("after-parent", "minted")), st.sampled_from((0.0, 0.25))),
+    max_size=2,
+)
+_EVENTS = st.lists(
+    st.tuples(
+        st.sampled_from(_GRID),
+        st.sampled_from(_ORIGINS),
+        st.sampled_from((0.0, 0.125)),  # sched_time: below every instant
+        _CHILDREN,
+    ),
+    min_size=4,
+    max_size=40,
+)
+_DOOMED = st.lists(
+    st.tuples(st.sampled_from(_GRID), st.sampled_from(_ORIGINS)), min_size=65, max_size=90
+)
+
+
+def _drive_run(k):
+    k.run(until=_HORIZON)
+
+
+def _drive_step(k):
+    while k.peek() <= _HORIZON and k.step():
+        pass
+
+
+def _drive_sanitized(k):
+    k._hb = HbMonitor(1, None)
+    k.run(until=_HORIZON)
+    assert k._hb.events[0] > 0  # it really took the instrumented path
+
+
+def _drive_chunks(chunks):
+    def drive(k):
+        for n in itertools.cycle(chunks):
+            if k.run_events(n, until=_HORIZON) < n:
+                break
+
+    return drive
+
+
+def _play(events, doomed, drive):
+    """Build the schedule on a fresh kernel, drive it, and return
+    ``(executed (time, key) list, sim.kernel.events, compaction times)``."""
+    k = ShardKernel(seed=1)
+    log = []
+    compactions = []
+    compact = k._compact
+    k._compact = lambda: (compactions.append(k.now), compact())
+
+    def run(key, children):
+        assert k._cur_origin == key[1]
+        log.append((k.now, key))
+        sched, origin, seq = key
+        for j, (kind, delay) in enumerate(children):
+            if kind == "minted":
+                call = k.call_in(delay, lambda: log.append((k.now, call.key)))
+            else:
+                after = (sched, origin, seq + 1 + j)
+                k.schedule_keyed(k.now + delay, origin, after[2], run, after, (), sched_time=sched)
+
+    for i, (t, origin, sched, children) in enumerate(events):
+        key = (sched, origin, 1000 * i)
+        k.schedule_keyed(t, origin, key[2], run, key, children, sched_time=sched)
+    handles = [
+        k.schedule_keyed(t, origin, 1000 * (len(events) + i), log.append, "doomed", sched_time=0.0)
+        for i, (t, origin) in enumerate(doomed)
+    ]
+    # first event of the run: cancels every doomed call from inside the loop
+    k.schedule_keyed(0.125, (0, 0), 0, lambda: [h.cancel() for h in handles], sched_time=0.0)
+    drive(k)
+    assert k._cur_origin == CONTROL_ORIGIN
+    return log, k.obs.metrics.value("sim.kernel.events"), compactions
+
+
+@settings(max_examples=60, deadline=None)
+@given(events=_EVENTS, doomed=_DOOMED, chunks=st.lists(st.integers(1, 7), min_size=1, max_size=4))
+def test_one_drain_loop_runs_keyed_schedules_identically_however_driven(
+    events, doomed, chunks
+):
+    log, n_events, compactions = _play(events, doomed, _drive_run)
+    # (a) exactly the surviving calls, in ascending (time, key) order
+    assert "doomed" not in log
+    assert log == sorted(log)
+    survivors = [t for t, _, _, _ in events if t <= _HORIZON] + [
+        t + delay
+        for t, _, _, children in events
+        for _, delay in children
+        if t + delay <= _HORIZON
+    ]
+    assert sorted(t for t, _ in log) == sorted(survivors)
+    # compaction ran inside the canceller's callback, i.e. mid-drain
+    assert compactions and compactions[0] == 0.125
+    # control-origin events (and what they mint) are not kernel events
+    assert n_events == sum(1 for _, key in log if key[1][0] != 0)
+    # (b) same sequence and same event metric however the loop is driven
+    for drive in (_drive_step, _drive_chunks(chunks), _drive_sanitized):
+        assert _play(events, doomed, drive) == (log, n_events, compactions)
+
+
+@pytest.mark.parametrize("drive", [_drive_run, _drive_step, _drive_sanitized])
+def test_origin_returns_to_the_ambient_one_when_a_callback_raises(drive):
+    k = ShardKernel(seed=1)
+
+    def boom():
+        raise RuntimeError("boom")
+
+    k.schedule_keyed(0.5, host_origin(2), 0, boom)
+    with k.origin(host_origin(7)):  # e.g. a delivery re-rooting around run()
+        with pytest.raises(RuntimeError, match="boom"):
+            drive(k)
+        assert k._cur_origin == host_origin(7)
+    assert k._cur_origin == CONTROL_ORIGIN
 
 
 class TestSpanAndPacketIds:

@@ -1,6 +1,6 @@
-"""Tests for deterministic RNG streams and tracing."""
+"""Tests for deterministic RNG streams and the StatCounters shim."""
 
-from repro.sim import RngRegistry, StatCounters, Simulator, Tracer, stream_seed
+from repro.sim import RngRegistry, StatCounters, Simulator, stream_seed
 
 
 class TestRng:
@@ -42,89 +42,20 @@ class TestRng:
         assert sim.rng.master_seed == 11
 
 
-class TestTracer:
-    def test_records_in_order(self):
-        tr = Tracer()
-        tr.record(1.0, "a", "first")
-        tr.record(2.0, "b", "second", detail=42)
-        assert len(tr) == 2
-        assert tr.records[1].data == {"detail": 42}
-
-    def test_category_filter_still_counts(self):
-        tr = Tracer(enabled_categories=["keep"])
-        tr.record(0.0, "keep", "x")
-        tr.record(0.0, "drop", "y")
-        assert len(tr.records) == 1
-        assert tr.counts["drop"] == 1
-
-    def test_by_category_and_between(self):
-        tr = Tracer()
-        tr.record(1.0, "up", "u1")
-        tr.record(2.0, "down", "d1")
-        tr.record(3.0, "up", "u2")
-        assert [r.message for r in tr.by_category("up")] == ["u1", "u2"]
-        assert [r.message for r in tr.between(1.5, 3.0)] == ["d1"]
-
-    def test_subscribe(self):
-        tr = Tracer()
-        seen = []
-        tr.subscribe(lambda rec: seen.append(rec.message))
-        tr.record(0.0, "c", "hello")
-        assert seen == ["hello"]
-
-    def test_clear(self):
-        tr = Tracer()
-        tr.record(0.0, "c", "x")
-        tr.clear()
-        assert len(tr) == 0 and not tr.counts
-
-    def test_clear_resets_topic_memo(self):
-        """Re-pointing ``topic`` after clear() must take effect: the
-        category->topic memo is part of the cleared state."""
-        from repro.obs import EventBus
-
-        clock = lambda: 0.0  # noqa: E731
-        bus = EventBus(clock)
-        tr = Tracer(bus=bus, topic="before")
-        tr.record(0.0, "c", "x")
-        assert bus.count("before.c") == 1
-        tr.clear()
-        assert not tr._topics
-        tr.topic = "after"
-        tr.record(0.0, "c", "y")
-        assert bus.count("after.c") == 1
-        assert bus.count("before.c") == 1  # no new publishes on the stale topic
-
-    def test_counts_include_filtered_categories(self):
-        """Documented contract: ``counts`` tallies every call, including
-        records the category filter keeps out of ``records``."""
-        tr = Tracer(enabled_categories=["keep"])
-        for _ in range(3):
-            tr.record(0.0, "drop", "y")
-        tr.record(0.0, "keep", "x")
-        assert tr.counts == {"drop": 3, "keep": 1}
-        assert [r.category for r in tr.records] == ["keep"]
-
-
 class TestStatCounters:
-    def test_add_and_rate(self):
+    def test_add(self):
         st = StatCounters()
         st.add("pkts")
         st.add("pkts", 3)
         assert st.sums["pkts"] == 4
-        assert st.rate("pkts", 2.0) == 2.0
-        assert st.rate("missing", 2.0) == 0.0
-        assert st.rate("pkts", 0.0) == 0.0
+        st.mirror()  # no registry: nothing to mirror into
 
-    def test_observe_max(self):
-        st = StatCounters()
-        st.observe_max("q", 3)
-        st.observe_max("q", 1)
-        st.observe_max("q", 9)
-        assert st.maxima["q"] == 9
-
-    def test_sample_series(self):
-        st = StatCounters()
-        st.sample("load", 0.0, 1.0)
-        st.sample("load", 1.0, 2.0)
-        assert st.series["load"] == [(0.0, 1.0), (1.0, 2.0)]
+    def test_mirror_assigns_sums_to_registry_counters(self):
+        sim = Simulator()
+        st = StatCounters(registry=sim.obs.metrics, prefix="demo")
+        st.add("pkts", 2)
+        st.sums["bytes"] += 10.0  # hot paths accumulate into sums directly
+        st.mirror()
+        st.mirror()  # idempotent
+        assert sim.obs.metrics.value("demo.pkts") == 2.0
+        assert sim.obs.metrics.value("demo.bytes") == 10.0
