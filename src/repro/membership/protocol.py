@@ -242,7 +242,13 @@ class MembershipNode:
         self.regen_count = token.regen_count
         self.last_token_time = self.sim.now
         self.view = list(token.ring)
-        self.known_peers.update(n for n in token.ring if n != self.name)
+        # One C-level update, not a generator step per ring member; the
+        # set ends up exactly as if our own name had been filtered out.
+        peers = self.known_peers
+        knew_self = self.name in peers
+        peers.update(token.ring)
+        if not knew_self:
+            peers.discard(self.name)
         self.local_copy = token.copy()
         if tuple(was_view) != tuple(self.view):
             self._emit("view", tuple(self.view))

@@ -6,8 +6,10 @@ adversary: it kills and repairs links, switches, NICs, and hosts, either
 immediately or on a schedule, and can generate random fault/repair
 processes for soak experiments.
 
-Every state flip bumps the network topology version so routes recompute,
-and is recorded on the injector's event log for assertions.
+Every state flip bumps the network topology version so routes recompute
+(link and switch flips also bump the fabric version the router's switch
+trees key off; host and NIC flips leave those trees standing), and is
+recorded on the injector's event log for assertions.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ class FaultInjector:
         if element.up == up:
             return
         element.up = up
-        self.network.bump_topology()
+        self.network.bump_topology(fabric=kind in ("link", "switch"))
         self.log.append(
             FaultEvent(self.sim.now, "repair" if up else "fail", kind, element.name)
         )

@@ -49,7 +49,7 @@ from .nic import Nic
 from .node import Host
 from .packet import HEADER_BYTES, Packet
 from .routing import Router
-from .switch import Switch
+from .switch import PortsExhausted, Switch
 
 __all__ = ["Network"]
 
@@ -63,8 +63,10 @@ class _Route:
     — everything a hop needs without per-hop lookups.  ``key`` names
     the route by host name, NIC index and link ids, which is how a
     sharded replica tells a peer which route an in-flight packet is on.
-    Routes are cached per topology version; any fault or cabling change
-    drops the whole cache.
+    Routes (and cached drop reasons) are kept per ``topo_version``: any
+    flip of any element, or a cabling change, drops the whole cache.
+    Re-resolving is cheap: the router's switch trees underneath key off
+    ``fabric_version`` and outlive host and NIC flips.
     """
 
     __slots__ = ("src_nic", "dst_nic", "hops", "key")
@@ -104,6 +106,7 @@ class Network:
         self.switches: dict[str, Switch] = {}
         self.links: list[Link] = []
         self._topo_version = 0
+        self._fabric_version = 0
         self.router = Router(self)
         # Legacy counters: sums mirror to net.network.* metrics at flush.
         self.stats = StatCounters(registry=sim.obs.metrics, prefix="net.network")
@@ -200,7 +203,11 @@ class Network:
             lid=self.mint_lid(),
         )
         a.attach(lk)
-        b.attach(lk)
+        try:
+            b.attach(lk)
+        except PortsExhausted:
+            a.links.pop()  # a full ``b`` must not leave a phantom cable on ``a``
+            raise
         self.links.append(lk)
         self.bump_topology()
         return lk
@@ -243,9 +250,23 @@ class Network:
         """Monotone counter bumped on every topology or fault change."""
         return self._topo_version
 
-    def bump_topology(self) -> None:
-        """Invalidate cached routes after a topology/fault change."""
+    @property
+    def fabric_version(self) -> int:
+        """Monotone counter of cabling, link-flip and switch-flip changes."""
+        return self._fabric_version
+
+    def bump_topology(self, fabric: bool = True) -> None:
+        """Invalidate cached state after a topology/fault change.
+
+        ``topo_version`` always moves (the :class:`_Route` cache and the
+        batched route's in-flight recheck key off it); ``fabric_version``
+        (the router's switch trees) moves too unless the caller knows the
+        change was a host or NIC flip, which no tree can see and
+        :meth:`Router.path` checks live.  A bare call bumps both.
+        """
         self._topo_version += 1
+        if fabric:
+            self._fabric_version += 1
 
     def arm_faults(self) -> None:
         """Called by :class:`~repro.net.faults.FaultInjector` before any

@@ -197,6 +197,26 @@ def test_switch_port_budget_enforced():
     assert s.free_ports == 0
 
 
+def test_refused_cable_leaves_no_phantom_on_the_first_end():
+    # link(a, b) attaches a first: a full switch at b must not leave the
+    # cable on a.links, where routing would expand it from a's side
+    sim = Simulator()
+    net = Network(sim)
+    s = net.add_switch("S", ports=1)
+    h1 = net.add_host("H1")
+    h2 = net.add_host("H2")
+    net.link(h1.nic(0), s)
+    nic = h2.nic(0)
+    cables, version = len(net.links), net.topo_version
+    with pytest.raises(PortsExhausted):
+        net.link(nic, s)
+    assert nic.links == []
+    assert nic.connected is False
+    assert len(net.links) == cables
+    assert net.topo_version == version
+    assert not net.host_reachable("H2", "H1")
+
+
 def test_duplicate_names_rejected():
     sim = Simulator()
     net = Network(sim)

@@ -1,12 +1,16 @@
 """Cross-module property tests (hypothesis) on structural invariants."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.codes import BCode, XCode
 from repro.codes.gf256 import MUL_TABLE, gf_vandermonde, gf_mat_inv, gf_matmul
+from repro.net import FaultInjector, Network, PortsExhausted
+from repro.sim import Simulator
 from repro.topology import FaultSet, analyze, diameter_ring, naive_ring
+
+from .test_net_routing_multihop import all_nics, assert_matches_reference
 
 
 class TestGF256Exhaustive:
@@ -123,3 +127,67 @@ class TestCodeSizing:
         assert sizes.pop() == code.share_size(data_len)
         # MDS storage bound: k shares hold at least the original data
         assert code.k * code.share_size(data_len) >= data_len
+
+
+# (kind of end, index) pairs; indices wrap modulo what the topology has
+_cable_end = st.tuples(st.sampled_from(["nic", "switch"]), st.integers(0, 20))
+_fault_step = st.tuples(
+    st.sampled_from(["link", "switch", "nic", "host", "cable"]),
+    st.integers(0, 40),
+    st.booleans(),
+)
+
+
+class TestRoutingMatchesTheDeviceGraphBfs:
+    """The switch-tree router against the whole-graph BFS it replaced."""
+
+    @given(
+        ports=st.lists(st.integers(3, 10), min_size=1, max_size=7),
+        nics=st.lists(st.integers(1, 3), min_size=2, max_size=7),
+        cables=st.lists(st.tuples(_cable_end, _cable_end), min_size=1, max_size=40),
+        script=st.lists(_fault_step, max_size=12),
+    )
+    @example(  # h1's first cable goes to s1, but a walk from h0 visits s0 first
+        ports=[3, 3],
+        nics=[1, 1],
+        cables=[
+            (("switch", 0), ("switch", 1)),
+            (("nic", 0), ("switch", 0)),
+            (("nic", 1), ("switch", 1)),
+            (("nic", 1), ("switch", 0)),
+        ],
+        script=[],
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_identical_links_after_every_fault_step(self, ports, nics, cables, script):
+        sim = Simulator(seed=0)
+        net = Network(sim)
+        switches = [net.add_switch(f"s{i}", ports=p) for i, p in enumerate(ports)]
+        hosts = [net.add_host(f"h{i}", nics=n) for i, n in enumerate(nics)]
+        nic_list = all_nics(net)
+        ends = {"nic": nic_list, "switch": switches}
+
+        def cable(a, b):
+            # NIC-switch, switch-switch, NIC-NIC and parallel cables alike;
+            # self-loops and full switches are refused and leave no trace
+            a, b = (ends[kind][i % len(ends[kind])] for kind, i in (a, b))
+            try:
+                net.link(a, b)
+            except (ValueError, PortsExhausted):
+                pass
+
+        for a, b in cables:
+            cable(a, b)
+        for nic in nic_list:
+            assert all(nic in (lk.a, lk.b) and lk in net.links for lk in nic.links)
+        assert_matches_reference(net)
+
+        fi = FaultInjector(net)
+        flippable = {"link": net.links, "switch": switches, "nic": nic_list, "host": hosts}
+        for kind, i, up in script:
+            if kind == "cable":  # re-cabling mid-run, drawn from the same pool
+                cable(*cables[i % len(cables)])
+            elif flippable[kind]:
+                target = flippable[kind][i % len(flippable[kind])]
+                (fi.repair if up else fi.fail)(target)
+            assert_matches_reference(net)
