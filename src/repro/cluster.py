@@ -293,6 +293,7 @@ class ShardedRainCluster:
         )
         self.owner = owner
         host_index = {self.names[i]: i for i in range(topo.num_nodes)}
+        ring = tuple(self.names)  # one bootstrap ring shared by every member
         rudp_cfg = config.rudp_config()
         self.replicas: list[_ShardReplica] = []
         for kernel in self.sharded.kernels:
@@ -308,7 +309,7 @@ class ShardedRainCluster:
                 with kernel.origin(host_origin(i)):
                     tp = RudpTransport(hosts[i], rudp_cfg)
                     member = MembershipNode(hosts[i], tp, config.membership)
-                    member.bootstrap(list(self.names), first_holder=(i == 0))
+                    member.bootstrap(ring, first_holder=(i == 0))
                     rep.transports[i] = tp
                     rep.members[i] = member
                     if with_election:

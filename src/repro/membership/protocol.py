@@ -28,7 +28,7 @@ stale token is told so with a NACK, killing duplicate token chains.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Sequence
 
 from ..net import Host
 from ..rudp import RudpTransport
@@ -37,7 +37,7 @@ from .config import MembershipConfig
 from .detection import make_policy
 from .token import Token
 
-__all__ = ["MembershipNode", "MembershipEvent", "MEMBERSHIP_SERVICE"]
+__all__ = ["MembershipNode", "MembershipEvent", "KnownPeers", "MEMBERSHIP_SERVICE"]
 
 #: RUDP service name carrying membership traffic.
 MEMBERSHIP_SERVICE = "membership"
@@ -51,6 +51,34 @@ class MembershipEvent:
     node: str  # where the event was observed
     kind: str  # token|excluded|join_added|view|regen|solo|abandon
     subject: Any = None  # affected node, ring snapshot, seq, ...
+
+
+class KnownPeers:
+    """Every name a node has heard of, less its own: the bootstrap ring
+    (one tuple shared by every node) plus a small per-node set of names
+    learned beyond it (911 requesters, join contacts, joined members)."""
+
+    __slots__ = ("me", "base", "extra", "_seen")
+
+    def __init__(self, me: str):
+        self.me, self.base, self.extra = me, (), set()
+        self._seen: Optional[frozenset] = None  # last ring member set folded in
+
+    def __bool__(self) -> bool:
+        return bool(self.extra) or any(n != self.me for n in self.base)
+
+    def learn(self, token: Token) -> None:
+        """Fold ``token``'s ring in: free for the base ring or the last
+        set folded in, else one C-level difference against that set."""
+        members, seen = token.members, self._seen
+        if members is not seen and token.ring is not self.base:
+            new = members.difference(self.base if seen is None else seen)
+            self.extra.update(n for n in new if n != self.me and n not in self.base)
+        self._seen = members
+
+    def with_view(self, view: tuple[str, ...]) -> set[str]:
+        """The 911 targets: these names plus ``view``'s."""
+        return (set(view).union(self.base) - {self.me}) | self.extra
 
 
 class MembershipNode:
@@ -71,8 +99,8 @@ class MembershipNode:
         self.policy = make_policy(config.detection, config.conservative_threshold)
         transport.register(MEMBERSHIP_SERVICE, self._on_msg)
 
-        self.view: list[str] = [self.name]
-        self.known_peers: set[str] = set()
+        self.view: tuple[str, ...] = (self.name,)
+        self.known_peers = KnownPeers(self.name)
         self.local_seq = 0
         self.local_copy: Optional[Token] = None
         self.last_token_time = self.sim.now
@@ -103,22 +131,22 @@ class MembershipNode:
 
     # -- public API --------------------------------------------------------
 
-    def bootstrap(self, members: list[str], first_holder: bool = False) -> None:
+    def bootstrap(self, members: Sequence[str], first_holder: bool = False) -> None:
         """Install the initial membership; one node must be the
-        ``first_holder`` and generates the first token."""
+        ``first_holder`` and generates the first token.  A tuple is
+        shared, not copied: pass every node the same one."""
         if self.name not in members:
             raise ValueError(f"{self.name} missing from initial membership")
-        self.view = list(members)
-        self.known_peers.update(m for m in members if m != self.name)
+        self.view = self.known_peers.base = tuple(members)
         self._start_watchdog()
         if first_holder:
-            token = Token(seq=1, ring=list(members))
+            token = Token(seq=1, ring=self.view)
             self.sim.call_in(0.0, self._adopt, token, self.name)
 
     def join(self, contact: str) -> None:
         """Start as a non-member that knows one cluster contact; the 911
         mechanism performs the join (Sec. 3.3.2)."""
-        self.known_peers.add(contact)
+        self.known_peers.extra.add(contact)
         self.solo_mode = True
         self._start_watchdog()
         self._send_911s()
@@ -241,17 +269,11 @@ class MembershipNode:
         self.local_seq = token.seq
         self.regen_count = token.regen_count
         self.last_token_time = self.sim.now
-        self.view = list(token.ring)
-        # One C-level update, not a generator step per ring member; the
-        # set ends up exactly as if our own name had been filtered out.
-        peers = self.known_peers
-        knew_self = self.name in peers
-        peers.update(token.ring)
-        if not knew_self:
-            peers.discard(self.name)
+        self.view = token.ring
+        self.known_peers.learn(token)
         self.local_copy = token.copy()
-        if tuple(was_view) != tuple(self.view):
-            self._emit("view", tuple(self.view))
+        if was_view != self.view:
+            self._emit("view", self.view)
         self._emit("token", token.seq)
         self._emit("accept", (token.lineage, token.seq))
         # Dynamic joins: add pending newcomers right after ourselves.
@@ -260,10 +282,10 @@ class MembershipNode:
                 token.insert_after(self.name, newcomer)
                 self._emit("join_added", newcomer)
         self.pending_joins.clear()
-        if list(token.ring) != self.view:
-            self.view = list(token.ring)
+        if token.ring != self.view:
+            self.view = token.ring
             self.local_copy = token.copy()
-            self._emit("view", tuple(self.view))
+            self._emit("view", self.view)
         # Mutual-exclusion zone: attachments are processed while holding.
         for hook in self._hold_hooks:
             hook(token)
@@ -287,7 +309,7 @@ class MembershipNode:
                 # soliciting peers (solo mode) so partitions heal.
                 if self.known_peers and not self.solo_mode:
                     self.solo_mode = True
-                    self._emit("solo", tuple(self.view))
+                    self._emit("solo", self.view)
                 token.seq += 1
                 self.local_seq = token.seq
                 self.last_token_time = self.sim.now
@@ -330,7 +352,7 @@ class MembershipNode:
             excluded = self.policy.on_send_failure(token, self.name, target)
             if excluded is not None:
                 self._emit("excluded", excluded)
-            self.view = list(token.ring)
+            self.view = token.ring
             self.local_copy = token.copy()
 
     def _on_ack(self, seq: int) -> None:
@@ -395,7 +417,7 @@ class MembershipNode:
             return
 
     def _send_911s(self) -> None:
-        targets = set(n for n in self.view if n != self.name) | self.known_peers
+        targets = self.known_peers.with_view(self.view)
         tracer = self.sim.obs.tracer
         span = None
         if tracer is not None:
@@ -416,11 +438,11 @@ class MembershipNode:
                 tracer.end(span)
 
     def _on_911(self, src: str, requester: str, req_seq: int) -> None:
-        self.known_peers.add(requester)
+        self.known_peers.extra.add(requester)
         if requester not in self.view:
             # Join request (Sec. 3.3.2) — also covers rejoin after a
             # wrong exclusion or transient failure (Sec. 3.3.3).
-            if self.view == [self.name] and self.holding is None and not self.local_copy:
+            if self.view == (self.name,) and self.holding is None and not self.local_copy:
                 # Neither side has a token (fresh bootstrap by joins):
                 # deterministic tie-break — smaller name creates the ring.
                 if self.name < requester:

@@ -34,7 +34,7 @@ def build_membership(
             for peer in hosts:
                 if peer.name != tp.host.name:
                     tp.connect(peer.name, paths=paths)
-    names = [h.name for h in hosts]
+    names = tuple(h.name for h in hosts)  # one ring shared by every node
     nodes = [
         MembershipNode(h, tp, config) for h, tp in zip(hosts, transports)
     ]

@@ -341,10 +341,11 @@ class _Family:
         child = self.series.get(key)
         if child is None:
             if len(self.series) >= self.max_series:
+                shown = ",".join(f"{k}={v}" for k, v in key)
                 raise LabelCardinalityError(
-                    f"{self.name}: more than {self.max_series} label sets; "
-                    "a high-cardinality label (request id? sequence number?) "
-                    "is being used as a metric dimension"
+                    f"{self.name}: label set {{{shown}}} would exceed the cap of "
+                    f"{self.max_series} series; one of its labels (a node name past "
+                    "the cap, a request id?) has too many values to be a dimension"
                 )
             child = self.kind(self, key)
             self.series[key] = child

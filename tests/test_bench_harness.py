@@ -126,10 +126,9 @@ class TestCli:
         )
         assert rc == 0
         assert (out / "BENCH_kernel.json").exists()
-        # shrink the recorded baseline so the gate outcome does not
-        # depend on run-to-run timing variance under load
+        # a zero baseline: every run clears it, however slow or noisy
         doc = json.loads(base.read_text())
-        doc["modes"]["quick"]["workloads"]["kernel"]["normalized"] /= 10
+        doc["modes"]["quick"]["workloads"]["kernel"]["normalized"] = 0.0
         base.write_text(json.dumps(doc))
         rc = main(
             [
@@ -155,8 +154,9 @@ class TestCli:
              "--write-baseline", str(base)]
         ) == 0
         doc = json.loads(base.read_text())
-        # pretend the committed baseline was 10x faster
-        doc["modes"]["quick"]["workloads"]["kernel"]["normalized"] *= 10
+        # a baseline no run can reach: a cold first run can be 10x slower
+        # than the check run, so a relative "10x faster" is not enough
+        doc["modes"]["quick"]["workloads"]["kernel"]["normalized"] = 1e12
         base.write_text(json.dumps(doc))
         rc = main(
             ["bench", "kernel", "--quick", "--repeats", "1", "--out", str(out),

@@ -68,43 +68,58 @@ class TestTokenDataclass:
     def test_remove_and_insert(self):
         t = Token(seq=1, ring=["A", "B", "C", "D"])
         t.remove("B")
-        assert t.ring == ["A", "C", "D"]
+        assert t.ring == ("A", "C", "D")
         t.insert_after("C", "B")
-        assert t.ring == ["A", "C", "B", "D"]
+        assert t.ring == ("A", "C", "B", "D")
         t.insert_after("C", "B")  # idempotent
-        assert t.ring == ["A", "C", "B", "D"]
+        assert t.ring == ("A", "C", "B", "D")
 
     def test_insert_after_missing_anchor_appends(self):
         t = Token(seq=1, ring=["A"])
         t.insert_after("Z", "B")
-        assert t.ring == ["A", "B"]
+        assert t.ring == ("A", "B")
 
     def test_demote_swaps_with_successor(self):
         t = Token(seq=1, ring=["A", "B", "C", "D"])
         t.demote("B")
-        assert t.ring == ["A", "C", "B", "D"]  # the paper's Fig. 9c reorder
+        assert t.ring == ("A", "C", "B", "D")  # the paper's Fig. 9c reorder
 
     def test_copy_is_independent(self):
-        t = Token(seq=1, ring=["A", "B"], attachments={"q": [1]})
+        # The ring is immutable and shared; every edit replaces it on
+        # the copy that made it and leaves the original untouched.
+        t = Token(seq=1, ring=["A", "B", "C", "D"], attachments={"q": [1]})
         c = t.copy()
-        c.ring.append("C")
+        assert c.ring is t.ring and c.members is t.members
+        assert not hasattr(t.ring, "append")
+        c.remove("B")
+        c.insert_after("A", "E")
+        c.demote("C")
         c.attachments["q"] = [2]
-        assert t.ring == ["A", "B"] and t.attachments == {"q": [1]}
+        assert c.ring == ("A", "E", "D", "C")
+        assert t.ring == ("A", "B", "C", "D") and t.attachments == {"q": [1]}
+        assert t.members == {"A", "B", "C", "D"}
+        assert c.members == {"A", "C", "D", "E"}
+
+    def test_demote_keeps_the_member_set(self):
+        t = Token(seq=1, ring=["A", "B", "C"])
+        members = t.members
+        t.demote("A")
+        assert t.ring == ("B", "A", "C") and t.members is members
 
 
 class TestDetectionPolicies:
     def test_aggressive_removes_immediately(self):
         t = Token(seq=1, ring=["A", "B", "C"])
         assert AggressiveDetection().on_send_failure(t, "A", "B") == "B"
-        assert t.ring == ["A", "C"]
+        assert t.ring == ("A", "C")
 
     def test_conservative_demotes_then_removes(self):
         t = Token(seq=1, ring=["A", "B", "C", "D"])
         pol = ConservativeDetection(threshold=2)
         assert pol.on_send_failure(t, "A", "B") is None
-        assert t.ring == ["A", "C", "B", "D"]
+        assert t.ring == ("A", "C", "B", "D")
         assert pol.on_send_failure(t, "C", "B") == "B"
-        assert t.ring == ["A", "C", "D"]
+        assert t.ring == ("A", "C", "D")
 
     def test_conservative_success_resets_count(self):
         t = Token(seq=1, ring=["A", "B", "C", "D"])

@@ -98,7 +98,7 @@ def test_checker_flags_nonmonotone_seq():
 def test_checker_flags_disagreement():
     sim, net, hosts, nodes = cluster(2, seed=6)
     sim.run(until=2.0)
-    nodes[0].view = ["A"]
+    nodes[0].view = ("A",)
     report = check_invariants(nodes)
     assert not report.final_agreement
     assert "disagree" in str(report)

@@ -75,7 +75,7 @@ def soak_cluster(seed=81, corrupt=False):
     sim.run(until=10.0)
     if corrupt:
         # simulate a protocol bug: a live node silently forgets a peer
-        cluster.member(1).view = ["node1"]
+        cluster.member(1).view = ("node1",)
     return sim, cluster, rec
 
 

@@ -170,8 +170,17 @@ def test_label_cardinality_capped(registry):
     fam = registry.counter("a.b.c", max_series=8)
     for i in range(8):
         fam.labels(i=i).inc()
-    with pytest.raises(LabelCardinalityError):
+    with pytest.raises(LabelCardinalityError, match=r"label set \{i=8\}.* cap of 8 series"):
         fam.labels(i=8)
+
+
+def test_cluster_past_the_series_cap_names_the_node_label():
+    # Per-node metric families cap a cluster at 1,024 nodes; the error
+    # must name the per-node label set that crossed the cap.
+    from repro.scenarios import build_churn_cluster
+
+    with pytest.raises(LabelCardinalityError, match=r"\{node=node1024\}.*1024 series"):
+        build_churn_cluster(nodes=1025, switches=64)
 
 
 def test_subsystems_and_names(registry):
