@@ -38,9 +38,10 @@ Rules
   ``_on_*`` handlers and generator process bodies): a chained
   ``.labels(...).inc()``-style call, or a ``*.metrics.counter()``/
   ``gauge()``/``histogram()`` registry lookup, repeated per packet or
-  per event.  Bind the series once at init and update the bound series;
-  a lazily-bound cache (``.labels()`` assigned into a dict on first
-  miss) is fine and not flagged.
+  per event.  Bind the series once, at init or on first observation,
+  and update the bound series; a lazily-bound series (``.labels()``
+  assigned onto ``self`` or into a dict on first miss) is fine and not
+  flagged.
 """
 
 from __future__ import annotations

@@ -66,8 +66,9 @@ _ALL = [
     Rule(
         "RL007",
         "per-event metric lookup in a hot path",
-        "bind the series once at init (store family.labels(...) on self) "
-        "and call .inc()/.observe() on the bound series; .labels() and "
+        "bind the series once, at init or on first observation (store "
+        "family.labels(...) on self), and call .inc()/.observe() on the "
+        "bound series; .labels() and "
         "registry counter/gauge/histogram lookups per event dominate "
         "hot-handler cost",
     ),

@@ -77,12 +77,14 @@ class RainCheckNode:
         self.status: dict[str, JobStatus] = {}
         self._workers: dict[str, object] = {}  # job_id -> Process
         metrics = self.sim.obs.metrics
-        self._m_checkpoints = metrics.counter(
+        self._f_checkpoints = metrics.counter(
             "apps.raincheck.checkpoints", help="checkpoints written"
-        ).labels(node=self.name)
-        self._m_restarts = metrics.counter(
+        )
+        self._f_restarts = metrics.counter(
             "apps.raincheck.restarts", help="worker (re)starts, first run included"
-        ).labels(node=self.name)
+        )
+        # This node's series of each family, bound on first observation.
+        self._m_checkpoints = self._m_restarts = None
         membership.on_hold(self._on_token)
 
     # -- leader + worker logic, all inside the token hook -----------------
@@ -131,6 +133,8 @@ class RainCheckNode:
     def _worker(self, job: JobSpec):
         st = self.status.setdefault(job.job_id, JobStatus(job_id=job.job_id))
         st.restarts += 1
+        if self._m_restarts is None:
+            self._m_restarts = self._f_restarts.labels(node=self.name)
         self._m_restarts.inc()
         try:
             # roll back to the last checkpoint, if any
@@ -154,6 +158,8 @@ class RainCheckNode:
                 if step % job.checkpoint_every == 0 or step == job.total_steps:
                     blob = step.to_bytes(4, "little") + job.state_at(step)
                     yield from self.store.store(f"ckpt:{job.job_id}", blob)
+                    if self._m_checkpoints is None:
+                        self._m_checkpoints = self._f_checkpoints.labels(node=self.name)
                     self._m_checkpoints.inc()
             st.finished_at = self.sim.now
             self.sim.obs.bus.publish(

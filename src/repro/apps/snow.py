@@ -60,9 +60,10 @@ class SnowServer:
         self.served_memory = served_memory
         self._inbox: list[_Request] = []  # received, not yet on the token
         self.served: list[_Request] = []  # what *this* node answered
-        self._m_served = self.sim.obs.metrics.counter(
+        self._f_served = self.sim.obs.metrics.counter(
             "apps.snow.served", help="requests answered by this server"
-        ).labels(node=host.name)
+        )
+        self._m_served = None  # bound on the first reply
         transport.register(SNOW_SERVICE, self._on_msg)
         membership.on_hold(self._on_token)
 
@@ -100,6 +101,8 @@ class SnowServer:
 
     def _reply(self, req: _Request) -> None:
         self.served.append(req)
+        if self._m_served is None:
+            self._m_served = self._f_served.labels(node=self.host.name)
         self._m_served.inc()
         body = f"<html>{req.path} served by {self.host.name}</html>"
         self.transport.send(
@@ -120,9 +123,10 @@ class SnowClient:
         self.responses: dict[str, list[tuple[float, str]]] = {}
         self._waiters: dict[str, Signal] = {}
         self._counter = 0
-        self._m_latency = self.sim.obs.metrics.histogram(
+        self._f_latency = self.sim.obs.metrics.histogram(
             "apps.snow.request_latency", help="simulated seconds to first response"
-        ).labels(client=host.name)
+        )
+        self._m_latency = None  # bound on the first answered request
         transport.register(SNOW_SERVICE + ".client", self._on_msg)
 
     def _on_msg(self, src: str, msg: tuple) -> None:
@@ -154,14 +158,16 @@ class SnowClient:
         self._waiters[req_id] = sig
         if timeout is None:
             server = yield sig
-            self._m_latency.observe(self.sim.now - t0)
-            return req_id, server
-        fired = yield self.sim.any_of([sig, self.sim.timeout(timeout)])
-        if fired is sig:
-            self._m_latency.observe(self.sim.now - t0)
-            return req_id, sig.value
-        self._waiters.pop(req_id, None)
-        return req_id, None
+        else:
+            fired = yield self.sim.any_of([sig, self.sim.timeout(timeout)])
+            if fired is not sig:
+                self._waiters.pop(req_id, None)
+                return req_id, None
+            server = sig.value
+        if self._m_latency is None:
+            self._m_latency = self._f_latency.labels(client=self.host.name)
+        self._m_latency.observe(self.sim.now - t0)
+        return req_id, server
 
     def reply_counts(self) -> dict[str, int]:
         """Replies received per request id (exactly-once means all 1s)."""

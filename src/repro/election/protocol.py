@@ -40,9 +40,10 @@ class LeaderElection:
         self._leader: Optional[str] = self._compute()
         self.changes: list[LeaderChange] = []
         self._listeners: list[Callable[[LeaderChange], None]] = []
-        self._m_changes = self.sim.obs.metrics.counter(
+        self._f_changes = self.sim.obs.metrics.counter(
             "election.leader.changes", help="leadership transitions observed"
-        ).labels(node=membership.name)
+        )
+        self._m_changes = None  # bound on the first change this node sees
         membership.subscribe(self._on_membership_event)
 
     def _compute(self) -> Optional[str]:
@@ -76,6 +77,8 @@ class LeaderElection:
             )
             self._leader = new
             self.changes.append(change)
+            if self._m_changes is None:
+                self._m_changes = self._f_changes.labels(node=change.node)
             self._m_changes.inc()
             self.sim.obs.bus.publish(
                 "election.leader.change",

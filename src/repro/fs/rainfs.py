@@ -88,9 +88,10 @@ class RainFsNode:
         # op name -> bound series; the label lookup runs once per op,
         # not once per RPC.
         self._m_op_series: dict[str, object] = {}
-        self._m_recoveries = metrics.counter(
+        self._f_recoveries = metrics.counter(
             "fs.rainfs.recoveries", help="namespace recoveries performed on takeover"
-        ).labels(node=self.name)
+        )
+        self._m_recoveries = None  # bound on the first recovery
         self.transport.register(RAINFS_SERVICE, self._on_msg)
         election.subscribe(self._on_leader_change)
         if election.is_leader:
@@ -120,6 +121,8 @@ class RainFsNode:
             ns = Namespace()  # fresh file system
         if self.election.is_leader:
             self.namespace = ns
+            if self._m_recoveries is None:
+                self._m_recoveries = self._f_recoveries.labels(node=self.name)
             self._m_recoveries.inc()
         self._recovering = False
 

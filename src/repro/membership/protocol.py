@@ -115,19 +115,22 @@ class MembershipNode:
         self.tokens_seen = 0
         self._watchdog = None
         metrics = self.sim.obs.metrics
-        self._m_token_rtt = metrics.histogram(
+        self._f_token_rtt = metrics.histogram(
             "membership.token.rtt",
             help="simulated seconds between successive token holds",
-        ).labels(node=self.name)
-        self._m_regens = metrics.counter(
+        )
+        self._f_regens = metrics.counter(
             "membership.protocol.regenerations", help="911 token regenerations"
-        ).labels(node=self.name)
-        self._m_exclusions = metrics.counter(
+        )
+        self._f_exclusions = metrics.counter(
             "membership.protocol.exclusions", help="members excluded by this detector"
-        ).labels(node=self.name)
-        self._m_911s = metrics.counter(
+        )
+        self._f_911s = metrics.counter(
             "membership.protocol.msgs_911", help="911 requests sent"
-        ).labels(node=self.name)
+        )
+        # This node's series of each family, bound on first observation
+        # so a report lists only what happened.
+        self._m_token_rtt = self._m_regens = self._m_exclusions = self._m_911s = None
 
     # -- public API --------------------------------------------------------
 
@@ -199,8 +202,12 @@ class MembershipNode:
                 ),
             )
         if kind == "regen":
+            if self._m_regens is None:
+                self._m_regens = self._f_regens.labels(node=self.name)
             self._m_regens.inc()
         elif kind == "excluded":
+            if self._m_exclusions is None:
+                self._m_exclusions = self._f_exclusions.labels(node=self.name)
             self._m_exclusions.inc()
         for fn in self._listeners:
             fn(ev)
@@ -264,7 +271,10 @@ class MembershipNode:
         self.tokens_seen += 1
         if self.tokens_seen > 1:
             # token round-trip time as this node observes it (Fig. 9)
-            self._m_token_rtt.observe(self.sim.now - self.last_token_time)
+            rtt = self._m_token_rtt
+            if rtt is None:
+                rtt = self._m_token_rtt = self._f_token_rtt.labels(node=self.name)
+            rtt.observe(self.sim.now - self.last_token_time)
         self.solo_mode = False
         self.local_seq = token.seq
         self.regen_count = token.regen_count
@@ -428,6 +438,8 @@ class MembershipNode:
                 targets=len(targets),
             )
             tracer._stack.append(span.ctx)
+        if targets and self._m_911s is None:
+            self._m_911s = self._f_911s.labels(node=self.name)
         try:
             for target in sorted(targets):
                 self._m_911s.inc()

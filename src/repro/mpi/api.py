@@ -65,12 +65,10 @@ class Communicator(CollectivesMixin):
         self._coll_seq = 0
         self._coll_ctx = None  # span context of the running collective
         metrics = self.sim.obs.metrics
-        self._m_msgs = metrics.counter(
-            "mpi.p2p.messages", help="point-to-point sends"
-        ).labels(rank=rank)
-        self._m_bytes = metrics.counter(
-            "mpi.p2p.bytes", help="point-to-point payload bytes"
-        ).labels(rank=rank)
+        self._f_msgs = metrics.counter("mpi.p2p.messages", help="point-to-point sends")
+        self._f_bytes = metrics.counter("mpi.p2p.bytes", help="point-to-point payload bytes")
+        # This rank's series of each family, bound on the first send.
+        self._m_msgs = self._m_bytes = None
         self._m_coll_calls = metrics.counter(
             "mpi.collective.calls", help="collective invocations by operation"
         )
@@ -98,6 +96,9 @@ class Communicator(CollectivesMixin):
     ) -> None:
         """Eager buffered send: returns immediately; RUDP guarantees
         in-order reliable delivery (or stalls through outages)."""
+        if self._m_msgs is None:
+            self._m_msgs = self._f_msgs.labels(rank=self.rank)
+            self._m_bytes = self._f_bytes.labels(rank=self.rank)
         self._m_msgs.inc()
         self._m_bytes.inc(size_bytes)
         tracer = self.sim.obs.tracer

@@ -84,13 +84,13 @@ __all__ = [
 class Observability:
     """Per-simulation observability hub: one registry + one bus.
 
-    ``time_fn`` supplies the current *simulated* time; both the metrics
-    registry and the event bus stamp everything they record with it.
+    ``time_fn`` supplies the current *simulated* time; the event bus and
+    the span tracer stamp everything they record with it.
     """
 
     def __init__(self, time_fn: Callable[[], float], exact_sums: bool = False):
         self.time_fn = time_fn
-        self.metrics = MetricsRegistry(time_fn, exact_sums=exact_sums)
+        self.metrics = MetricsRegistry(exact_sums=exact_sums)
         self.bus = EventBus(time_fn)
         self._flush_hooks: list[Callable[[], None]] = []
         # One hook list for both: a read of either the registry or the

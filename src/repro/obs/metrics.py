@@ -10,9 +10,9 @@ name.  Three instrument kinds:
 - :class:`Gauge` — last-write-wins value (``set``/``add``);
 - :class:`Histogram` — bucketed distribution with count/sum/min/max.
 
-All series record the simulated time of their first and latest update,
-taken from the registry's ``time_fn`` — never the wall clock — so
-snapshots of a deterministic simulation are themselves deterministic.
+A series holds values only — no timestamps, never the wall clock — and
+exists from its first ``labels()`` call, which owners make on the first
+observation so a snapshot lists exactly the series that saw data.
 Snapshots sort families and series, making two same-seed runs
 byte-identical when serialized.
 """
@@ -72,19 +72,13 @@ class LabelCardinalityError(Exception):
 
 
 class _Series:
-    """State shared by every instrument kind: identity and timestamps."""
+    """State shared by every instrument kind: its family and label set."""
 
-    __slots__ = ("family", "labels", "created_at", "updated_at")
+    __slots__ = ("family", "labels")
 
     def __init__(self, family: "_Family", labels: tuple[tuple[str, str], ...]):
         self.family = family
         self.labels = labels
-        now = family.registry.time_fn()
-        self.created_at = now
-        self.updated_at = now
-
-    def _touch(self) -> None:
-        self.updated_at = self.family.registry.time_fn()
 
 
 class Counter(_Series):
@@ -103,7 +97,6 @@ class Counter(_Series):
         if amount < 0:
             raise ValueError(f"counter decrement not allowed: {amount}")
         self.value += amount
-        self._touch()
 
     def _snapshot(self) -> dict:
         return {"value": self.value}
@@ -123,12 +116,10 @@ class Gauge(_Series):
     def set(self, value: float) -> None:
         """Overwrite the gauge."""
         self.value = float(value)
-        self._touch()
 
     def add(self, amount: float) -> None:
         """Adjust the gauge by ``amount`` (may be negative)."""
         self.value += amount
-        self._touch()
 
     def _snapshot(self) -> dict:
         return {"value": self.value}
@@ -159,7 +150,6 @@ class Histogram(_Series):
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
-        self._touch()
 
     def mean(self) -> float:
         """Arithmetic mean of the observed samples (0 when empty)."""
@@ -206,7 +196,6 @@ class ExactCounter(Counter):
             raise ValueError(f"counter decrement not allowed: {amount}")
         self.value += amount
         exact_add(self.partials, amount)
-        self._touch()
 
     def _snapshot(self) -> dict:
         parts = self.partials or ([self.value] if self.value else [])
@@ -369,8 +358,7 @@ class MetricsRegistry:
     means one thing across the whole cluster).
     """
 
-    def __init__(self, time_fn: Callable[[], float], exact_sums: bool = False):
-        self.time_fn = time_fn
+    def __init__(self, exact_sums: bool = False):
         self.exact_sums = exact_sums
         self._families: dict[str, _Family] = {}
         #: Called before every read (:meth:`get`, :meth:`value`,

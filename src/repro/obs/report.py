@@ -21,7 +21,10 @@ __all__ = ["ClusterReport", "SCHEMA_VERSION"]
 #: detect format drift instead of guessing from key shapes.  Bump it on
 #: any structural change to :meth:`ClusterReport.to_dict` — adding,
 #: removing, or re-typing keys — and note the change in
-#: docs/architecture.md ("Control plane & dashboard").
+#: docs/architecture.md ("Control plane & dashboard").  Still 1 after
+#: per-node series moved to creation on first observation: reports lost
+#: their zero-valued series, but which series appear is data, and no key
+#: was added, removed or retyped.
 SCHEMA_VERSION = 1
 
 

@@ -70,7 +70,7 @@ class RudpConnection:
             window=cfg.window,
             rto=cfg.rto,
             ack_delay=cfg.ack_delay,
-            on_retransmit=transport._m_retransmissions.inc,
+            on_retransmit=transport._count_retransmission,
         )
         self.bytes_sent = 0
         self.messages_delivered = 0
@@ -97,7 +97,10 @@ class RudpConnection:
         self.endpoint.send(_Envelope(service, data), size_bytes=size_bytes, ctx=span_ctx)
 
     def _on_path_switch(self, old: Path, new: Path) -> None:
-        self.transport._m_failovers.inc()
+        tp = self.transport
+        if tp._m_failovers is None:
+            tp._m_failovers = tp._f_failovers.labels(node=tp.host.name)
+        tp._m_failovers.inc()
         self.sim.obs.bus.publish(
             "rudp.bundle.failover",
             node=self.transport.host.name,
@@ -108,8 +111,14 @@ class RudpConnection:
 
     def _transmit(self, seg: Segment) -> None:
         local_if, remote_if = self.bundle.pick()
-        self.bytes_sent += seg.size_bytes
-        self.transport._m_bytes.inc(seg.size_bytes)
+        size = seg.size_bytes
+        if size:  # bare acks carry no payload and count nothing
+            self.bytes_sent += size
+            tp = self.transport
+            series = tp._m_bytes
+            if series is None:
+                series = tp._m_bytes = tp._f_bytes.labels(node=tp.host.name)
+            series.inc(size)
         self.transport.host.send(
             Endpoint(self.peer, self.transport.port),
             payload=seg,
@@ -122,7 +131,11 @@ class RudpConnection:
 
     def _deliver(self, env: _Envelope) -> None:
         self.messages_delivered += 1
-        self.transport._m_messages.inc()
+        tp = self.transport
+        series = tp._m_messages
+        if series is None:
+            series = tp._m_messages = tp._f_messages.labels(node=tp.host.name)
+        series.inc()
         tracer = self.sim.obs.tracer
         if tracer is not None:
             cur = tracer.current
@@ -168,19 +181,22 @@ class RudpTransport:
         config = self.config
         self.port = port
         metrics = self.sim.obs.metrics
-        node = host.name
-        self._m_bytes = metrics.counter(
+        self._f_bytes = metrics.counter(
             "rudp.transport.bytes_sent", help="payload bytes handed to the network"
-        ).labels(node=node)
-        self._m_messages = metrics.counter(
+        )
+        self._f_messages = metrics.counter(
             "rudp.transport.messages_delivered", help="in-order messages delivered up"
-        ).labels(node=node)
-        self._m_retransmissions = metrics.counter(
+        )
+        self._f_retransmissions = metrics.counter(
             "rudp.transport.retransmissions", help="RTO-driven resends"
-        ).labels(node=node)
-        self._m_failovers = metrics.counter(
+        )
+        self._f_failovers = metrics.counter(
             "rudp.bundle.failovers", help="stable-path switches between bundled NICs"
-        ).labels(node=node)
+        )
+        # This node's series of each family, bound on first observation
+        # so a report lists only what happened.
+        self._m_bytes = self._m_messages = None
+        self._m_retransmissions = self._m_failovers = None
         self.default_paths = list(default_paths)
         self.monitors: Optional[LinkMonitorService] = (
             LinkMonitorService(host, config.monitor) if config.monitor else None
@@ -226,6 +242,11 @@ class RudpTransport:
         self._services.pop(service, None)
 
     # -- I/O ---------------------------------------------------------------
+
+    def _count_retransmission(self) -> None:
+        if self._m_retransmissions is None:
+            self._m_retransmissions = self._f_retransmissions.labels(node=self.host.name)
+        self._m_retransmissions.inc()
 
     def send(
         self, peer: str, service: str, data: Any, size_bytes: int = 0, ctx: Any = None

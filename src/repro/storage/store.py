@@ -63,15 +63,15 @@ class StorageNode:
         self.gets_served = 0
         self.corruptions_detected = 0
         metrics = host.sim.obs.metrics
-        self._m_puts = metrics.counter(
-            "storage.node.puts", help="symbols written"
-        ).labels(node=host.name)
-        self._m_gets = metrics.counter(
+        self._f_puts = metrics.counter("storage.node.puts", help="symbols written")
+        self._f_gets = metrics.counter(
             "storage.node.gets", help="symbol reads served (hit or miss)"
-        ).labels(node=host.name)
-        self._m_corruptions = metrics.counter(
+        )
+        self._f_corruptions = metrics.counter(
             "storage.node.corruptions", help="checksum failures detected at read"
-        ).labels(node=host.name)
+        )
+        # This node's series of each family, bound on first observation.
+        self._m_puts = self._m_gets = self._m_corruptions = None
         transport.register(STORAGE_SERVICE, self._on_msg)
 
     @staticmethod
@@ -101,12 +101,16 @@ class StorageNode:
         if kind == "PUT":
             _, req, object_id, idx, share, data_len = msg
             self.symbols[object_id] = (idx, share, data_len, self._digest(share))
+            if self._m_puts is None:
+                self._m_puts = self._f_puts.labels(node=self.host.name)
             self._m_puts.inc()
             self.transport.send(src, reply_service, ("PUT_ACK", req, object_id))
         elif kind == "GET":
             _, req, object_id = msg
             held = self.symbols.get(object_id)
             self.gets_served += 1
+            if self._m_gets is None:
+                self._m_gets = self._f_gets.labels(node=self.host.name)
             self._m_gets.inc()
             if held is None:
                 self.transport.send(src, reply_service, ("GET_MISS", req, object_id))
@@ -115,6 +119,8 @@ class StorageNode:
             if self._digest(share) != digest:
                 # bit rot: treat as lost, never serve corrupt data
                 self.corruptions_detected += 1
+                if self._m_corruptions is None:
+                    self._m_corruptions = self._f_corruptions.labels(node=self.host.name)
                 self._m_corruptions.inc()
                 del self.symbols[object_id]
                 self.transport.send(src, reply_service, ("GET_MISS", req, object_id))
@@ -157,12 +163,14 @@ class DistributedStore:
         self.service = service
         self.outstanding: dict[str, int] = {n: 0 for n in nodes}
         metrics = self.sim.obs.metrics
-        self._m_store_time = metrics.histogram(
+        self._f_store_time = metrics.histogram(
             "storage.store.latency", help="simulated seconds per distributed store"
-        ).labels(client=host.name)
-        self._m_retrieve_time = metrics.histogram(
+        )
+        self._f_retrieve_time = metrics.histogram(
             "storage.retrieve.latency", help="simulated seconds per distributed retrieve"
-        ).labels(client=host.name)
+        )
+        # This client's series of each family, bound on first observation.
+        self._m_store_time = self._m_retrieve_time = None
         self._m_xor_ops = metrics.counter(
             "codes.xor.ops", help="XOR piece operations spent in the erasure code"
         )
@@ -272,6 +280,8 @@ class DistributedStore:
                     result.acked.append(node)
                     del remaining[node]
         result.missing = sorted(remaining)
+        if self._m_store_time is None:
+            self._m_store_time = self._f_store_time.labels(client=self.host.name)
         self._m_store_time.observe(self.sim.now - t0)
         if span is not None:
             tracer.end(span, acked=len(result.acked), missing=len(result.missing))
@@ -342,6 +352,8 @@ class DistributedStore:
             if span is not None:
                 tracer.end(span, status="error", reason="decode")
             raise RetrieveError(str(exc)) from exc
+        if self._m_retrieve_time is None:
+            self._m_retrieve_time = self._f_retrieve_time.labels(client=self.host.name)
         self._m_retrieve_time.observe(self.sim.now - t0)
         if span is not None:
             tracer.end(span, symbols=len(collected))

@@ -35,8 +35,8 @@ def clock():
 
 
 @pytest.fixture
-def registry(clock):
-    return MetricsRegistry(clock)
+def registry():
+    return MetricsRegistry()
 
 
 # -- counter ---------------------------------------------------------------
@@ -112,7 +112,7 @@ _SAMPLES = st.lists(
 @pytest.mark.parametrize("exact", [False, True], ids=["plain", "exact"])
 @given(samples=_SAMPLES, split=st.integers(0, 40))
 def test_deferred_histogram_flushes_to_what_direct_observation_gives(exact, samples, split):
-    registry = MetricsRegistry(lambda: 0.0, exact_sums=exact)
+    registry = MetricsRegistry(exact_sums=exact)
     direct = registry.histogram("x.direct").labels()
     series = registry.histogram("x.deferred").labels()
     deferred = DeferredHistogram(series)
@@ -131,7 +131,7 @@ def test_deferred_histogram_flushes_to_what_direct_observation_gives(exact, samp
 @pytest.mark.parametrize("exact", [False, True], ids=["plain", "exact"])
 @given(samples=_SAMPLES.filter(len))
 def test_deferred_histogram_window_matches_sample_by_sample(exact, samples):
-    registry = MetricsRegistry(lambda: 0.0, exact_sums=exact)
+    registry = MetricsRegistry(exact_sums=exact)
     direct = registry.histogram("x.direct").labels()
     series = registry.histogram("x.window").labels()
     for v in samples:
@@ -143,18 +143,6 @@ def test_deferred_histogram_window_matches_sample_by_sample(exact, samples):
     if not exact:  # numpy sums a window pairwise, not left to right
         assert got.pop("sum") == pytest.approx(want.pop("sum"))
     assert got == want
-
-
-# -- simulated-time stamping ----------------------------------------------
-
-
-def test_updates_stamped_with_simulated_time(registry, clock):
-    c = registry.counter("a.b.c").labels()
-    assert c.created_at == 0.0
-    clock.t = 42.5
-    c.inc()
-    assert c.updated_at == 42.5
-    assert c.created_at == 0.0
 
 
 # -- registry semantics ----------------------------------------------------
@@ -174,13 +162,43 @@ def test_label_cardinality_capped(registry):
         fam.labels(i=8)
 
 
+def test_series_cap_fires_on_the_1025th_observed_series(registry):
+    # A series is created by its first labels() call — owners make it on
+    # the first observation — so the cap counts observed label sets.
+    fam = registry.counter("rudp.transport.retransmissions")
+    for i in range(1024):
+        fam.labels(node=f"node{i}").inc()
+    with pytest.raises(LabelCardinalityError, match=r"\{node=node1024\}.*1024 series"):
+        fam.labels(node="node1024")
+    assert len(fam.series) == 1024
+    fam.labels(node="node0").inc()  # existing series keep working
+    assert registry.value("rudp.transport.retransmissions", node="node0") == 2.0
+
+
 def test_cluster_past_the_series_cap_names_the_node_label():
-    # Per-node metric families cap a cluster at 1,024 nodes; the error
-    # must name the per-node label set that crossed the cap.
+    # Per-node series are bound on first observation, so a 1,025-node
+    # cluster builds; the cap fires on the 1,025th node to be observed
+    # and names that node's label set.
     from repro.scenarios import build_churn_cluster
 
+    cluster = build_churn_cluster(nodes=1025, switches=64)
+    transports = cluster.replicas[0].transports
+    assert len(transports) == 1025
+    for i in range(1024):
+        transports[i]._count_retransmission()
     with pytest.raises(LabelCardinalityError, match=r"\{node=node1024\}.*1024 series"):
-        build_churn_cluster(nodes=1025, switches=64)
+        transports[1024]._count_retransmission()
+
+
+def test_fresh_1k_cluster_holds_no_per_node_series():
+    # Nothing has been observed yet: only the kernel's and the shape's
+    # series exist, not eight per node.
+    from repro.scenarios import build_churn_cluster
+
+    cluster = build_churn_cluster(7)
+    registries = [rep.kernel.obs.metrics for rep in cluster.replicas]
+    held = sum(len(reg.get(name).series) for reg in registries for name in reg.names())
+    assert held <= 16
 
 
 def test_subsystems_and_names(registry):

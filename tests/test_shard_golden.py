@@ -103,7 +103,7 @@ def test_rainfs_matches_golden_fixture():
 #: sha256 of the canonical shard1k report JSON (seed 7).  Committed so
 #: CI catches behaviour drift without a megabyte fixture; regenerate by
 #: running this test with GOLDEN_REGEN=1 and copying the printed hash.
-SHARD1K_SHA256 = "b7f858b65b03b4fbc52b3f39eaff49fc0fa7533dcf1fed0617e49ea9c3310d6a"
+SHARD1K_SHA256 = "4a265d563594b15f27ef1c9aec19d735cc0b0fdcb706074cb003cef88c669134"
 
 
 def shard1k_report(shards: int) -> str:
