@@ -55,26 +55,6 @@ def _scenario_codes() -> None:
           f"{'(GF mults)':>14} {'n/a':>7}")
 
 
-def _scenario_membership() -> None:
-    from repro import ClusterConfig, RainCluster, Simulator
-    from repro.membership import check_invariants
-
-    sim = Simulator(seed=13)
-    cluster = RainCluster(sim, ClusterConfig(nodes=5))
-    sim.run(until=3.0)
-    print(f"ring: {cluster.member(0).membership}")
-    print("crashing node2...")
-    cluster.crash(2)
-    sim.run(until=10.0)
-    live = [m for m in cluster.membership if m.host.up]
-    print(f"membership now: {live[0].membership}")
-    print("recovering node2...")
-    cluster.recover(2)
-    sim.run(until=25.0)
-    print(f"membership after 911 rejoin: {cluster.member(0).membership}")
-    print(check_invariants(cluster.membership))
-
-
 def _scenario_topology() -> None:
     from repro.topology import diameter_ring, naive_ring, worst_case
 
@@ -90,7 +70,6 @@ def _scenario_topology() -> None:
 DEMOS = {
     "quickstart": _scenario_quickstart,
     "codes": _scenario_codes,
-    "membership": _scenario_membership,
     "topology": _scenario_topology,
 }
 
@@ -98,13 +77,7 @@ DEMOS = {
 def _run_metrics(
     scenario: str, seed: int, as_json: bool, shards: int = 1, workers: int = 1
 ) -> int:
-    entry = SCENARIOS[scenario]
-    if entry.horizon is None and (shards != 1 or workers != 1):
-        print(
-            f"note: scenario {scenario!r} ignores --shards/--workers",
-            file=sys.stderr,
-        )
-    cluster = entry.run(seed, shards=shards, workers=workers)
+    cluster = SCENARIOS[scenario].run(seed, shards=shards, workers=workers)
     report = cluster.metrics(scenario=scenario, seed=seed)
     print(report.to_json() if as_json else report.render())
     return 0
@@ -138,15 +111,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=layout_count,
         default=os.environ.get("REPRO_SHARDS", "1"),
-        help="shard-kernel count for sharded scenarios "
+        help="shard-kernel count "
         "(default: $REPRO_SHARDS or 1; output is identical for any value)",
     )
     metrics_p.add_argument(
         "--workers",
         type=layout_count,
         default=1,
-        help="worker processes for sharded scenarios (1 = in-process "
-        "stepping, the determinism reference)",
+        help="worker processes (1 = in-process stepping, the determinism "
+        "reference)",
     )
     from repro.analysis.cli import (
         add_lint_parser,

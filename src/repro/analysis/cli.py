@@ -8,7 +8,7 @@ Wired into ``python -m repro`` by :mod:`repro.__main__`:
   compares against the committed suppression baseline
   (:mod:`repro.analysis.baseline`); ``--update-baseline`` re-snapshots
   it.
-- ``python -m repro sanitize <scenario> [--shards N]`` — run a scripted
+- ``python -m repro sanitize <scenario> [--shards N]`` — run an
   entry of :data:`repro.scenarios.SCENARIOS` under the happens-before
   sanitizer (:mod:`repro.analysis.hb`) and report HB001–HB003
   violations; exit 0 iff the run is clean.
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import argparse
 
-from ..scenarios import SCENARIOS, layout_count, scripted
+from ..scenarios import SCENARIOS, layout_count
 from .baseline import DEFAULT_BASELINE, apply_baseline, load_baseline, write_baseline
 from .chm_model import pair_report
 from .linter import lint_paths
@@ -81,13 +81,13 @@ def add_lint_parser(sub: argparse._SubParsersAction) -> argparse.ArgumentParser:
 def add_sanitize_parser(sub: argparse._SubParsersAction) -> argparse.ArgumentParser:
     p = sub.add_parser(
         "sanitize",
-        help="run a sharded scenario under the happens-before sanitizer "
+        help="run a scenario under the happens-before sanitizer "
         "(rules HB001-HB003)",
     )
     p.add_argument(
         "scenario",
-        choices=scripted(),
-        help="scripted scenario to drive under the monitor",
+        choices=sorted(SCENARIOS),
+        help="scenario to drive under the monitor",
     )
     p.add_argument("--seed", type=int, default=7, help="simulation seed")
     p.add_argument(

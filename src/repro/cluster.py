@@ -16,10 +16,12 @@ from .channel import MonitorConfig
 from .codes import ErasureCode
 from .election import LeaderElection
 from .membership import MembershipConfig, MembershipNode, build_membership
-from .net import FaultInjector, Host, Network, Switch
-from .rudp import RudpConfig, RudpTransport
+from .net import FaultInjector, Host, Network
+from .rudp import UNPINNED, RudpConfig, RudpTransport
 from .sim import ShardedSimulator, Simulator, host_origin
 from .storage import DistributedStore, Placement, StorageNode
+from .topology import TopologyGraph, fig1_testbed, switch_planes
+from .topology.deploy import wire
 
 __all__ = ["RainCluster", "ClusterConfig", "ShardedRainCluster"]
 
@@ -31,6 +33,8 @@ class ClusterConfig:
     nodes: int = 4
     nics: int = 2  # bundled interfaces per node
     switches: int = 2  # redundant switch planes
+    #: port budget per switch, raised to the topology's highest switch
+    #: degree (:func:`repro.topology.deploy.wire`)
     switch_ports: int = 32
     membership: MembershipConfig = field(default_factory=MembershipConfig)
     rudp: RudpConfig = field(default_factory=RudpConfig)
@@ -55,21 +59,9 @@ class RainCluster:
 
     @classmethod
     def testbed(cls, sim: Simulator, **overrides) -> "RainCluster":
-        """The paper's Caltech testbed, as configuration (Fig. 1):
-
-        "10 Pentium workstations running the Linux operating system,
-        each with two network interfaces ... connected via four
-        eight-way Myrinet switches."
-
-        Ten dual-NIC nodes on four 8-port switches cabled as a clique
-        (3 mesh ports + 5 node ports = exactly eight-way); node i's NICs
-        attach to the i-th pair of a balanced schedule over all C(4,2)=6
-        switch pairs, so every switch carries exactly 5 node links.  Any
-        single element can fail with zero nodes lost; any two switch
-        failures strand at most the 2 nodes attached to exactly that
-        pair (Theorem 2.1's constant-loss accounting), with all
-        survivors still connected.
-        """
+        """The paper's Caltech testbed (Fig. 1), cabled from
+        :func:`repro.topology.fig1_testbed`: ten dual-NIC nodes on a
+        clique of four eight-way switches."""
         cfg = ClusterConfig(
             nodes=10,
             nics=2,
@@ -77,56 +69,34 @@ class RainCluster:
             switch_ports=8,
             **overrides,
         )
-        return cls(sim, cfg, _testbed_wiring=True)
+        return cls(sim, cfg, _topo=fig1_testbed())
 
     def __init__(
         self,
         sim: Simulator,
         config: Optional[ClusterConfig] = None,
-        _testbed_wiring: bool = False,
+        _topo: Optional[TopologyGraph] = None,
     ):
         config = config if config is not None else ClusterConfig()
         if config.nics < 1 or config.switches < 1:
             raise ValueError("cluster needs at least one NIC and one switch")
+        if _topo is None:
+            _topo = switch_planes(config.switches, config.nodes, config.nics)
         self.sim = sim
         self.config = config
         self.network = Network(sim)
         self.faults = FaultInjector(self.network)
-        self.switches: list[Switch] = [
-            self.network.add_switch(f"sw{j}", ports=config.switch_ports)
-            for j in range(config.switches)
-        ]
-        if _testbed_wiring:
-            # switch clique (Fig. 1's "network of switches")
-            for j in range(config.switches):
-                for j2 in range(j + 1, config.switches):
-                    self.network.link(self.switches[j], self.switches[j2])
-        if _testbed_wiring:
-            # balanced round over all switch pairs: each switch appears
-            # in every consecutive window of two pairs exactly once, so
-            # 10 nodes spread as exactly 5 links per switch
-            pair_schedule = [(0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2)]
-        self.hosts: list[Host] = []
-        for i in range(config.nodes):
-            host = self.network.add_host(f"{config.node_prefix}{i}", nics=config.nics)
-            for nic_idx in range(config.nics):
-                if _testbed_wiring:
-                    plane = pair_schedule[i % len(pair_schedule)][nic_idx % 2]
-                else:
-                    # NIC j attaches to switch plane j (mod planes)
-                    plane = nic_idx % config.switches
-                self.network.link(host.nic(nic_idx), self.switches[plane])
-            self.hosts.append(host)
-        if _testbed_wiring:
-            # NIC pairing varies per node pair: leave paths unpinned and
-            # let routing pick, as the real testbed's source routing did
-            from .rudp import UNPINNED
-
+        names = [f"{config.node_prefix}{i}" for i in range(config.nodes)]
+        self.hosts, self.switches, _, _ = wire(
+            self.network, _topo, names, "sw", config.switch_ports
+        )
+        if _topo.switch_links:
+            # cabled planes: leave paths unpinned and let routing pick,
+            # as the real testbed's source routing did
             paths = [UNPINNED]
         else:
-            paths = [
-                (j, j) for j in range(config.nics)
-            ]  # mirrored NIC pairing between any two nodes
+            # isolated planes: mirrored NIC pairing between any two nodes
+            paths = [(j, j) for j in range(config.nics)]
         rudp_cfg = config.rudp_config()
         self.transports: list[RudpTransport] = [
             RudpTransport(h, rudp_cfg) for h in self.hosts
@@ -276,7 +246,6 @@ class ShardedRainCluster:
         with_storage: bool = True,
     ):
         from .net.shard import ShardedNetwork
-        from .topology.deploy import wire
         from .topology.partition import partition_topology
 
         config = config if config is not None else ClusterConfig()
@@ -409,6 +378,19 @@ class ShardedRainCluster:
 
     def span_snapshot(self) -> dict:
         return self.sharded.span_snapshot()
+
+    def chrome_trace(self) -> Optional[dict]:
+        """Chrome trace-event document, or ``None`` when untraced."""
+        if not self.sharded.tracers:
+            return None
+        # one tracer per kernel; a viewer groups lanes by pid (= trace
+        # id), so concatenating the per-shard documents yields one trace
+        events = [
+            event
+            for tracer in self.sharded.tracers
+            for event in tracer.to_chrome_trace()["traceEvents"]
+        ]
+        return {"traceEvents": events, "displayTimeUnit": "ms"}
 
     def metrics(self, scenario: str = "", **extra: object):
         """Merged, layout-invariant :class:`repro.obs.ClusterReport`."""

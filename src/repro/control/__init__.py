@@ -2,9 +2,9 @@
 
 The batch entry points (``python -m repro metrics``, the benchmarks)
 run a scenario to its horizon and print one report.  This package wraps
-the scripted entries of the same table (:data:`repro.scenarios.SCENARIOS`,
-those with a ``horizon``) in a *steerable* driver — run/pause/resume, step by
-simulated duration, run to an event count — and serves live telemetry
+every entry of the same table (:data:`repro.scenarios.SCENARIOS`) in a
+*steerable* driver — run/pause/resume, step by simulated duration, run
+to an event count — and serves live telemetry
 over a stdlib HTTP JSON API plus a zero-dependency single-file HTML
 dashboard (``python -m repro serve <scenario>``).
 
@@ -16,7 +16,7 @@ the existing observability substrate (:class:`~repro.obs.EventRing`,
 :class:`~repro.obs.ClusterReport`, :class:`~repro.obs.SpanTracer`), so
 serving a simulation cannot change what it computes.
 
-Determinism contract: scripted scenarios are **fully scripted at build
+Determinism contract: table scenarios are **fully scripted at build
 time** — faults and workloads are scheduled before the first step — so
 driving one to its horizon through any sequence of pause/step/run calls
 yields a :class:`~repro.obs.ClusterReport` byte-identical to the batch

@@ -3,7 +3,7 @@
 A :class:`ScenarioDriver` owns one built scenario and exposes every way
 the HTTP API can advance it — step by simulated duration, run to an
 absolute time, run until an event count, or run to completion — plus
-snapshot accessors (report, topology, event tail, trace) and programmatic
+snapshot accessors (report, topology, event tail) and programmatic
 fault injection.  It is deliberately single-threaded: the HTTP server
 funnels every call through one command queue, so nothing here locks.
 
@@ -18,8 +18,6 @@ single-kernel path.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..obs import EventRing
 from ..scenarios import Scenario
 
@@ -33,14 +31,13 @@ def _endpoint_name(device) -> str:
 
 
 class ScenarioDriver:
-    """Drive one scripted scenario incrementally.
+    """Drive one table scenario incrementally.
 
     Parameters
     ----------
     scenario:
-        A scripted (``horizon is not None``) entry of
-        :data:`repro.scenarios.SCENARIOS`; built here with ``seed`` and
-        ``shards``.
+        An entry of :data:`repro.scenarios.SCENARIOS`; built here with
+        ``seed`` and ``shards``.
     ring_capacity:
         Bounded event-tail size for ``GET /api/events`` (per driver, not
         per bus — shard buses share one sequence-numbered ring).
@@ -58,11 +55,6 @@ class ScenarioDriver:
         ring_capacity: int = 1024,
         trace: bool = False,
     ):
-        if scenario.horizon is None:
-            raise ValueError(
-                f"scenario {scenario.name!r} is batch-only: it has no "
-                f"horizon to step towards"
-            )
         self.name = scenario.name
         self.horizon = scenario.horizon
         self.seed = seed
@@ -211,18 +203,6 @@ class ScenarioDriver:
                 for s, label, ev in entries
             ],
         }
-
-    def trace_doc(self) -> Optional[dict]:
-        """Chrome trace-event document, or ``None`` when untraced."""
-        if not self.engine.tracers:
-            return None
-        # install_tracer() attached one tracer per kernel; a viewer
-        # groups lanes by pid (= trace id), so concatenating the
-        # per-shard documents yields one loadable trace.
-        events: list[dict] = []
-        for tracer in self.engine.tracers:
-            events.extend(tracer.to_chrome_trace()["traceEvents"])
-        return {"traceEvents": events, "displayTimeUnit": "ms"}
 
     # -- fault injection -------------------------------------------------
 

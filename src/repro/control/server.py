@@ -1,6 +1,6 @@
 """Stdlib HTTP control server: JSON API + single-file dashboard.
 
-``python -m repro serve <scenario>`` builds a scripted scenario, wraps
+``python -m repro serve <scenario>`` builds a table scenario, wraps
 it in a :class:`~repro.control.driver.ScenarioDriver`, and serves:
 
 ======================  ======================================================
@@ -40,7 +40,7 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
-from ..scenarios import SCENARIOS, layout_count, scripted
+from ..scenarios import SCENARIOS, layout_count
 from .driver import ScenarioDriver
 
 __all__ = ["ControlServer", "add_serve_parser", "cmd_serve"]
@@ -268,7 +268,7 @@ class _ControlRequestHandler(BaseHTTPRequestHandler):
 
 
 def _trace_op(driver: ScenarioDriver) -> dict:
-    doc = driver.trace_doc()
+    doc = driver.cluster.chrome_trace()
     if doc is None:
         raise ValueError("tracing is off; relaunch serve with --trace")
     return doc
@@ -286,16 +286,15 @@ def add_serve_parser(sub) -> None:
         "scenario",
         nargs="?",
         default="membership",
-        choices=scripted(),
-        help="scripted scenario to drive (default: the membership ring)",
+        choices=sorted(SCENARIOS),
+        help="scenario to drive (default: the membership ring)",
     )
     p.add_argument("--seed", type=int, default=7, help="simulation seed")
     p.add_argument(
         "--shards",
         type=layout_count,
         default=1,
-        help="shard-kernel count for sharded scenarios (report is "
-        "identical for any value)",
+        help="shard-kernel count (report is identical for any value)",
     )
     p.add_argument(
         "--port",

@@ -1,14 +1,11 @@
-"""``python -m repro trace`` — run a scenario under the span tracer and
-reconstruct its protocol timelines.
+"""``python -m repro trace`` — run a table scenario under the span tracer
+and reconstruct its protocol timelines.
 
-Two packaged scenarios:
-
-- ``token`` — a 5-node cluster that converges, loses a node, and heals
-  via the 911 mechanism; the Fig. 6 channel histories and Fig. 9 token
-  timeline fall out of the bus traffic.
-- ``write`` — a RAINfs write/read fan-out over a 6-node cluster; the
-  interesting artifact is the causal trace tree (one ``fs.write`` root
-  spanning prepare/commit RPCs, storage stores, RUDP segments, packets).
+Any entry of :data:`repro.scenarios.SCENARIOS` runs on one kernel with a
+tracer installed and a :class:`~repro.obs.TimelineRecorder` on its bus.
+``membership`` (converge, crash, 911 rejoin) shows the Fig. 6 channel
+histories and the Fig. 9 token timeline; ``rainfs`` shows a causal tree
+of storage RPCs, RUDP segments and packets.
 
 Output formats: ``text`` (human timelines + trace summary), ``json``
 (canonical sorted JSON of timelines + span snapshot), ``chrome``
@@ -21,69 +18,26 @@ import json
 import sys
 from pathlib import Path
 
-__all__ = ["add_trace_parser", "cmd_trace", "TRACE_SCENARIOS", "run_trace_scenario"]
+from ..scenarios import SCENARIOS
+
+__all__ = ["add_trace_parser", "cmd_trace"]
 
 
-def _scenario_token(seed: int):
-    """Token circulation with a crash/recover cycle (Figs. 6 and 9)."""
-    from repro import ClusterConfig, RainCluster, Simulator
-
-    sim = Simulator(seed=seed)
-    sim.obs.install_tracer()
+def _run(name: str, seed: int):
+    """Run table entry ``name`` traced on one kernel; returns
+    ``(cluster, TimelineRecorder)``."""
     from .timeline import TimelineRecorder
 
-    rec = TimelineRecorder(sim.obs)
-    cluster = RainCluster(sim, ClusterConfig(nodes=5))
-    sim.run(until=3.0)
-    cluster.crash(2)
-    sim.run(until=10.0)
-    cluster.recover(2)
-    sim.run(until=25.0)
-    return sim, rec
-
-
-def _scenario_write(seed: int):
-    """RAINfs write + degraded read fan-out (causal trace tree)."""
-    from repro import ClusterConfig, RainCluster, Simulator
-    from repro.codes import BCode
-    from repro.fs import RainFsNode
-
-    sim = Simulator(seed=seed)
-    sim.obs.install_tracer()
-    from .timeline import TimelineRecorder
-
-    rec = TimelineRecorder(sim.obs)
-    cluster = RainCluster(sim, ClusterConfig(nodes=6))
-    fs = [
-        RainFsNode(cluster.member(i), cluster.elections[i], cluster.store_on(i, BCode(6)))
-        for i in range(6)
-    ]
-    sim.run(until=2.0)
-
-    def script():
-        data = b"computing in the RAIN " * 200
-        yield from fs[0].write("/trace-demo.bin", data)
-        out = yield from fs[1].read("/trace-demo.bin")
-        assert out == data
-
-    sim.run_process(script(), until=sim.now + 60)
-    return sim, rec
-
-
-TRACE_SCENARIOS = {
-    "token": _scenario_token,
-    "write": _scenario_write,
-}
-
-
-def run_trace_scenario(name: str, seed: int):
-    """Run a packaged scenario; returns ``(sim, TimelineRecorder)``."""
-    sim, rec = TRACE_SCENARIOS[name](seed)
+    scenario = SCENARIOS[name]
+    cluster = scenario.build(seed, shards=1)
+    cluster.install_tracer()
+    rec = TimelineRecorder(cluster.sharded.kernels[0].obs)
+    cluster.run(scenario.horizon)
     rec.close()
-    return sim, rec
+    return cluster, rec
 
 
-def _render_text(sim, rec) -> str:
+def _render_text(spans: dict, rec) -> str:
     from .timeline import (
         channel_timelines,
         render_channel_timelines,
@@ -91,30 +45,29 @@ def _render_text(sim, rec) -> str:
         token_timeline,
     )
 
-    tracer = sim.obs.tracer
     parts = [
         render_channel_timelines(channel_timelines(rec.channel_events)),
         "",
         render_token_timeline(token_timeline(rec.membership_events)),
         "",
         "== trace summary ==",
-        f"spans: {len(tracer.spans)}  open: {len(tracer.open_spans())}  "
-        f"traces: {len(tracer.trace_ids())}  dropped: {tracer.n_dropped}",
+        f"spans: {spans['n_spans']}  open: {len(spans['open'])}  "
+        f"traces: {len(spans['traces'])}  dropped: {spans['n_dropped']}",
     ]
     by_name: dict[str, int] = {}
-    for span in tracer.spans:
-        by_name[span.name] = by_name.get(span.name, 0) + 1
+    for span in spans["spans"]:
+        by_name[span["name"]] = by_name.get(span["name"], 0) + 1
     for name in sorted(by_name):
         parts.append(f"  {name:<24} {by_name[name]:>6}")
     return "\n".join(parts)
 
 
-def _render_json(sim, rec) -> str:
+def _render_json(spans: dict, rec) -> str:
     from .timeline import timelines_to_dict
 
     payload = {
         "timelines": timelines_to_dict(rec.channel_events, rec.membership_events),
-        "trace": sim.obs.tracer.snapshot(),
+        "trace": spans,
     }
     return json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
 
@@ -127,9 +80,9 @@ def add_trace_parser(sub) -> None:
     p.add_argument(
         "scenario",
         nargs="?",
-        default="token",
-        choices=sorted(TRACE_SCENARIOS),
-        help="workload to trace (default: token circulation with a crash)",
+        default="membership",
+        choices=sorted(SCENARIOS),
+        help="scenario to trace (default: the membership ring)",
     )
     p.add_argument("--seed", type=int, default=7, help="simulation seed")
     p.add_argument(
@@ -147,17 +100,17 @@ def add_trace_parser(sub) -> None:
 
 
 def cmd_trace(args) -> int:
-    sim, rec = run_trace_scenario(args.scenario, args.seed)
+    cluster, rec = _run(args.scenario, args.seed)
     if args.format == "text":
-        out = _render_text(sim, rec)
+        out = _render_text(cluster.span_snapshot(), rec)
         if not out.endswith("\n"):
             out += "\n"
     elif args.format == "json":
-        out = _render_json(sim, rec)
+        out = _render_json(cluster.span_snapshot(), rec)
     else:
         from .tracing import validate_chrome_trace
 
-        doc = sim.obs.tracer.to_chrome_trace()
+        doc = cluster.chrome_trace()
         problems = validate_chrome_trace(doc)
         if problems:  # pragma: no cover - structural self-check
             for p in problems:

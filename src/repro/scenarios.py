@@ -1,24 +1,16 @@
 """The scenario table: every report-producing run resolves :data:`SCENARIOS`.
 
-``python -m repro metrics | sanitize | serve``, the ``shard`` /
+``python -m repro metrics | sanitize | serve | trace``, the ``shard`` /
 ``shard_mp`` bench workloads and the golden / happens-before / control
 tests all look a scenario up here, so "which scenarios exist and how a
 built one is advanced" is answered in one place.
 
-One rule tells the two kinds of entry apart:
-
-- **a scenario with a ``horizon`` is scripted** on
-  :class:`~repro.cluster.ShardedRainCluster`: ``build(seed, shards)``
-  installs the whole fault/workload script *before the first step*, so
-  the event schedule is a pure function of ``(seed)`` and the report is
-  byte-identical for every ``shards`` / ``workers`` value and for every
-  pause/step schedule the control plane drives it through.  Scripted
-  scenarios are steerable (``serve``), shardable, sanitizable and
-  runnable under the multiprocessing executor.
-- **``horizon is None``** means ``build`` already ran its imperative
-  single-kernel :class:`~repro.cluster.RainCluster` story (run a while,
-  store, crash *now*, read back) and returns the finished cluster:
-  batch-only, ``shards`` ignored.
+Every entry is a topology construction, a script and a horizon.  The
+script builds a :class:`~repro.cluster.ShardedRainCluster` on the
+topology and installs the whole fault/workload script *before the first
+step*, so the event schedule is a pure function of ``(seed)`` and the
+report is byte-identical for every ``shards`` / ``workers`` value and
+for every pause/step schedule the control plane drives it through.
 
 The flagship is ``shard1k``: a 1,000-node cluster on a 64-switch
 constant-degree/low-diameter interconnect
@@ -34,20 +26,24 @@ from __future__ import annotations
 
 import argparse
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
-from .cluster import ClusterConfig, RainCluster, ShardedRainCluster
+from .cluster import ClusterConfig, ShardedRainCluster
 from .codes import BCode
 from .membership import MembershipConfig
-from .sim import Simulator
-from .topology import constant_degree_diameter, diameter_ring
+from .topology import (
+    TopologyGraph,
+    constant_degree_diameter,
+    diameter_ring,
+    fig1_testbed,
+    partition_topology,
+)
 
 __all__ = [
     "Scenario",
     "SCENARIOS",
     "build",
     "layout_count",
-    "scripted",
     "build_churn_cluster",
     "CHURN_1K",
     "CHURN_SMALL",
@@ -59,16 +55,13 @@ CHURN_1K = {"nodes": 1000, "switches": 64, "horizon": 1.5}
 CHURN_SMALL = {"nodes": 200, "switches": 16, "horizon": 0.8}
 
 
-def build_churn_cluster(
-    seed: int = 7,
-    shards: int = 1,
-    nodes: int = 1000,
-    switches: int = 64,
-) -> ShardedRainCluster:
-    """Construct the churn demo cluster with its fault script installed."""
-    topo = constant_degree_diameter(
+def _churn_topology(nodes: int, switches: int) -> TopologyGraph:
+    return constant_degree_diameter(
         switches, switch_degree=6, node_degree=2, num_nodes=nodes
     )
+
+
+def _script_churn(topo: TopologyGraph, seed: int, shards: int) -> ShardedRainCluster:
     cfg = ClusterConfig(
         monitor=None,  # per-path monitors would add nodes^2 ping load
         membership=MembershipConfig(
@@ -88,7 +81,7 @@ def build_churn_cluster(
     # Churn mid-ring, where the token (launched by node 0) arrives with
     # the crashes already in effect: a contiguous pair plus a straggler,
     # with one node coming back before the horizon.
-    a = int(nodes * 0.45)
+    a = int(topo.num_nodes * 0.45)
     cluster.crash_at(0.2, a)
     cluster.crash_at(0.2, a + 1)
     cluster.crash_at(0.35, a + 2)
@@ -96,71 +89,67 @@ def build_churn_cluster(
     return cluster
 
 
-def _build_membership(seed: int, shards: int) -> ShardedRainCluster:
-    """Six nodes on a diameter ring: converge, crash node 4, 911 rejoin."""
-    cluster = ShardedRainCluster(diameter_ring(6), seed=seed, shards=shards)
+def build_churn_cluster(
+    seed: int = 7,
+    shards: int = 1,
+    nodes: int = 1000,
+    switches: int = 64,
+) -> ShardedRainCluster:
+    """Construct the churn demo cluster with its fault script installed."""
+    return _script_churn(_churn_topology(nodes, switches), seed, shards)
+
+
+def _script_membership(topo: TopologyGraph, seed: int, shards: int) -> ShardedRainCluster:
+    """Converge, crash node 4, 911 rejoin."""
+    cluster = ShardedRainCluster(topo, seed=seed, shards=shards)
     cluster.crash_at(1.0, 4)
     cluster.recover_at(2.0, 4)
     return cluster
 
 
-def _build_rainfs(seed: int, shards: int) -> ShardedRainCluster:
-    """Erasure-coded store, a storage-node crash, then a degraded read."""
-    cluster = ShardedRainCluster(diameter_ring(6), seed=seed, shards=shards)
-    store = cluster.store_on(0, BCode(6))
-    payload = b"shard golden payload " * 32
+def _store_crash_read(
+    n: int, key: str, payload: bytes, times: tuple[float, float, float], victim: int
+) -> Callable[[TopologyGraph, int, int], ShardedRainCluster]:
+    """A script: node 0 stores ``payload`` over BCode(``n``), node
+    ``victim`` crashes, node 0 reads it back degraded — at ``times`` =
+    (store, crash, read)."""
+    store_at, crash_at, read_at = times
 
-    def retrieve(rep):
-        data = yield from store.retrieve("golden")
-        if data != payload:
-            # nobody waits on a scripted process, so this stops the run
-            raise RuntimeError("rainfs: degraded read returned wrong bytes")
+    def script(topo: TopologyGraph, seed: int, shards: int) -> ShardedRainCluster:
+        cluster = ShardedRainCluster(topo, seed=seed, shards=shards)
+        store = cluster.store_on(0, BCode(n))
 
-    cluster.run_on(0.5, 0, lambda rep: store.store("golden", payload), name="store")
-    cluster.crash_at(1.5, 3)
-    cluster.run_on(2.0, 0, retrieve, name="retrieve")
-    return cluster
+        def retrieve(rep):
+            data = yield from store.retrieve(key)
+            if data != payload:
+                # nobody waits on a scripted process, so this stops the run
+                raise RuntimeError(f"{key}: degraded read returned wrong bytes")
 
+        cluster.run_on(store_at, 0, lambda rep: store.store(key, payload), name="store")
+        cluster.crash_at(crash_at, victim)
+        cluster.run_on(read_at, 0, retrieve, name="retrieve")
+        return cluster
 
-def _build_testbed(seed: int, shards: int) -> RainCluster:
-    """The Fig. 1 testbed under a representative workload, so the report
-    covers every emitting subsystem."""
-    sim = Simulator(seed=seed)
-    cluster = RainCluster.testbed(sim)
-    sim.run(until=3.0)  # membership converges, monitors mark paths Up
-    store = cluster.store_on(0, BCode(10))
-    payload = b"computing in the RAIN " * 64
-    sim.run_process(store.store("fig1", payload), until=sim.now + 10)
-    cluster.crash(7)
-    sim.run(until=sim.now + 5.0)  # detection, exclusion, leader stable
-    out = sim.run_process(store.retrieve("fig1"), until=sim.now + 30)
-    assert out == payload
-    return cluster
-
-
-def _build_quickstart(seed: int, shards: int) -> RainCluster:
-    """The 6-node quickstart cluster with a store/retrieve round."""
-    sim = Simulator(seed=seed)
-    cluster = RainCluster(sim, ClusterConfig(nodes=6))
-    sim.run(until=2.0)
-    store = cluster.store_on(0, BCode(6))
-    payload = b"no single point of failure " * 64
-    sim.run_process(store.store("demo", payload), until=sim.now + 10)
-    sim.run_process(store.retrieve("demo"), until=sim.now + 10)
-    return cluster
+    return script
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """One row of the table; see the module docstring for the rule."""
+    """One row of the table; see the module docstring."""
 
     name: str
     #: one line for ``--help`` listings (lowercase, <= 79 chars)
     help: str
-    #: ``build(seed, shards)`` -> cluster with ``.metrics()``
-    build: Callable
-    #: simulated seconds a scripted scenario runs for; ``None`` = batch
-    horizon: Optional[float] = None
+    #: ``topology()`` -> the graph the cluster is cabled from
+    topology: Callable[[], TopologyGraph]
+    #: ``script(topology, seed, shards)`` -> a scripted cluster
+    script: Callable[[TopologyGraph, int, int], ShardedRainCluster]
+    #: simulated seconds the scenario runs for
+    horizon: float
+
+    def build(self, seed: int = 7, shards: int = 1) -> ShardedRainCluster:
+        """The cluster with its whole script installed, not yet run."""
+        return self.script(self.topology(), seed, shards)
 
     def run(self, seed: int = 7, shards: int = 1, workers: int = 1):
         """Build and run to the horizon; returns an object with
@@ -173,11 +162,12 @@ class Scenario:
         returns a report facade over the merged snapshots.  Either path
         yields byte-identical reports for the same seed.
         """
-        if self.horizon is None:
-            return self.build(seed, shards)  # its story already ran
         if workers > 1:
             from .sim.shard_mp import run_cluster_mp
 
+            # a shard count the topology cannot take is a LayoutError
+            # here, before any worker starts
+            partition_topology(self.topology(), shards)
             return run_cluster_mp(
                 "repro.scenarios:build",
                 {"name": self.name, "seed": seed},
@@ -191,12 +181,13 @@ class Scenario:
 
 
 def _churn(name: str, help: str, shape: dict) -> Scenario:
-    def build_shape(seed: int, shards: int) -> ShardedRainCluster:
-        return build_churn_cluster(
-            seed, shards, nodes=shape["nodes"], switches=shape["switches"]
-        )
-
-    return Scenario(name, help, build_shape, shape["horizon"])
+    return Scenario(
+        name,
+        help,
+        lambda: _churn_topology(shape["nodes"], shape["switches"]),
+        _script_churn,
+        shape["horizon"],
+    )
 
 
 SCENARIOS: dict[str, Scenario] = {
@@ -205,23 +196,28 @@ SCENARIOS: dict[str, Scenario] = {
         Scenario(
             "testbed",
             "fig. 1 testbed: 10 nodes, 4 switches, store / crash / retrieve",
-            _build_testbed,
-        ),
-        Scenario(
-            "quickstart",
-            "six-node cluster with one erasure-coded store/retrieve round",
-            _build_quickstart,
+            fig1_testbed,
+            # membership converges and monitors mark paths Up before the
+            # store; detection and exclusion settle before the read
+            _store_crash_read(
+                10, "fig1", b"computing in the RAIN " * 64, (3.0, 4.0, 9.0), victim=7
+            ),
+            12.0,
         ),
         Scenario(
             "membership",
             "six-node diameter ring: converge, crash node 4, 911 rejoin",
-            _build_membership,
+            lambda: diameter_ring(6),
+            _script_membership,
             6.0,
         ),
         Scenario(
             "rainfs",
             "six-node erasure-coded store, a storage-node crash, a degraded read",
-            _build_rainfs,
+            lambda: diameter_ring(6),
+            _store_crash_read(
+                6, "golden", b"shard golden payload " * 32, (0.5, 1.5, 2.0), victim=3
+            ),
             5.0,
         ),
         _churn(
@@ -236,11 +232,6 @@ SCENARIOS: dict[str, Scenario] = {
         ),
     )
 }
-
-
-def scripted() -> list[str]:
-    """Names of the scripted (steerable, shardable) entries, sorted."""
-    return sorted(n for n, s in SCENARIOS.items() if s.horizon is not None)
 
 
 def layout_count(text: str) -> int:

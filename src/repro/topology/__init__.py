@@ -1,7 +1,8 @@
 """Fault-tolerant interconnect topologies (paper Sec. 2.1).
 
 Constructions (:func:`naive_ring`, :func:`diameter_ring`,
-:func:`generalized_diameter_ring`, :func:`clique_construction`),
+:func:`generalized_diameter_ring`, :func:`clique_construction`,
+:func:`fig1_testbed`, :func:`switch_planes`),
 partition-resistance analysis (:func:`analyze`, :func:`worst_case`,
 :func:`min_faults_to_partition`), and deployment onto the live simulated
 network (:func:`deploy`).
@@ -12,9 +13,11 @@ from .constructions import (
     clique_construction,
     constant_degree_diameter,
     diameter_ring,
+    fig1_testbed,
     generalized_diameter_ring,
     naive_ring,
     ring_switch_graph,
+    switch_planes,
 )
 from .deploy import Deployment, deploy
 from .graph import EdgeId, TopologyGraph, Vertex, node_v, switch_v
@@ -48,6 +51,7 @@ __all__ = [
     "deploy",
     "diameter_ring",
     "enumerate_elements",
+    "fig1_testbed",
     "fault_sets_of_size",
     "generalized_diameter_ring",
     "min_faults_to_partition",
@@ -57,6 +61,7 @@ __all__ = [
     "render_ring_construction",
     "node_v",
     "ring_switch_graph",
+    "switch_planes",
     "switch_v",
     "worst_case",
 ]

@@ -16,6 +16,10 @@ Four families:
 - :func:`clique_construction` — the generalization to a fully-connected
   switch network, with nodes on distinct switch pairs.
 
+Plus two cluster shapes: :func:`fig1_testbed` (the paper's Caltech
+testbed) and :func:`switch_planes` (isolated redundant planes, no switch
+cables — a plain :class:`~repro.cluster.RainCluster`'s default).
+
 All constructions allow ``num_nodes`` > ``num_switches`` by repeating the
 pattern (``c_j`` attaches like ``c_{j mod n}``), matching the paper's
 note that extra nodes only scale the constant in Theorem 2.1.
@@ -35,7 +39,14 @@ __all__ = [
     "chordal_ring_graph",
     "constant_degree_diameter",
     "ring_switch_graph",
+    "fig1_testbed",
+    "switch_planes",
 ]
+
+#: Fig. 1's balanced round over all C(4,2) switch pairs: each switch
+#: appears in every consecutive window of two pairs exactly once, so ten
+#: nodes spread as exactly five links per switch.
+FIG1_PAIRS = ((0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2))
 
 
 def ring_switch_graph(topo: TopologyGraph) -> None:
@@ -272,4 +283,46 @@ def clique_construction(
     for i in range(n):
         for s in subsets[i % len(subsets)]:
             topo.connect_node(i, s)
+    return topo
+
+
+def fig1_testbed() -> TopologyGraph:
+    """The paper's Caltech testbed (Fig. 1).
+
+    "10 Pentium workstations ... each with two network interfaces ...
+    connected via four eight-way Myrinet switches": a switch clique
+    (3 mesh ports + 5 node ports = exactly eight-way), node ``c_i`` on
+    the ``i``-th pair of :data:`FIG1_PAIRS`.  Any single element can
+    fail with zero nodes lost; any two switch failures strand at most
+    the 2 nodes attached to exactly that pair (Theorem 2.1's
+    constant-loss accounting), with all survivors still connected.
+    """
+    topo = TopologyGraph(
+        name="fig1-testbed(n=4, nodes=10)",
+        num_nodes=10,
+        num_switches=4,
+        node_degree=2,
+        switch_degree=8,
+    )
+    for a, b in combinations(range(4), 2):
+        topo.connect_switches(a, b)
+    for i in range(10):
+        for s in FIG1_PAIRS[i % len(FIG1_PAIRS)]:
+            topo.connect_node(i, s)
+    return topo
+
+
+def switch_planes(num_switches: int, num_nodes: int, nics: int) -> TopologyGraph:
+    """Redundant isolated planes: NIC ``j`` of every node on switch
+    ``j mod num_switches``, and no switch-to-switch cables."""
+    n = _check_counts(num_switches, num_nodes)
+    topo = TopologyGraph(
+        name=f"planes(n={num_switches}, nics={nics}, nodes={n})",
+        num_nodes=n,
+        num_switches=num_switches,
+        node_degree=nics,
+    )
+    for i in range(n):
+        for j in range(nics):
+            topo.connect_node(i, j % num_switches)
     return topo

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.__main__ import DEMOS, build_parser, main
-from repro.scenarios import SCENARIOS, build, scripted
+from repro.scenarios import SCENARIOS, build
 
 
 @pytest.mark.parametrize("name", sorted(DEMOS))
@@ -38,11 +38,11 @@ def test_metrics_command_prints_cluster_report(capsys):
 
 
 def test_metrics_json_is_deterministic(capsys):
-    assert main(["metrics", "quickstart", "--json"]) == 0
+    assert main(["metrics", "testbed", "--json"]) == 0
     first = capsys.readouterr().out
     report = json.loads(first)
     assert len(report["subsystems"]) >= 6
-    assert main(["metrics", "quickstart", "--json"]) == 0
+    assert main(["metrics", "testbed", "--json"]) == 0
     assert capsys.readouterr().out == first
 
 
@@ -56,14 +56,14 @@ def test_quickstart_output_mentions_recovery(capsys):
 
 
 def test_trace_text_renders_timelines(capsys):
-    assert main(["trace", "token", "--seed", "3"]) == 0
+    assert main(["trace", "membership", "--seed", "3"]) == 0
     out = capsys.readouterr().out
     assert "Fig. 6" in out and "Fig. 9" in out
     assert "token path:" in out and "trace summary" in out
 
 
 def test_trace_json_is_parseable_and_structured(capsys):
-    assert main(["trace", "token", "--format", "json"]) == 0
+    assert main(["trace", "membership", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert set(payload) == {"timelines", "trace"}
     assert payload["trace"]["n_spans"] > 0
@@ -73,16 +73,16 @@ def test_trace_json_is_parseable_and_structured(capsys):
 def test_trace_chrome_output_passes_schema(capsys):
     from repro.obs import validate_chrome_trace
 
-    assert main(["trace", "write", "--format", "chrome"]) == 0
+    assert main(["trace", "rainfs", "--format", "chrome"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert validate_chrome_trace(doc) == []
     names = {e["name"] for e in doc["traceEvents"] if e["ph"] == "X"}
-    assert "fs.write" in names and "net.packet" in names
+    assert {"storage.store", "storage.retrieve", "net.packet"} <= names
 
 
 def test_trace_out_writes_file(tmp_path, capsys):
     target = tmp_path / "artifacts" / "trace.json"
-    assert main(["trace", "token", "--format", "chrome", "--out", str(target)]) == 0
+    assert main(["trace", "membership", "--format", "chrome", "--out", str(target)]) == 0
     assert "written to" in capsys.readouterr().out
     from repro.obs import validate_chrome_trace
 
@@ -122,7 +122,7 @@ def _assert_one_line_help(name: str, help_text: str) -> None:
 
 
 EXPECTED_COMMANDS = {
-    "codes", "membership", "quickstart", "topology",  # demos
+    "codes", "quickstart", "topology",  # demos
     "metrics", "lint", "sanitize", "modelcheck", "bench", "trace", "serve",
 }
 
@@ -148,8 +148,8 @@ def test_root_help_lists_serve(capsys):
 
 
 def test_every_scenario_taking_command_accepts_exactly_the_table():
-    """``metrics`` takes every entry; ``sanitize`` and ``serve`` take the
-    scripted subset — derived from the table, never a second list."""
+    """One kind of entry: every command that takes a scenario takes the
+    whole table — derived from it, never a second list."""
 
     def choices(command: str) -> list:
         (positional,) = [
@@ -157,10 +157,9 @@ def test_every_scenario_taking_command_accepts_exactly_the_table():
         ]
         return list(positional.choices)
 
-    assert choices("metrics") == sorted(SCENARIOS)
-    assert choices("sanitize") == choices("serve") == scripted()
-    assert scripted() == sorted(n for n, s in SCENARIOS.items() if s.horizon)
-    assert set(SCENARIOS) - set(scripted()) == {"testbed", "quickstart"}
+    for command in ("metrics", "sanitize", "serve", "trace"):
+        assert choices(command) == sorted(SCENARIOS), command
+    assert all(type(s.horizon) is float for s in SCENARIOS.values())
 
 
 def test_every_table_entry_is_named_and_described():
@@ -171,11 +170,13 @@ def test_every_table_entry_is_named_and_described():
         build("warp-drive")
 
 
-def test_batch_only_scenario_notes_ignored_shards(capsys):
-    assert main(["metrics", "quickstart", "--shards", "4", "--json"]) == 0
-    captured = capsys.readouterr()
-    assert "ignores --shards/--workers" in captured.err
-    assert json.loads(captured.out)["scenario"] == "quickstart"
+def test_metrics_testbed_is_shard_invariant(capsys):
+    assert main(["metrics", "testbed", "--json", "--shards", "1"]) == 0
+    one = capsys.readouterr().out
+    assert json.loads(one)["metrics"]["storage.retrieve.latency"]["series"]
+    for shards in ("2", "4"):
+        assert main(["metrics", "testbed", "--json", "--shards", shards]) == 0
+        assert capsys.readouterr().out == one, shards
 
 
 # -- layout flags are outside input: bad values are usage errors -------------
@@ -206,9 +207,21 @@ def test_worker_counts_below_one_are_usage_errors(value, capsys):
     assert f"argument --workers: expected an integer >= 1, got {value!r}" in line
 
 
-@pytest.mark.parametrize("command", ["metrics", "sanitize", "serve"])
-def test_more_shards_than_switches_is_one_stderr_line(command, capsys):
-    line = _usage_error([command, "membership", "--shards", "7"], capsys)
+@pytest.mark.parametrize(
+    "argv",
+    [["metrics"], ["sanitize"], ["serve"], ["metrics", "--workers", "2"]],
+    ids=["metrics", "sanitize", "serve", "metrics-workers"],
+)
+def test_more_shards_than_switches_is_one_stderr_line(argv, monkeypatch, capsys):
+    from repro.sim import shard_mp
+
+    def no_pool(n_workers):
+        raise AssertionError("a worker pool was requested for a bad layout")
+
+    # under --workers the coordinator cuts the layout before any worker starts
+    monkeypatch.setattr(shard_mp, "_get_pool", no_pool)
+    command, *extra = argv
+    line = _usage_error([command, "membership", "--shards", "7", *extra], capsys)
     assert line == f"python -m repro {command}: error: cannot cut 6 switches into 7 shards"
 
 
@@ -236,7 +249,7 @@ def test_metrics_membership_scenario_runs(capsys):
 def test_report_json_carries_schema_version(capsys):
     from repro.obs import SCHEMA_VERSION, ClusterReport
 
-    assert main(["metrics", "quickstart", "--json"]) == 0
+    assert main(["metrics", "rainfs", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     # bump-safe: pinned to the constant, not a literal — bumping
     # SCHEMA_VERSION must not break this test, only the goldens it

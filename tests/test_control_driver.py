@@ -3,15 +3,15 @@
 The bridge is the load-bearing contract: driving a scripted scenario to
 its horizon through any sequence of pause/step/run calls must produce a
 ClusterReport byte-identical to the batch ``python -m repro metrics
-<scenario>`` run (same seed) — for every scripted entry of the one
-scenario table, at one shard and at several.
+<scenario>`` run (same seed) — for every entry of the one scenario
+table, at one shard and at several.
 """
 
 import pytest
 
 from repro.__main__ import main
 from repro.control import ScenarioDriver
-from repro.scenarios import SCENARIOS, scripted
+from repro.scenarios import SCENARIOS
 
 MEMBERSHIP = SCENARIOS["membership"]
 
@@ -25,7 +25,7 @@ def _batch_json(capsys, scenario: str, *extra: str) -> str:
 
 
 @pytest.mark.parametrize("shards", [1, 2])
-@pytest.mark.parametrize("name", scripted())
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_stepped_run_matches_batch_metrics_byte_identically(capsys, name, shards):
     batch = _batch_json(capsys, name, "--shards", str(shards))
     driver = ScenarioDriver(SCENARIOS[name], seed=7, shards=shards)
@@ -42,11 +42,6 @@ def test_stepped_run_matches_batch_metrics_byte_identically(capsys, name, shards
 
 
 # -- stepping semantics ------------------------------------------------------
-
-
-def test_batch_only_scenarios_are_refused():
-    with pytest.raises(ValueError, match="batch-only"):
-        ScenarioDriver(SCENARIOS["testbed"])
 
 
 def test_run_to_clamps_to_horizon_and_is_idempotent():
@@ -140,11 +135,11 @@ def test_event_ring_streams_with_cursor_resume():
 
 def test_trace_doc_gated_on_trace_flag():
     untraced = ScenarioDriver(MEMBERSHIP)
-    assert untraced.trace_doc() is None
+    assert untraced.cluster.chrome_trace() is None
 
     traced = ScenarioDriver(MEMBERSHIP, trace=True)
     traced.run_to(1.0)
-    doc = traced.trace_doc()
+    doc = traced.cluster.chrome_trace()
     from repro.obs import validate_chrome_trace
 
     assert validate_chrome_trace(doc) == []

@@ -5,10 +5,13 @@ from repro import RainCluster, Simulator
 from repro.codes import BCode
 from repro.topology import (
     diameter_ring,
+    fig1_testbed,
     naive_ring,
     render_attachment_table,
     render_ring_construction,
+    worst_case,
 )
+from repro.topology.constructions import FIG1_PAIRS
 
 
 def build(seed=1):
@@ -72,14 +75,13 @@ def test_testbed_two_switch_failures_constant_loss():
     sim, cl = build()
     sim.run(until=2.0)
     names = [h.name for h in cl.hosts]
-    pair_schedule = [(0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2)]
     for a_idx, b_idx in itertools.combinations(range(4), 2):
         cl.faults.fail(cl.switches[a_idx])
         cl.faults.fail(cl.switches[b_idx])
         stranded = {
             names[i]
             for i in range(10)
-            if set(pair_schedule[i % 6]) == {a_idx, b_idx}
+            if set(FIG1_PAIRS[i % 6]) == {a_idx, b_idx}
         }
         assert len(stranded) <= 2
         survivors = [n for n in names if n not in stranded]
@@ -89,6 +91,16 @@ def test_testbed_two_switch_failures_constant_loss():
             assert not cl.network.host_reachable(s, survivors[0])
         cl.faults.repair(cl.switches[a_idx])
         cl.faults.repair(cl.switches[b_idx])
+
+
+def test_fig1_construction_meets_theorem_2_1_accounting():
+    # the same claims, checked exhaustively on the graph that both
+    # RainCluster.testbed and the sharded ``testbed`` scenario are cabled from
+    topo = fig1_testbed()
+    topo.validate()  # dual-NIC nodes, eight-way switches
+    assert worst_case(topo, 1, kinds=("switch", "link")).max_lost == 0
+    assert worst_case(topo, 1, kinds=("switch",)).max_lost == 0
+    assert worst_case(topo, 2, kinds=("switch",)).max_lost <= 2
 
 
 class TestRenderers:
