@@ -1,27 +1,30 @@
 """RainSan's dynamic head: a happens-before sanitizer for the sharded DES.
 
-The conservative window protocol (:mod:`repro.sim.shard`) is correct
+The conservative round protocol (:mod:`repro.sim.shard`) is correct
 only if three invariants hold at runtime:
 
-- **lookahead**: nothing crosses a shard boundary at or inside the
-  current window — a handoff arriving at ``t <= window_end`` could land
-  below a peer's execution frontier (HB001);
-- **isolation**: while one kernel's window is executing, *only* that
-  kernel's event queue changes — a schedule landing on a different
-  kernel is a cross-shard access with no happens-before edge (HB002);
+- **lookahead**: nothing crosses a shard boundary into what its
+  destination may already have run — a staged handoff arriving at or
+  before its destination's bound for the round, or an injection landing
+  at or below the destination's frontier (the time it has run to),
+  could reorder causally related events (HB001);
+- **isolation**: while one kernel is being driven, *only* that kernel's
+  event queue changes — a schedule landing on a different kernel is a
+  cross-shard access with no happens-before edge (HB002);
 - **replication**: control-replicated gauge state agrees across kernels
   at the end of the run (HB003).
 
 :class:`HbMonitor` checks all three by instrumenting the kernels'
-single scheduling choke point (:meth:`ShardKernel._insert`) plus the
-coordinator's window/barrier transitions, and by keeping a vector clock
-per shard: ``vc[r][s]`` counts the events of shard ``s`` that shard
-``r``'s state provably happened-after.  Local execution ticks
-``vc[r][r]``; each barrier joins every clock (a barrier is full
-synchronization); a handoff edge joins the staged sender clock into the
-receiver at injection.  An insert that is legal must be ordered after
-the inserting context under this relation — the two dynamic rules are
-exactly the cases where no such edge exists.
+single scheduling choke point (:meth:`ShardKernel._insert`), the one
+staging point (:meth:`ShardKernel.stage`), the one injection point
+(:func:`~repro.sim.shard.deliver_handoff`) and the coordinator's
+round/barrier transitions, and by keeping a vector clock per shard:
+``vc[r][s]`` counts the events of shard ``s`` that shard ``r``'s state
+provably happened-after.  Local execution ticks ``vc[r][r]``; each
+barrier joins every clock (the end of a round is full
+synchronization).  An insert that is legal must be ordered after the
+inserting context under this relation — the dynamic rules are exactly
+the cases where no such edge exists.
 
 Zero-cost when off: kernels carry ``_hb = None`` as a class attribute
 and the hot ``run`` loop is entered untouched; only
@@ -63,11 +66,11 @@ class HbMonitor:
         #: vc[r][s]: events of shard s that shard r happened-after
         self.vc = [[0] * shards for _ in range(shards)]
         self.phase = "build"
-        #: end of the current window (the guaranteed lookahead horizon)
-        self.window_end: Optional[float] = None
-        #: rank whose window is executing (in-process: one at a time)
+        #: each kernel's bound in the current round
+        self.bounds: Optional[list] = None
+        #: kernel being driven (in-process: one at a time)
         self.executing: Optional[int] = None
-        #: per-shard execution frontier (max executed event time)
+        #: per-shard frontier: the time each kernel has run to
         self.frontier = [0.0] * shards
         self.events = [0] * shards
         self.windows = 0
@@ -76,21 +79,22 @@ class HbMonitor:
 
     # -- protocol transitions (driven by ShardedSimulator) ---------------
 
-    def on_window(self, start: float, end: float) -> None:
-        """A new lookahead window ``(start, end]`` begins."""
+    def on_round(self, bounds: list) -> None:
+        """A round begins: kernel r may run up to ``bounds[r]``."""
         self.phase = "window"
-        self.window_end = end
+        self.bounds = bounds
         self.windows += 1
 
-    def on_barrier(self, end: float) -> None:
-        """All kernels reached ``end``; handoffs are routed now and
-        injected before the next window (also when that window belongs
-        to a later ``run()`` call, which re-enters this phase first).
+    def on_barrier(self) -> None:
+        """The round's kernels returned; handoffs are routed now and
+        injected at the start of the next round (also when that round
+        belongs to a later ``run()`` call, which re-enters this phase
+        first).
 
         The barrier synchronizes every shard: all vector clocks join.
         """
         self.phase = "barrier"
-        self.window_end = end
+        self.bounds = None
         joined = [max(col) for col in zip(*self.vc)]
         for r in range(self.shards):
             self.vc[r] = list(joined)
@@ -100,7 +104,7 @@ class HbMonitor:
         (between-run control scripting must not be flagged)."""
         self.phase = "idle"
         self.executing = None
-        self.window_end = None
+        self.bounds = None
 
     # -- kernel hooks (driven by ShardKernel) ----------------------------
 
@@ -109,6 +113,8 @@ class HbMonitor:
 
     def on_run_exit(self, rank: int, now: float) -> None:
         self.executing = None
+        if now > self.frontier[rank]:
+            self.frontier[rank] = now
 
     def on_execute(self, rank: int, t: float) -> None:
         self.vc[rank][rank] += 1
@@ -118,50 +124,45 @@ class HbMonitor:
 
     def on_insert(self, rank: int, t: float, key: tuple) -> None:
         """Every schedule on kernel ``rank`` funnels through here."""
-        if self.phase == "window":
-            ex = self.executing
-            if ex is not None and ex != rank:
-                self._flag(
-                    "HB002",
-                    rank,
-                    t,
-                    f"shard {ex} scheduled onto shard {rank}'s kernel at "
-                    f"t={t:.9g} (key origin {key[1]}) during shard {ex}'s "
-                    f"window — no happens-before edge exists between them "
-                    f"until the barrier at t={self.window_end:.9g}",
-                )
-        elif self.phase == "barrier":
-            # Injection below the horizon: the dest shard already ran to
-            # window_end, so an event at t <= window_end is below its
-            # execution frontier.  This check lives at the kernel choke
-            # point, not in the coordinator's grant/route loop, so a
-            # subclass that drops the routing-time check is still
-            # caught.
-            end = self.window_end
-            if end is not None and t <= end + 1e-12:
-                self._flag(
-                    "HB001",
-                    rank,
-                    t,
-                    f"event injected into shard {rank} at t={t:.9g}, at or "
-                    f"below the window horizon t={end:.9g} that shard "
-                    f"{rank} already executed to (frontier "
-                    f"t={self.frontier[rank]:.9g})",
-                )
+        ex = self.executing
+        if self.phase == "window" and ex is not None and ex != rank:
+            self._flag(
+                "HB002",
+                rank,
+                t,
+                f"shard {ex} scheduled onto shard {rank}'s kernel at "
+                f"t={t:.9g} (key origin {key[1]}) while shard {ex} was "
+                f"being driven — no happens-before edge exists between "
+                f"them until the round's barrier",
+            )
 
     def on_stage(self, src: int, dest: int, arrival: float) -> None:
         """A handoff was staged by ``src`` for ``dest`` (the hb edge)."""
         self.handoffs += 1
-        end = self.window_end
-        if self.phase == "window" and end is not None and arrival <= end + 1e-12:
+        bounds = self.bounds
+        if bounds is not None and arrival <= bounds[dest] + 1e-12:
             self._flag(
                 "HB001",
                 src,
                 arrival,
                 f"shard {src} staged a handoff to shard {dest} arriving at "
-                f"t={arrival:.9g}, inside the current window ending at "
-                f"t={end:.9g} — the partitioner's lookahead exceeds the "
-                "actual boundary latency",
+                f"t={arrival:.9g}, at or before shard {dest}'s bound "
+                f"t={bounds[dest]:.9g} for this round — the partitioner's "
+                "lookahead exceeds the actual boundary latency",
+            )
+
+    def on_inject(self, rank: int, t: float) -> None:
+        """A handoff arriving at ``t`` is injected into shard ``rank``
+        (the single injection point, whichever coordinator routed it)."""
+        front = self.frontier[rank]
+        if t <= front + 1e-12:
+            self._flag(
+                "HB001",
+                rank,
+                t,
+                f"handoff injected into shard {rank} at t={t:.9g}, at or "
+                f"below the frontier t={front:.9g} that shard {rank} "
+                "already ran to",
             )
 
     # -- gauge replication ----------------------------------------------
@@ -216,7 +217,7 @@ def install_sanitizer(sharded) -> HbMonitor:
 
     Idempotent per simulator: a second call returns the existing
     monitor.  The kernels switch to the instrumented run path; the
-    coordinator's window loop reports phase transitions.
+    coordinator's round loop reports phase transitions.
     """
     existing = getattr(sharded, "_hb", None)
     if existing is not None:

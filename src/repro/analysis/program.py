@@ -995,7 +995,7 @@ class _ProgramLinter:
                             f"kernel in {info.qualname}",
                         )
                 # live kernel object shipped through a pipe/socket send:
-                # workers must exchange opaque Handoff blobs, never the
+                # workers must exchange Handoffs, never the
                 # kernels themselves (pickling one drags the whole event
                 # queue, RNG state, and bound callbacks across the
                 # process boundary as a divergent copy)

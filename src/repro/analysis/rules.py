@@ -132,17 +132,17 @@ _HB_ALL = [
     Rule(
         "HB001",
         "event below the guaranteed lookahead horizon",
-        "a cross-shard handoff was staged or injected at a time at or "
-        "inside the current lookahead window, so the destination shard "
-        "may already have executed past it; the partitioner's lookahead "
-        "exceeds the actual boundary latency, or the barrier window "
-        "check was bypassed",
+        "a cross-shard handoff was staged arriving at or before its "
+        "destination's bound for the round, or injected at or below the "
+        "time the destination already ran to; the partitioner's "
+        "lookahead exceeds the actual boundary latency, or the grant "
+        "check or the stop at the first crossing was bypassed",
     ),
     Rule(
         "HB002",
         "cross-shard access with no happens-before edge",
-        "code running inside one shard kernel's window scheduled onto a "
-        "different kernel; only barrier handoffs may cross shards, so "
+        "code running inside one shard kernel's round scheduled onto a "
+        "different kernel; only staged handoffs may cross shards, so "
         "bind components to their owning kernel and let cross-shard "
         "effects travel as Handoffs",
     ),

@@ -11,6 +11,7 @@ and receives in-order messages via ``deliver(msg)``.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
@@ -100,7 +101,9 @@ class ReliableEndpoint:
         # sender state
         self.next_seq = 1
         self.send_base = 1  # lowest unacknowledged seq
-        self._unsent: list[tuple[Any, int, Any]] = []  # (msg, size, ctx)
+        #: (msg, size, ctx) accepted but not yet transmitted; None while
+        #: there is no backlog, so an idle endpoint allocates nothing
+        self._unsent: Optional[deque] = None
         self._inflight: dict[int, tuple[Any, int, Any]] = {}
         self._timer = None
         self._backoff = 1  # current RTO multiplier (exponential, capped)
@@ -124,7 +127,7 @@ class ReliableEndpoint:
     @property
     def backlog(self) -> int:
         """Messages accepted but not yet transmitted."""
-        return len(self._unsent)
+        return len(self._unsent) if self._unsent else 0
 
     def send(self, msg: Any, size_bytes: int = 0, ctx: Any = None) -> None:
         """Queue ``msg`` for reliable, in-order delivery to the peer.
@@ -133,18 +136,23 @@ class ReliableEndpoint:
         :class:`~repro.obs.SpanContext`, carried on every (re)transmitted
         segment and re-activated around the peer's ``deliver``.
         """
-        if len(self._unsent) >= self.max_buffer:
+        if self.backlog >= self.max_buffer:
             raise WindowFull(f"send buffer exceeds {self.max_buffer}")
+        if self._unsent is None:
+            self._unsent = deque()
         self._unsent.append((msg, size_bytes, ctx))
         self._pump()
 
     def _pump(self) -> None:
-        while self._unsent and len(self._inflight) < self.window:
-            msg, size, ctx = self._unsent.pop(0)
+        unsent = self._unsent
+        while unsent and len(self._inflight) < self.window:
+            msg, size, ctx = unsent.popleft()
             seq = self.next_seq
             self.next_seq += 1
             self._inflight[seq] = (msg, size, ctx)
             self._emit(seq, msg, size, ctx)
+        if not unsent:
+            self._unsent = None
         self._arm_timer()
 
     def _emit(self, seq: int, msg: Any, size: int, ctx: Any) -> None:

@@ -10,7 +10,7 @@ dashboard (``python -m repro serve <scenario>``).
 
 Layering: everything here sits strictly *above* the simulation stack.
 The driver only calls :class:`~repro.sim.ShardedSimulator`'s public
-``run`` / ``run_events`` (both callers of its one window protocol; one
+``run`` / ``run_events`` (both callers of its one round protocol; one
 shard is its exact event-granularity case), and telemetry rides
 the existing observability substrate (:class:`~repro.obs.EventRing`,
 :class:`~repro.obs.ClusterReport`, :class:`~repro.obs.SpanTracer`), so

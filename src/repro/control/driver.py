@@ -8,7 +8,7 @@ fault injection.  It is deliberately single-threaded: the HTTP server
 funnels every call through one command queue, so nothing here locks.
 
 All stepping goes through :class:`~repro.sim.ShardedSimulator`'s
-public ``run`` / ``run_events`` — two callers of its one window
+public ``run`` / ``run_events`` — two callers of its one round
 protocol, which compose byte-identically with a single batch
 ``run(horizon)`` — the determinism bridge pinned by
 ``tests/test_control_driver.py``.  One shard is the exact
@@ -104,8 +104,8 @@ class ScenarioDriver:
         """Run at most ``n`` further events (bounded by the horizon).
 
         One shard steps with exact event granularity; a multi-shard
-        run advances windows of one lookahead (the shortest the window
-        protocol grants) until the count is reached.  Returns the
+        run settles one lookahead at a time (the finest stepping the
+        round protocol has) until the count is reached.  Returns the
         number of events executed.
         """
         if n < 0:

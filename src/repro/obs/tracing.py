@@ -57,9 +57,10 @@ class SpanContext(tuple):
         return tuple.__new__(cls, (trace_id, span_id))
 
     def __getnewargs__(self) -> tuple:
-        # Contexts ride in packet headers, which sharded simulations
-        # pickle across shard boundaries; ``__new__`` takes the two ids
-        # positionally, so spell that out for the pickle protocol.
+        # Contexts ride in packet headers and channel buffers, which
+        # RUDP snapshots deep-copy and multiprocessing pipes pickle;
+        # ``__new__`` takes the two ids positionally, so spell that out
+        # for the pickle protocol.
         return (self[0], self[1])
 
     @property

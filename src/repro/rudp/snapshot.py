@@ -19,6 +19,7 @@ protocol — the property RAINCheck-style rollback depends on.
 from __future__ import annotations
 
 import copy
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -54,7 +55,7 @@ def _freeze_endpoint(ep: ReliableEndpoint) -> EndpointState:
     return EndpointState(
         next_seq=ep.next_seq,
         send_base=ep.send_base,
-        unsent=copy.deepcopy(ep._unsent),
+        unsent=copy.deepcopy(list(ep._unsent or ())),
         inflight=copy.deepcopy(ep._inflight),
         recv_cum=ep.recv_cum,
         ooo=copy.deepcopy(ep._ooo),
@@ -64,7 +65,7 @@ def _freeze_endpoint(ep: ReliableEndpoint) -> EndpointState:
 def _thaw_endpoint(ep: ReliableEndpoint, st: EndpointState) -> None:
     ep.next_seq = st.next_seq
     ep.send_base = st.send_base
-    ep._unsent = copy.deepcopy(st.unsent)
+    ep._unsent = deque(copy.deepcopy(st.unsent)) or None
     ep._inflight = copy.deepcopy(st.inflight)
     ep.recv_cum = st.recv_cum
     ep._ooo = copy.deepcopy(st.ooo)

@@ -155,7 +155,7 @@ class Scenario:
         """Build and run to the horizon; returns an object with
         ``.metrics()``.
 
-        ``workers=1`` (the determinism reference) steps the window
+        ``workers=1`` (the determinism reference) steps the round
         protocol in-process and returns the live cluster.  ``workers >
         1`` runs the same grant loop with the shard kernels in a
         persistent worker-process pool (:mod:`repro.sim.shard_mp`) and

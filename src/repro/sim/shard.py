@@ -3,20 +3,37 @@
 A :class:`ShardedSimulator` partitions a cluster across N
 :class:`ShardKernel` instances — each a full :class:`Simulator` with its
 own event queue, RNG streams, and observability hub — and advances them
-in *granted windows*: every kernel runs independently over a window
-``(V, W]`` with ``W >= V + L`` (L = the *lookahead*, the minimum latency
-of any link crossing a shard boundary), then cross-shard packets staged
-during the window are routed at the barrier and injected before the
-next window runs.  The protocol rests on one contract: an event
-executing at ``t`` stages boundary arrivals strictly after ``t + L``,
-so nothing a kernel executed inside ``(V, V + L]`` could have been
-affected by a message it had not yet received — the classic
-conservative-PDES argument (Chandy/Misra/Bryant).  Each kernel group's
-*promise*, its earliest queued event plus L, plays CMB's null message
-and lets a grant reach past ``V + L`` when no traffic is about to cross.
+in *rounds*.  A round injects the cross-shard packets (*handoffs*)
+routed at the end of the last one, then gives each kernel r its own
+bound
+
+    W_r = min(until, min over q != r of (peek_q + L))
+
+(L = the *lookahead*, the minimum latency of any link crossing a shard
+boundary; ``peek_q`` = kernel q's earliest queued event after the
+injection): the earliest time any *other* kernel could hand r
+something.  A kernel with nothing at or before its bound is not
+stepped; the others run up to their bound, and a kernel ends its round
+right after the event that stages a handoff (:meth:`ShardKernel.stage`,
+the one place handoffs are staged).  With one kernel there is no q, so
+``W = until``: one round per ``run``.
+
+The protocol rests on one contract — an event executing at ``t`` stages
+boundary arrivals strictly after ``t + L`` — and the rule is safe
+because of it (the classic conservative-PDES argument, Chandy/Misra/
+Bryant, with each peer's earliest event playing CMB's null message):
+
+- a handoff staged at ``t`` by r arrives after ``t + L >= peek_r + L``,
+  which is at least the destination's bound: it lands beyond anything
+  its destination may run this round (the single check, at routing,
+  raises ``conservative window violated`` otherwise);
+- a reply to r arrives after ``t + 2L``, and r stopped at ``t``: it
+  lands beyond everything r ran;
+- any other chain starts at some q != r at or after
+  ``min over q != r of peek_q``, so it lands beyond ``W_r``.
 
 Determinism across shard *layouts* (the acceptance bar: ``shards=1``
-byte-identical to ``shards=N``) needs more than conservative windows —
+byte-identical to ``shards=N``) needs more than conservative bounds —
 equal-time events that land in one kernel under one layout may land in
 different kernels under another, so FIFO insertion order is not
 portable.  Shard kernels therefore *insert* equal-time events in **key
@@ -41,17 +58,18 @@ minted from the same origins, which is what lets per-shard traces and
 metrics merge into byte-identical reports (:mod:`repro.obs.merge`).
 
 The protocol is written once, as two pieces every executor calls:
-:meth:`ShardedSimulator.run_window` (the step) and
-:meth:`WindowGrants.advance` (the grant rule, the single window check,
-the routing).  In-process stepping (:meth:`ShardedSimulator.run`) is
-the default executor and the determinism reference;
-:mod:`repro.sim.shard_mp` sends the same step to worker processes.
+:meth:`ShardedSimulator.run_window` (the step of one round) and
+:meth:`WindowGrants.advance` (the grant rule, the single check, the
+routing).  In-process stepping (:meth:`ShardedSimulator.run`) is the
+default executor and the determinism reference; handoffs pass through
+it by reference, as every packet does under ``shards=1``.
+:mod:`repro.sim.shard_mp` sends the same step to worker processes,
+whose pipes pickle the handoffs.
 """
 
 from __future__ import annotations
 
 import heapq
-import pickle
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass
@@ -131,34 +149,33 @@ class _OriginScope:
 
 @dataclass(frozen=True, slots=True)
 class Handoff:
-    """One cross-shard message staged for the next barrier.
+    """One cross-shard message, staged for the next round.
 
-    The payload is *always* pickled — also in-process — so in-process
-    and multiprocessing runs have identical value semantics
-    (a receiver never shares mutable state with the sender's copy).
-    A handoff may carry one message or a whole batched window of them
-    (``time`` is then the *earliest* arrival in the batch, which keeps
-    the conservative window check equivalent to checking each member:
-    the batch violates the bound iff its minimum does).
+    In-process the payload is passed by reference, exactly as a packet
+    continues hop to hop under ``shards=1`` (the determinism
+    reference), so ``shards=N`` has the same value semantics; only the
+    multiprocessing executor's pipes copy it, by pickling.
     """
 
     dest: int  # destination shard rank
-    time: float  # earliest arrival (checked against the window bound)
-    blob: bytes  # pickled payload, decoded by the dest shard's handler
+    time: float  # arrival (checked against the destination's bound)
+    payload: Any  # decoded by the dest shard's ``on_inject`` handler
 
 
 def deliver_handoff(kernel: "ShardKernel", h: Handoff) -> None:
-    """Decode one handoff at its destination kernel.
+    """Inject one handoff into its destination kernel.
 
-    The single decode point, called only by the window step
-    (:meth:`ShardedSimulator.run_window`): blobs travel opaque through
-    whatever routing sits in between (the coordinator never unpickles),
-    and the payload is decoded only here, in the process that owns the
-    destination shard.
+    The single injection point, called only by the step of a round
+    (:meth:`ShardedSimulator.run_window`), in the process that owns
+    the destination shard: the coordinator routes handoffs without
+    opening them.
     """
     if kernel.on_inject is None:
         raise SimulationError(f"shard {h.dest} has no injection handler")
-    kernel.on_inject(pickle.loads(h.blob))
+    hb = kernel._hb
+    if hb is not None:
+        hb.on_inject(kernel.rank, h.time)
+    kernel.on_inject(h.payload)
 
 
 class ShardKernel(Simulator):
@@ -193,23 +210,25 @@ class ShardKernel(Simulator):
         self._span_seq: dict[tuple, int] = {}
         self.rank = rank
         self.shards = shards
-        #: cross-shard handoffs staged during the current window
+        #: cross-shard handoffs staged during the current round
         self.outbox: list[Handoff] = []
-        #: window-end flush hooks: transports that *accumulate* crossing
-        #: traffic during a window (the batched network path) register a
-        #: callable here; the executor invokes :meth:`flush_outbox` at
-        #: the barrier, after the window ran and before the outbox is
-        #: collected, so a whole window of staged packets becomes one
-        #: handoff blob per destination shard.
-        self.outbox_flushers: list[Callable[[], None]] = []
         #: injection handler installed by the shard's network layer
-        self.on_inject: Optional[Callable[[tuple], None]] = None
+        self.on_inject: Optional[Callable[[Any], None]] = None
         super().__init__(seed)
 
-    def flush_outbox(self) -> None:
-        """Run the registered window-end flushers (barrier time)."""
-        for flush in self.outbox_flushers:
-            flush()
+    def stage(self, h: Handoff) -> None:
+        """Stage a cross-shard handoff and end this kernel's round.
+
+        The one place handoffs are staged: the kernel stops right after
+        the event executing now, so nothing it runs later in the round
+        can precede a reply to ``h`` (the stop-at-first-crossing half of
+        the grant rule, see the module docstring).
+        """
+        hb = self._hb
+        if hb is not None:
+            hb.on_stage(self.rank, h.dest, h.time)
+        self.outbox.append(h)
+        self._stopped = True
 
     # -- origins -------------------------------------------------------
 
@@ -310,7 +329,7 @@ class ShardKernel(Simulator):
         return self._insert(time, key, fn, args)
 
     def _run_sanitized(self, until: Optional[float]) -> float:
-        """Instrumented window drive: step() with happens-before hooks.
+        """Instrumented drive: step() with happens-before hooks.
 
         Only entered when a monitor is installed, so the inherited
         ``run`` loop stays untouched (and cost-free) in normal runs.
@@ -329,10 +348,10 @@ class ShardKernel(Simulator):
                     break
                 if self._stopped:
                     break
+            if not self._stopped and until is not None and self._now < until:
+                self._now = until
         finally:
             hb.on_run_exit(self.rank, self._now)
-        if not self._stopped and until is not None and self._now < until:
-            self._now = until
         return self._now
 
     def run(self, until: Optional[float] = None) -> float:
@@ -342,58 +361,80 @@ class ShardKernel(Simulator):
 
 
 class WindowGrants:
-    """Coordinator half of the window protocol: grant, step, route.
+    """Coordinator half of the round protocol: grant, step, route.
 
-    Holds what the last barrier left behind: its time, one promise per
-    stepping *group* (all kernels in-process, one worker's ranks under
-    :mod:`repro.sim.shard_mp`) and the routed handoffs not yet injected.
+    Holds what the last round left behind: the time through which every
+    kernel has settled, each kernel's earliest queued event (one entry
+    per shard rank, in rank order) and the routed handoffs not yet
+    injected, one list per stepping *group* (all kernels in-process, one
+    worker's ranks under :mod:`repro.sim.shard_mp`).
     """
 
-    def __init__(self, lookahead: Optional[float], owner: list, promises: list):
+    def __init__(self, lookahead: Optional[float], owner: list, peeks: list):
         #: one kernel has no boundary, so nothing ever crosses and its
-        #: lookahead is unbounded: every grant is simply ``until``
+        #: lookahead is unbounded: its bound is simply ``until``
         self.lookahead = _INF if lookahead is None else lookahead
         self.owner = owner  # shard rank -> group that steps it
         self.clock = 0.0
-        self.promises = promises  # one per group
-        self.inbox: list[list[Handoff]] = [[] for _ in promises]
+        self.peeks = peeks
+        self.inbox: list[list[Handoff]] = [[] for _ in range(max(owner) + 1)]
+
+    def bounds(self, until: float) -> list:
+        """Each kernel's bound for the next round: ``min(until, min over
+        q != r of (peek_q + L))``, with the pending handoffs counted as
+        the events they become at injection."""
+        peeks = list(self.peeks)
+        for group in self.inbox:
+            for h in group:
+                if h.time < peeks[h.dest]:
+                    peeks[h.dest] = h.time
+        first = min(peeks)
+        r_first = peeks.index(first)
+        second = min(peeks[:r_first] + peeks[r_first + 1:], default=_INF)
+        la = self.lookahead
+        return [
+            min(until, (second if r == r_first else first) + la)
+            for r in range(len(peeks))
+        ]
 
     def advance(self, step: Callable, until: float) -> float:
-        """Grant one window, have ``step`` run it, route what it staged.
+        """Run one round: grant the bounds, have ``step`` run it, route
+        what it staged.  Returns the settled clock, which reaches
+        ``until`` once nothing at or before it is left anywhere.
 
-        ``step(w_end, inbox)`` runs every group to ``w_end`` (group *g*
-        injecting ``inbox[g]`` first) and returns one ``(staged,
-        promise)`` pair per group.  Blobs are routed opaque and wait in
-        the inbox for the next step — also across ``run()`` calls.
+        ``step(bounds, inbox)`` injects ``inbox[g]`` into group *g*,
+        runs the group's kernels to their bounds and returns one
+        ``(staged, peeks)`` pair per group (``peeks`` in rank order).
+        Handoffs are routed unopened and wait in the inbox for the next
+        round — also across ``run()`` calls.
         """
-        v, la = self.clock, self.lookahead
-        pending_min = min((h.time for g in self.inbox for h in g), default=_INF)
-        # Nothing can arrive at or before the earliest promise, nor
-        # before the earliest pending handoff was injected and had one
-        # lookahead to propagate; never less than the lock-step v + la.
-        w_end = min(until, max(v + la, min(min(self.promises), pending_min + la)))
-        replies = step(w_end, self.inbox)
-        self.clock = w_end
-        self.promises = [promise for _, promise in replies]
+        bounds = self.bounds(until)
+        replies = step(bounds, self.inbox)
+        self.peeks = [p for _, peeks in replies for p in peeks]
         self.inbox = inbox = [[] for _ in replies]
+        frontier = min(self.peeks)
         for staged, _ in replies:
             for h in staged:
                 if len(self.owner) == 1:
                     raise SimulationError("cross-shard handoff staged with shards=1")
-                if h.time <= w_end:
+                if h.time <= bounds[h.dest]:
                     raise SimulationError(
                         f"conservative window violated: handoff arriving at "
-                        f"t={h.time} inside the window ending at {w_end} "
+                        f"t={h.time} inside the window ending at {bounds[h.dest]} "
                         "(lookahead exceeds the actual boundary latency)"
                     )
                 inbox[self.owner[h.dest]].append(h)
-        return w_end
+                if h.time < frontier:
+                    frontier = h.time
+        if frontier > until:
+            self.clock = until
+        return self.clock
 
 
 class ShardedSimulator:
-    """N shard kernels advanced in granted windows, in one process.
+    """N shard kernels advanced in rounds, in one process.
 
-    The in-process executor of the window protocol (one stepping group
+    The in-process executor of the round protocol (one stepping group
     holding every kernel) and the determinism reference; the workers of
     :mod:`repro.sim.shard_mp` call :meth:`run_window` over their ranks.
 
@@ -405,12 +446,13 @@ class ShardedSimulator:
         yields the same sequence in whichever kernel uses it.
     shards:
         Number of kernels.  ``shards=1`` is the same protocol with
-        nothing to exchange: each ``run`` is one window (the reference
+        nothing to exchange: each ``run`` is one round (the reference
         the golden tests compare multi-shard runs against).
     lookahead:
         The minimum latency of any boundary link, from the topology
-        partitioner: the least a window may span.  Must be > 0 when
-        ``shards > 1``; ``None`` (no boundary) means unbounded.
+        partitioner: how far past a peer's earliest event a kernel may
+        run.  Must be > 0 when ``shards > 1``; ``None`` (no boundary)
+        means unbounded.
     """
 
     def __init__(
@@ -426,7 +468,7 @@ class ShardedSimulator:
         self.shards = shards
         self.lookahead = lookahead
         self.kernels = [ShardKernel(seed, rank=r, shards=shards) for r in range(shards)]
-        self._grants = WindowGrants(lookahead, [0] * shards, [_INF])
+        self._grants = WindowGrants(lookahead, [0] * shards, [_INF] * shards)
         self._script_seq = 0
         self.tracers: list = []
         #: happens-before monitor; installed by REPRO_SANITIZE=1 or
@@ -521,73 +563,85 @@ class ShardedSimulator:
         """Events executed so far, summed over every kernel.
 
         Reads the kernels' plain counters (no registry flush), so the
-        control plane can poll it between windows at no cost.
+        control plane can poll it between rounds at no cost.
         """
         return sum(k._n_events for k in self.kernels)
 
-    def promise(self, ranks) -> float:
-        """Earliest crossing arrival the kernels in ``ranks`` could stage."""
-        return min(self.kernels[r].peek() for r in ranks) + self._grants.lookahead
+    def peeks(self, ranks) -> list:
+        """Earliest queued event of each kernel in ``ranks``."""
+        return [self.kernels[r].peek() for r in ranks]
 
     def run_window(
-        self, ranks, w_end: float, handoffs: list, drive: Callable = ShardKernel.run
-    ) -> tuple[list, float]:
-        """The step of the window protocol over the kernels in ``ranks``.
+        self, ranks, bounds: list, handoffs: list, drive: Callable = ShardKernel.run
+    ) -> tuple[list, list]:
+        """The step of one round over the kernels in ``ranks``.
 
-        Injects the handoffs routed at the last barrier, drives each
-        kernel to ``w_end``, flushes the batched outboxes, and returns
-        ``(staged handoffs, promise)``.  Injection runs in the monitor's
-        "barrier" phase, so HB001 fires at the kernel's ``_insert``
-        whatever the coordinator checked.
+        Injects the handoffs routed at the end of the last round, drives
+        each kernel with something at or before its bound up to it (a
+        kernel stops early after the event that stages a handoff), and
+        returns ``(staged handoffs, peeks of ranks)``.  ``bounds`` holds
+        every shard's bound, so the monitor can check each staged
+        handoff against its destination's.
         """
         hb = self._hb
+        kernels = self.kernels
         for h in handoffs:
-            deliver_handoff(self.kernels[h.dest], h)
+            deliver_handoff(kernels[h.dest], h)
         if hb is not None:
-            hb.on_window(self.now, w_end)
+            hb.on_round(bounds)
         staged: list[Handoff] = []
         for r in ranks:
-            k = self.kernels[r]
-            drive(k, w_end)
-            k.flush_outbox()
-            staged += k.outbox
-            k.outbox.clear()
+            k = kernels[r]
+            w = bounds[r]
+            if k.peek() <= w:
+                drive(k, w)
+                staged += k.outbox
+                k.outbox.clear()
         if hb is not None:
-            hb.on_barrier(w_end)
-        return staged, self.promise(ranks)
+            hb.on_barrier()
+        return staged, self.peeks(ranks)
 
     def _advance_window(self, until: float, drive: Callable = ShardKernel.run) -> float:
-        """Run one granted window ``(clock, w]`` and route its handoffs.
+        """Run one round bounded by ``until`` and route its handoffs.
 
-        Returns the barrier time ``w``.  Window boundaries are *not*
-        part of the deterministic contract: every partition of the same
-        horizon executes the identical keyed schedule, because handoffs
-        always land strictly beyond their staging window and are
-        injected with layout-invariant keys (see the module docstring) —
-        which is what lets the control plane pause at arbitrary times.
+        Returns the settled clock.  Round boundaries are *not* part of
+        the deterministic contract: every partition of the same horizon
+        executes the identical keyed schedule, because handoffs always
+        land beyond everything their destination ran and are injected
+        with layout-invariant keys (see the module docstring) — which is
+        what lets the control plane pause at arbitrary times.
         """
         ranks = range(self.shards)
         return self._grants.advance(
-            lambda w_end, inbox: [self.run_window(ranks, w_end, inbox[0], drive)],
+            lambda bounds, inbox: [self.run_window(ranks, bounds, inbox[0], drive)],
             until,
         )
 
     def _resume(self, until: float) -> None:
         """Leave the idle phase: anything may have been scheduled since
-        the last barrier, so the promise is re-read from the kernels."""
+        the last round, so the peeks are re-read from the kernels."""
         if until < self.now:
             raise SimulationError(
                 f"cannot run backwards: until={until} < now={self.now}"
             )
-        self._grants.promises = [self.promise(range(self.shards))]
+        self._grants.peeks = self.peeks(range(self.shards))
         if self._hb is not None:
-            self._hb.on_barrier(self.now)
+            self._hb.on_barrier()
 
-    def run(self, until: float) -> float:
-        """Advance all shards to ``until`` in granted windows."""
-        self._resume(until)
+    def _settle(self, until: float) -> None:
+        """Run rounds until nothing at or before ``until`` is left, then
+        move every kernel's clock to ``until`` (a kernel that sat out
+        the last rounds is behind it), so the cluster pauses at one
+        instant."""
         while self._advance_window(until) < until:
             pass
+        for k in self.kernels:
+            k.run(until)
+
+    def run(self, until: float) -> float:
+        """Advance all shards to ``until`` in rounds."""
+        self._resume(until)
+        self._settle(until)
         if self._hb is not None:
             self._hb.on_idle()
         return until
@@ -597,20 +651,21 @@ class ShardedSimulator:
         ``until``); the run-to-event-count stepping mode.
 
         A single kernel steps with event granularity
-        (:meth:`Simulator.run_events`) and may stop mid-window; a
-        multi-shard simulation only observes event counts at barriers,
-        so it advances windows bounded at ``clock + lookahead`` — the
-        finest stepping the protocol grants — until the count is
-        reached.  Returns the number of events actually executed.
+        (:meth:`Simulator.run_events`) and may stop mid-round; a
+        multi-shard simulation only observes event counts between
+        rounds, so it settles one lookahead at a time — ``clock + L``
+        is passed as ``until``, the finest stepping the protocol has —
+        until the count is reached.  Returns the number of events
+        actually executed.
         """
         start = self.total_events()
         self._resume(until)
         if self.shards == 1:
-            self._advance_window(until, lambda k, w_end: k.run_events(n, until=w_end))
-            self._grants.clock = self.kernels[0].now  # it may have stopped mid-window
+            self._advance_window(until, lambda k, w: k.run_events(n, until=w))
+            self._grants.clock = self.kernels[0].now  # it may have stopped mid-round
         else:
             while self.now < until and self.total_events() - start < n:
-                self._advance_window(min(until, self.now + self.lookahead))
+                self._settle(min(until, self.now + self.lookahead))
         if self._hb is not None:
             self._hb.on_idle()
         return self.total_events() - start

@@ -1,11 +1,11 @@
 """Multiprocessing executor for sharded simulations.
 
-The window protocol lives in :mod:`repro.sim.shard`; this module only
+The round protocol lives in :mod:`repro.sim.shard`; this module only
 moves its step into worker processes.  :func:`run_sharded_mp` is the
 :meth:`~repro.sim.shard.WindowGrants.advance` loop the in-process
-executor runs, with a ``step`` that broadcasts ``("step", w_end,
-handoffs)`` — one pipe round-trip per granted window — and each worker
-answers ``("out", staged, promise)`` from
+executor runs, with a ``step`` that broadcasts ``("step", bounds,
+handoffs)`` — one pipe round-trip per round — and each worker answers
+``("out", staged, peeks)`` from
 :meth:`~repro.sim.shard.ShardedSimulator.run_window` over its ranks.
 
 **Persistent workers.**  The spawned pool (one pipe + process per
@@ -17,18 +17,22 @@ importable ``"module:attr"`` spec.  Pools are discarded (quit sent,
 pipes closed, processes joined) whenever a run errors, and
 :func:`shutdown_pools` reaps everything explicitly.
 
-Routing stays blobs-only: the coordinator moves opaque
-:class:`~repro.sim.shard.Handoff` objects between pipes and never
-unpickles a payload — decoding happens in the destination worker via
-:func:`~repro.sim.shard.deliver_handoff`.  This module deliberately
-does not import ``pickle``, and a unit test pins that.
+Routing never opens a handoff: the coordinator moves
+:class:`~repro.sim.shard.Handoff` objects between pipes as the pipes
+deliver them, and the payload is handed to its shard's ``on_inject``
+only in the destination worker, via
+:func:`~repro.sim.shard.deliver_handoff`.  The pipes pickle — the only
+copy the protocol makes; in-process handoffs pass by reference — and
+this module deliberately does not import ``pickle`` itself (a unit test
+pins that).
 
-Every cross-shard payload is pickled even in-process and every injected
-event carries a layout-invariant key, so worker scheduling adds no
-nondeterminism: ``workers=N`` produces the same merged report as
-``workers=1``, which the golden tests assert.  Tracing is refused here
-(in-process tracers share open-span tables across kernels, which has
-no cross-process equivalent); run with ``workers=1`` for span exports.
+Every injected event carries a layout-invariant key, so worker
+scheduling adds no nondeterminism: ``workers=N`` produces the same
+merged report as ``workers=1``, which the golden tests assert — the
+copying executor is the oracle for the in-process one's by-reference
+handoffs.  Tracing is refused here (in-process tracers share open-span
+tables across kernels, which has no cross-process equivalent); run
+with ``workers=1`` for span exports.
 """
 
 from __future__ import annotations
@@ -93,10 +97,10 @@ def _worker_main(conn) -> None:
                     raise SimulationError(
                         "tracers are not supported under workers > 1"
                     )
-                reply = ("ready", sharded.lookahead, sharded.promise(ranks))
+                reply = ("ready", sharded.lookahead, sharded.peeks(ranks))
             elif op == "step":
-                _, w_end, handoffs = msg
-                reply = ("out", *sharded.run_window(ranks, w_end, handoffs))
+                _, bounds, handoffs = msg
+                reply = ("out", *sharded.run_window(ranks, bounds, handoffs))
             else:  # "snapshot"
                 hubs = [sharded.kernels[r].obs for r in ranks]
                 reply = ("snap", [(o.metrics.snapshot(), o.bus.topic_counts()) for o in hubs])
@@ -222,10 +226,12 @@ def run_sharded_mp(
         replies = pool.broadcast(
             [("build", builder, spec, ranks, shards) for ranks in rank_sets]
         )
-        grants = WindowGrants(replies[0][1], owner, [reply[2] for reply in replies])
+        grants = WindowGrants(
+            replies[0][1], owner, [peek for reply in replies for peek in reply[2]]
+        )
 
-        def step(w_end: float, inbox: list) -> list:
-            msgs = [("step", w_end, group) for group in inbox]
+        def step(bounds: list, inbox: list) -> list:
+            msgs = [("step", bounds, group) for group in inbox]
             return [reply[1:] for reply in pool.broadcast(msgs)]
 
         while grants.advance(step, until) < until:

@@ -8,13 +8,11 @@ in the test functions — workers re-import this module by name via the
 
 from __future__ import annotations
 
-import pickle
-
 from repro.sim.shard import Handoff, ShardedSimulator
 
 
 def _stage(kernel, dest: int, time: float) -> None:
-    kernel.outbox.append(Handoff(dest, time, pickle.dumps(("probe", time))))
+    kernel.stage(Handoff(dest, time, ("probe", time)))
 
 
 def build_no_handler(seed: int = 0, shards: int = 2, **_):
@@ -27,9 +25,9 @@ def build_no_handler(seed: int = 0, shards: int = 2, **_):
 
 
 def build_window_violation(seed: int = 0, shards: int = 2, **_):
-    """Shard 1 stages a handoff arriving *inside* its own window —
-    lookahead claims 0.1 s but the 'link' delivers in 0.01 s, the
-    misconfiguration the conservative check exists to catch."""
+    """Shard 1 stages a handoff arriving *inside* shard 0's bound (0.05
+    + 0.1) — lookahead claims 0.1 s but the 'link' delivers in 0.01 s,
+    the misconfiguration the conservative check exists to catch."""
     sim = ShardedSimulator(seed=seed, shards=shards, lookahead=0.1)
     k = sim.kernels[1]
     sim.control_at(0.05, 1, _stage, k, 0, 0.06)

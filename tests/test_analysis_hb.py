@@ -18,15 +18,19 @@ subclass and asserts the monitor reports it:
 
 2. **HB001 — a deleted conservative-window check.**
    ``_UncheckedShardedSimulator`` routes through a copy of
-   ``WindowGrants.advance`` *without* the ``h.time <= w_end`` guard —
-   the protocol's single check site, shared by both executors, so the
-   mutation a refactor of the grant loop could introduce.  A handoff
-   arriving exactly at the window horizon then reaches the destination
-   kernel — legal for ``schedule_keyed`` (not in the past) but below
-   the peer's execution frontier.  Detection must survive because the
-   check lives at the kernel's single scheduling choke point
-   (``ShardKernel._insert``), not in the coordinator loop the mutation
-   removed.
+   ``WindowGrants.advance`` *without* the ``h.time <= bounds[h.dest]``
+   guard — the protocol's single check site, shared by both executors,
+   so the mutation a refactor of the grant loop could introduce.  A
+   handoff arriving exactly at its destination's bound then reaches the
+   destination kernel.  Detection must survive because the check also
+   lives at the kernel's one staging point (``ShardKernel.stage``), not
+   only in the coordinator loop the mutation removed.  Two sibling
+   mutants break the other halves of the rule: a grant that reports the
+   run settled while a handoff is still pending (it is injected by the
+   next ``run()``, below a frontier the destination already ran to),
+   and a drive that keeps running a kernel after it stages (the reply
+   of a ping-pong lands below the sender's frontier).  Both are caught
+   at the one injection point (``deliver_handoff``).
 
 3. **HB003 — a diverged replicated gauge.**  Control-replicated gauges
    (cluster shape) must agree across kernels; poking one replica's
@@ -38,7 +42,6 @@ the new rule fires with everything else silent.
 """
 
 import json
-import pickle
 
 import pytest
 
@@ -84,8 +87,10 @@ def test_clean_membership_run_has_zero_findings(shards):
 
 
 def test_elevated_grants_are_live_in_process_and_clean(capsys):
-    """The in-process executor grants promise-elevated windows: far fewer
-    than the ``horizon / lookahead`` lock-step count, with no findings."""
+    """The in-process executor grants per-kernel bounds: rounds are far
+    fewer than the ``horizon / lookahead`` lock-step count (and than the
+    3,766 windows one global ``min(peek) + L`` window per round took),
+    with no findings."""
     from repro.__main__ import main
     from repro.scenarios import CHURN_SMALL
 
@@ -95,8 +100,20 @@ def test_elevated_grants_are_live_in_process_and_clean(capsys):
     stats = report["stats"]
     lock_step = CHURN_SMALL["horizon"] / stats["lookahead"]
     assert lock_step == pytest.approx(16_000)
-    assert 0 < stats["windows"] < lock_step / 3  # 3,766 at seed 7
+    assert 0 < stats["windows"] < lock_step / 12  # 991 rounds at seed 7
     assert stats["handoffs"] > 0
+
+
+def test_shard1k_rounds_stay_within_budget(capsys):
+    """The flagship at four shards settles in at most 1,500 rounds (995
+    at seed 7); one global ``min(peek) + L`` window per round took
+    7,438, because whoever held the token moved one lookahead a window."""
+    from repro.__main__ import main
+
+    assert main(["sanitize", "shard1k", "--shards", "4", "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["findings"] == []
+    assert 0 < report["stats"]["windows"] <= 1_500
 
 
 def test_install_sanitizer_is_idempotent():
@@ -182,55 +199,81 @@ def test_same_shape_on_own_kernel_is_clean():
 
 class _UncheckedGrants(WindowGrants):
     """Throwaway mutant: the stock ``advance`` with the window check
-    (the ``h.time <= w_end`` raise) deleted."""
+    (the ``h.time <= bounds[h.dest]`` raise) deleted."""
 
     def advance(self, step, until):
-        v, la = self.clock, self.lookahead
-        pending_min = min(
-            (h.time for g in self.inbox for h in g), default=float("inf")
-        )
-        w_end = min(until, max(v + la, min(min(self.promises), pending_min + la)))
-        replies = step(w_end, self.inbox)
-        self.clock = w_end
-        self.promises = [promise for _, promise in replies]
+        bounds = self.bounds(until)
+        replies = step(bounds, self.inbox)
+        self.peeks = [p for _, peeks in replies for p in peeks]
         self.inbox = inbox = [[] for _ in replies]
+        frontier = min(self.peeks)
         for staged, _ in replies:
             for h in staged:
                 inbox[self.owner[h.dest]].append(h)
-        return w_end
+                frontier = min(frontier, h.time)
+        if frontier > until:
+            self.clock = until
+        return self.clock
+
+
+class _EarlySettlingGrants(WindowGrants):
+    """Throwaway mutant: reports the run settled after every round,
+    whatever is still pending."""
+
+    def advance(self, step, until):
+        super().advance(step, until)
+        self.clock = until
+        return until
 
 
 class _UncheckedShardedSimulator(ShardedSimulator):
+    grants = _UncheckedGrants
+
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         stock = self._grants
-        self._grants = _UncheckedGrants(self.lookahead, stock.owner, stock.promises)
+        self._grants = self.grants(self.lookahead, stock.owner, stock.peeks)
 
 
-def _horizon_handoff_run(sim_cls, untils=(1.0,)):
-    """Drive one window in which shard 0 stages a handoff arriving
-    exactly at the window horizon — below shard 1's execution frontier.
+class _EarlySettlingShardedSimulator(_UncheckedShardedSimulator):
+    grants = _EarlySettlingGrants
 
-    The event at ``t = 0`` breaks the one contract the protocol rests on
-    by the smallest margin: its arrival lands at exactly ``t + L``, not
-    strictly after, which is exactly where shard 0's promise put the
-    end of the first window."""
+
+def _run_through_stages(kernel, until):
+    while True:
+        kernel.run(until)
+        if not kernel._stopped:
+            return
+
+
+class _NonStoppingShardedSimulator(ShardedSimulator):
+    """Throwaway mutant: the drive keeps running a kernel to its bound
+    after it stages, instead of ending its round there."""
+
+    def _advance_window(self, until, drive=_run_through_stages):
+        return super()._advance_window(until, drive)
+
+
+def _horizon_handoff_run(sim_cls, untils=(1.0,), arrival=0.5):
+    """Drive rounds in which shard 0's event at ``t = 0`` stages a
+    handoff to shard 1.
+
+    At the default ``arrival`` it breaks the one contract the protocol
+    rests on by the smallest margin: it lands at exactly ``t + L``, not
+    strictly after, which is exactly shard 1's bound in that round (shard
+    0's earliest event plus L)."""
     sim = sim_cls(seed=7, shards=2, lookahead=0.5)
-
-    def inject(arrival: float) -> None:
-        sim.kernels[1].schedule_keyed(
-            arrival, (1, 99), 0, _noop, sched_time=arrival
-        )
-
-    sim.kernels[1].on_inject = inject
+    got = []
+    sim.kernels[1].on_inject = got.append
 
     def stage() -> None:
-        sim.kernels[0].outbox.append(Handoff(1, 0.5, pickle.dumps(0.5)))
+        sim.kernels[0].stage(Handoff(1, arrival, arrival))
 
     sim.kernels[0].schedule_keyed(0.0, (1, 1), 0, stage, sched_time=0.0)
     monitor = install_sanitizer(sim)
     for until in untils:
         sim.run(until)
+    assert got == [arrival]
     return monitor
 
 
@@ -238,35 +281,84 @@ def test_hb001_flags_injection_below_horizon_with_check_deleted():
     monitor = _horizon_handoff_run(_UncheckedShardedSimulator)
     assert _rules(monitor) == ["HB001"]
     (finding,) = monitor.violations
-    assert finding.path == "shard/1"
-    assert "below the window horizon" in finding.message
+    assert finding.path == "shard/0"  # flagged where it was staged
+    assert "at or before shard 1's bound t=0.5" in finding.message
 
 
 def test_hb001_flags_injection_when_the_handoff_waited_across_runs():
-    """The handoff is staged by the last window of ``run(0.5)`` and
-    injected by the first step of ``run(1.0)``: re-entering from idle
-    restores the barrier horizon, so the injection is still checked."""
-    monitor = _horizon_handoff_run(_UncheckedShardedSimulator, untils=(0.5, 1.0))
+    """A legal handoff (arriving at 0.6, beyond shard 1's bound 0.5) is
+    left pending by a grant that settles ``run(0.7)`` early; the next
+    ``run()`` injects it below the frontier 0.7 that shard 1 was moved
+    to.  Frontiers persist across runs, so the injection is checked."""
+    monitor = _horizon_handoff_run(
+        _EarlySettlingShardedSimulator, untils=(0.7, 1.0), arrival=0.6
+    )
     assert _rules(monitor) == ["HB001"]
-    assert "below the window horizon" in monitor.violations[0].message
+    (finding,) = monitor.violations
+    assert finding.path == "shard/1"  # flagged where it was injected
+    assert "below the frontier t=0.7" in finding.message
 
 
 def test_stock_exchange_still_raises_on_horizon_handoff():
     """The control: the un-mutated coordinator refuses the same handoff
-    outright (the sanitizer is defense in depth, not the only guard)."""
+    outright (the sanitizer is defense in depth, not the only guard),
+    and settles the legal one inside the run that staged it."""
     with pytest.raises(SimulationError, match="conservative window violated"):
         _horizon_handoff_run(ShardedSimulator)
+    monitor = _horizon_handoff_run(ShardedSimulator, untils=(0.7, 1.0), arrival=0.6)
+    assert monitor.violations == []
 
 
 def test_hb001_flags_handoff_staged_inside_window():
-    """The sender-side variant: staging through the instrumented network
-    boundary with an arrival inside the current window is flagged at
-    stage time, before the barrier ever sees it."""
+    """The sender-side variant: staging a handoff that arrives at or
+    before its destination's bound is flagged at stage time, before the
+    coordinator ever sees it."""
     monitor = HbMonitor(shards=2, lookahead=0.5)
-    monitor.on_window(0.0, 0.5)
+    monitor.on_round([1.0, 0.5])
     monitor.on_stage(0, 1, 0.3)
     assert _rules(monitor) == ["HB001"]
     assert monitor.violations[0].path == "shard/0"  # flagged at the sender
+
+
+def _ping_pong(sim_cls):
+    """Shard 0 pings shard 1 at t=0 and has local work at 1.0 and 2.0;
+    shard 1 answers at the ping's arrival (0.6), one hop of 0.6 back.
+    The reply lands at 1.2, beyond shard 0's bound 1.1 in the round it
+    is staged — but only a kernel that stopped at its ping has not run
+    past 1.2 by then."""
+    sim = sim_cls(seed=7, shards=2, lookahead=0.5)
+    k0, k1 = sim.kernels
+    replies, local = [], []
+    k0.on_inject = replies.append
+
+    def ping() -> None:
+        k0.stage(Handoff(1, k0.now + 0.6, "ping"))
+
+    def pong() -> None:
+        k1.stage(Handoff(0, k1.now + 0.6, "pong"))
+
+    k1.on_inject = lambda payload: k1.schedule_keyed(
+        0.6, (1, 2), 0, pong, sched_time=0.0
+    )
+    k0.schedule_keyed(0.0, (1, 1), 0, ping, sched_time=0.0)
+    for t in (1.0, 2.0):
+        k0.schedule_keyed(t, (1, 1), 1, local.append, t, sched_time=0.0)
+    monitor = install_sanitizer(sim)
+    sim.run(3.0)
+    assert replies == ["pong"] and local == [1.0, 2.0]
+    return monitor
+
+
+def test_hb001_flags_a_reply_below_the_frontier_of_a_kernel_that_ran_on():
+    monitor = _ping_pong(_NonStoppingShardedSimulator)
+    assert _rules(monitor) == ["HB001"]
+    (finding,) = monitor.violations
+    assert finding.path == "shard/0"  # the pinging kernel ran on to t=3
+    assert "at t=1.2, at or below the frontier t=3" in finding.message
+
+
+def test_ping_pong_is_clean_when_the_pinging_kernel_stops():
+    assert _ping_pong(ShardedSimulator).violations == []
 
 
 # -- mutation 3: a diverged replicated gauge (HB003) ------------------------

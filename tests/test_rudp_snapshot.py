@@ -3,6 +3,7 @@
 import pytest
 
 from repro.net import FaultInjector, Network
+from repro.channel import WindowFull
 from repro.rudp import RudpTransport, freeze, thaw
 from repro.sim import Simulator
 
@@ -140,3 +141,39 @@ def test_snapshot_deep_copies_buffers():
     st = snap.connections["B"]
     (env, _size, _ctx) = st.inflight[1]
     assert env.data == {"mutable": [1, 2]}  # snapshot unaffected
+
+
+def test_full_backlog_drains_in_order_across_freeze_thaw():
+    """A send buffer filled to ``max_buffer`` (10,000 queued messages
+    behind a full window) is checkpointed, the sender crashes and is
+    restored from the checkpoint, and the whole backlog still arrives
+    exactly once, in order.  Draining takes the backlog's front in O(1),
+    and an endpoint with no backlog holds no buffer at all."""
+    sim, net, a, b, ta, tb = pair()
+    got = []
+    tb.register("app", lambda s, d: got.append(d))
+    ep = ta.connections["B"].endpoint
+    assert ep._unsent is None  # nothing allocated while there is no backlog
+    sent = 0
+    with pytest.raises(WindowFull):
+        while True:
+            ta.send("B", "app", sent)
+            sent += 1
+    assert ep.backlog == ep.max_buffer == 10_000
+    assert sent == ep.window + ep.max_buffer
+
+    snap = freeze(ta)
+    st = snap.connections["B"]
+    assert [m.data for m, _, _ in st.unsent] == list(range(ep.window, sent))
+    fi = FaultInjector(net)
+    fi.fail(a)
+    sim.run(until=1.0)
+    fi.repair(a)
+    a.unbind(ta.port)
+    ta2 = RudpTransport(a)
+    thaw(ta2, snap)
+    ep2 = ta2.connections["B"].endpoint
+    assert ep2.backlog == 10_000
+    sim.run(until=60.0)
+    assert got == list(range(sent))
+    assert ep2.all_acked and ep2._unsent is None

@@ -22,8 +22,13 @@ import hashlib
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.analysis.hb import install_sanitizer
+from repro.cluster import ShardedRainCluster
 from repro.scenarios import SCENARIOS
+from repro.topology import constant_degree_diameter, diameter_ring
 
 from .test_golden_trace import _canon, check_golden
 
@@ -127,20 +132,26 @@ def test_shard1k_demo_byte_identical_and_pinned():
 # -- scenario 4: the multiprocessing executor --------------------------------
 
 
-def test_mp_executor_matches_serial():
-    """workers=2 (spawn) produces the same merged report as workers=1."""
-    from repro.scenarios import build_churn_cluster
-    from repro.sim.shard_mp import run_cluster_mp
+def _assert_mp_matches_serial(name: str) -> None:
+    scenario = SCENARIOS[name]
+    a = scenario.run(7, shards=4).metrics(scenario="mp", seed=7).to_json()
+    b = scenario.run(7, shards=4, workers=2).metrics(scenario="mp", seed=7).to_json()
+    assert a == b, f"{name}: workers=2 diverged from workers=1"
 
-    shape = {"seed": 7, "nodes": 60, "switches": 8}
-    serial = build_churn_cluster(shards=4, **shape)
-    serial.run(0.4)
-    parallel = run_cluster_mp(
-        "repro.scenarios:build_churn_cluster", shape, shards=4, until=0.4, workers=2
-    )
-    a = serial.metrics(scenario="mp", seed=7).to_json()
-    b = parallel.metrics(scenario="mp", seed=7).to_json()
-    assert a == b
+
+def test_mp_executor_matches_serial():
+    """workers=2 (spawn) produces the same merged report as workers=1 on
+    every table entry (the flagship is its own slow case below).  The
+    workers' pipes pickle every handoff, so this is the oracle for the
+    in-process executor, which passes them by reference."""
+    for name in sorted(SCENARIOS):
+        if name != "shard1k":
+            _assert_mp_matches_serial(name)
+
+
+@pytest.mark.slow
+def test_mp_executor_matches_serial_on_the_flagship():
+    _assert_mp_matches_serial("shard1k")
 
 
 def test_mp_executor_runs_a_workload_scripted_table_entry():
@@ -150,3 +161,57 @@ def test_mp_executor_runs_a_workload_scripted_table_entry():
     a = rainfs.run(7, shards=4).metrics(scenario="mp", seed=7).to_json()
     b = rainfs.run(7, shards=4, workers=2).metrics(scenario="mp", seed=7).to_json()
     assert a == b
+
+
+# -- scenario 5: drawn topologies, layouts and fault scripts -----------------
+
+_CONSTRUCTIONS = {
+    "diameter_ring": lambda switches, nodes: diameter_ring(switches, nodes),
+    "constant_degree_diameter": lambda switches, nodes: constant_degree_diameter(
+        switches, switch_degree=4, node_degree=2, num_nodes=nodes
+    ),
+}
+_ODD = st.integers(2, 5).map(lambda k: 2 * k + 1)
+
+
+@st.composite
+def _drawn_runs(draw):
+    construction = draw(st.sampled_from(sorted(_CONSTRUCTIONS)))
+    switches = draw(_ODD)
+    nodes = draw(_ODD)
+    shards = draw(st.integers(2, 4))
+    faults = draw(
+        st.lists(
+            st.tuples(
+                st.integers(1, 3000).map(lambda ms: ms / 1000),
+                st.integers(0, nodes - 1),
+                st.booleans(),
+            ),
+            max_size=4,
+        )
+    )
+    return construction, switches, nodes, shards, faults
+
+
+def _drawn_report(construction, switches, nodes, shards, faults) -> tuple:
+    topo = _CONSTRUCTIONS[construction](switches, nodes)
+    cluster = ShardedRainCluster(topo, seed=11, shards=shards)
+    for time, node, crash in faults:
+        (cluster.crash_at if crash else cluster.recover_at)(time, node)
+    monitor = install_sanitizer(cluster.sharded)
+    cluster.run(4.0)
+    monitor.check_gauges([k.obs.metrics.snapshot() for k in cluster.sharded.kernels])
+    return cluster.metrics(scenario="drawn", seed=11).to_json(), monitor.report()
+
+
+@settings(max_examples=12, deadline=None)
+@given(_drawn_runs())
+def test_drawn_topologies_and_fault_scripts_are_layout_invariant(run):
+    """Odd-sized constructions, 2-4 shards and crash/recover scripts:
+    the sharded report is byte-equal to ``shards=1`` and the
+    happens-before sanitizer is clean on the sharded run."""
+    construction, switches, nodes, shards, faults = run
+    serial, _ = _drawn_report(construction, switches, nodes, 1, faults)
+    sharded, sanitized = _drawn_report(construction, switches, nodes, shards, faults)
+    assert sanitized.ok, sanitized.render()
+    assert sharded == serial

@@ -6,7 +6,6 @@ make it possible, plus the barrier edge cases the issue calls out.
 """
 
 import itertools
-import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -285,23 +284,22 @@ class TestBarrierProtocol:
         sharded.kernels[1].on_inject = lambda payload: None
 
         def stage():
-            sharded.kernels[0].outbox.append(
-                Handoff(dest=1, time=0.05, blob=pickle.dumps("too-early"))
-            )
+            sharded.kernels[0].stage(Handoff(dest=1, time=0.05, payload="too-early"))
 
         sharded.kernels[0].schedule_keyed(0.01, host_origin(0), 0, stage)
         with pytest.raises(SimulationError, match="conservative window violated"):
             sharded.run(0.2)
 
     def test_handoff_exactly_at_window_end_raises(self):
-        # arrival <= window end is a violation: the receiver already ran
-        # through that instant
+        # arrival <= the destination's bound is a violation: the receiver
+        # may already have run through that instant.  Shard 1's bound is
+        # shard 0's earliest event plus the lookahead, 0.01 + 0.1.
         sharded = ShardedSimulator(seed=1, shards=2, lookahead=0.1)
         sharded.kernels[1].on_inject = lambda payload: None
 
         def stage():
-            sharded.kernels[0].outbox.append(
-                Handoff(dest=1, time=0.1, blob=pickle.dumps("at-barrier"))
+            sharded.kernels[0].stage(
+                Handoff(dest=1, time=0.01 + 0.1, payload="at-barrier")
             )
 
         sharded.kernels[0].schedule_keyed(0.01, host_origin(0), 0, stage)
@@ -314,9 +312,7 @@ class TestBarrierProtocol:
         sharded.kernels[1].on_inject = got.append
 
         def stage():
-            sharded.kernels[0].outbox.append(
-                Handoff(dest=1, time=0.15, blob=pickle.dumps(("pkt", 42)))
-            )
+            sharded.kernels[0].stage(Handoff(dest=1, time=0.15, payload=("pkt", 42)))
 
         sharded.kernels[0].schedule_keyed(0.01, host_origin(0), 0, stage)
         sharded.run(0.3)
@@ -339,8 +335,8 @@ class TestBarrierProtocol:
             sharded.kernels[1].on_inject = inject
 
             def stage():
-                sharded.kernels[0].outbox.append(
-                    Handoff(dest=1, time=0.15, blob=pickle.dumps(("pkt", 0.15)))
+                sharded.kernels[0].stage(
+                    Handoff(dest=1, time=0.15, payload=("pkt", 0.15))
                 )
 
             sharded.kernels[0].schedule_keyed(0.01, host_origin(0), 0, stage)
@@ -353,13 +349,40 @@ class TestBarrierProtocol:
         # not yet delivered when the first call returns, and not lost
         assert deliveries(0.12) == ([], 0.12)
 
+    def test_a_kernel_ends_its_round_at_the_event_that_stages(self):
+        # the stop is at the one staging point, so a hand-built stage
+        # obeys it: shard 0's later event waits for the next round even
+        # though it lies inside shard 0's bound
+        sharded = ShardedSimulator(seed=1, shards=2, lookahead=0.1)
+        got, ran = [], []
+        sharded.kernels[1].on_inject = got.append
+
+        def stage():
+            sharded.kernels[0].stage(Handoff(dest=1, time=0.15, payload="x"))
+
+        sharded.kernels[0].schedule_keyed(0.01, host_origin(0), 0, stage)
+        sharded.kernels[0].schedule_keyed(0.02, host_origin(0), 1, ran.append, 0.02)
+        sharded._resume(0.3)
+        sharded._advance_window(0.3)
+        assert (sharded.kernels[0].now, ran, got) == (0.01, [], [])
+        sharded._advance_window(0.3)
+        assert (ran, got) == ([0.02], ["x"])
+
+    def test_one_kernel_runs_one_round_per_run(self):
+        sharded = ShardedSimulator(seed=1, shards=1)
+        fired = []
+        for t in (0.1, 0.2, 0.3):
+            sharded.kernels[0].schedule_keyed(t, host_origin(0), 0, fired.append, t)
+        assert sharded._grants.bounds(0.5) == [0.5]
+        sharded._resume(0.5)
+        assert sharded._advance_window(0.5) == 0.5
+        assert fired == [0.1, 0.2, 0.3]
+
     def test_missing_injection_handler_raises(self):
         sharded = ShardedSimulator(seed=1, shards=2, lookahead=0.1)
 
         def stage():
-            sharded.kernels[0].outbox.append(
-                Handoff(dest=1, time=0.15, blob=pickle.dumps("x"))
-            )
+            sharded.kernels[0].stage(Handoff(dest=1, time=0.15, payload="x"))
 
         sharded.kernels[0].schedule_keyed(0.01, host_origin(0), 0, stage)
         with pytest.raises(SimulationError, match="no injection handler"):
@@ -369,9 +392,7 @@ class TestBarrierProtocol:
         sharded = ShardedSimulator(seed=1, shards=1)
 
         def stage():
-            sharded.kernels[0].outbox.append(
-                Handoff(dest=0, time=0.5, blob=pickle.dumps("x"))
-            )
+            sharded.kernels[0].stage(Handoff(dest=0, time=0.5, payload="x"))
 
         sharded.kernels[0].schedule_keyed(0.01, host_origin(0), 0, stage)
         with pytest.raises(SimulationError, match="shards=1"):

@@ -88,13 +88,14 @@ def test_worker_event_exception_raises_and_reaps():
     _assert_reaped()
 
 
-# -- blobs-only coordinator --------------------------------------------------
+# -- the pipes are the only copy -----------------------------------------------
 
 
 def test_coordinator_never_pickles():
-    """Routing passes handoff blobs through untouched: the coordinator
-    module must not unpickle (or re-pickle) payloads anywhere — decode
-    happens only in the destination worker via ``deliver_handoff``."""
+    """Routing passes handoffs through unopened: the coordinator module
+    must not pickle or unpickle payloads itself — the pipes copy them,
+    and the payload reaches a handler only in the destination worker via
+    ``deliver_handoff``."""
     assert not hasattr(shard_mp, "pickle")
     src = inspect.getsource(shard_mp)
     assert "import pickle" not in src
@@ -103,7 +104,7 @@ def test_coordinator_never_pickles():
 
 
 def test_handoff_has_slots():
-    h = Handoff(dest=0, time=1.0, blob=b"x")
+    h = Handoff(dest=0, time=1.0, payload=b"x")
     assert not hasattr(h, "__dict__")
     with pytest.raises((AttributeError, TypeError)):
         h.extra = 1  # type: ignore[attr-defined]
