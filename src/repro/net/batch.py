@@ -53,7 +53,9 @@ class LossStream:
 
     __slots__ = ("rng", "_buf", "_i")
 
-    BLOCK = 256
+    #: Draws per refill: several windows, so a draw seldom crosses a block
+    #: edge.  Any size yields the same sequence.
+    BLOCK = 4096
 
     def __init__(self, rng):
         self.rng = rng
@@ -65,27 +67,31 @@ class LossStream:
         buf = self._buf
         i = self._i
         if buf is None or i >= len(buf):
-            buf = self._buf = self.rng.random(self.BLOCK)
+            buf = self._refill()
             i = 0
         self._i = i + 1
         return buf[i]
 
+    def _refill(self) -> np.ndarray:
+        buf = self._buf = self.rng.random(self.BLOCK)
+        buf.flags.writeable = False  # draw() hands out views of it
+        return buf
+
     def draw(self, k: int) -> np.ndarray:
         """The next ``k`` draws as an array — same stream as ``k`` calls
-        to :meth:`one`, including any partially-consumed buffer."""
-        out = np.empty(k, dtype=np.float64)
-        filled = 0
+        to :meth:`one`, including any partially-consumed buffer.  Unless
+        the draws cross a block edge, the result is a read-only view of
+        the block."""
         buf, i = self._buf, self._i
-        while filled < k:
-            if buf is None or i >= len(buf):
-                buf = self.rng.random(self.BLOCK)
-                i = 0
-            take = min(k - filled, len(buf) - i)
-            out[filled : filled + take] = buf[i : i + take]
-            i += take
-            filled += take
-        self._buf, self._i = buf, i
-        return out
+        if buf is None or i >= len(buf):
+            buf, i = self._refill(), 0
+        if i + k <= len(buf):
+            self._i = i + k
+            return buf[i : i + k]
+        # The rest of this block, then the stream itself: rng.random(m)
+        # is the next m draws, and the next refill carries on after them.
+        self._buf = None
+        return np.concatenate((buf[i:], self.rng.random(k - (len(buf) - i))))
 
 
 class PacketBatch:
@@ -164,7 +170,7 @@ class PacketBatch:
 
     def alive_indices(self) -> np.ndarray:
         """Positions of the survivors, in send order."""
-        return np.flatnonzero(self.alive)
+        return self.alive.nonzero()[0]
 
     def materialize(self, i: int, pool: Optional["PacketPool"] = None) -> Packet:
         """A :class:`Packet` view of row ``i`` for per-object consumers.
@@ -271,15 +277,14 @@ def fifo_finish_times(
     ``finish = cumsum(ser) + cummax(ready' - shifted_cumsum)`` with
     ``ready'[0]`` folded against ``busy_until``.
     """
-    cum = np.cumsum(ser)
-    shifted = np.empty_like(cum)
-    shifted[0] = 0.0
-    shifted[1:] = cum[:-1]
-    base = ready - shifted
+    cum = ser.cumsum()
+    base = ready.copy()
+    base[1:] -= cum[:-1]
     if busy_until > base[0]:
-        base = base.copy()
         base[0] = busy_until
-    return np.maximum.accumulate(base) + cum
+    np.maximum.accumulate(base, out=base)
+    base += cum
+    return base
 
 
 __all__.append("fifo_finish_times")

@@ -37,10 +37,14 @@ deterministic under a fixed seed no matter which route traffic takes.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Optional, Union
+
+import numpy as np
 
 from ..obs.metrics import DeferredHistogram
 from ..sim import Simulator, StatCounters
+from . import packet as packet_mod
 from .address import NicAddr
 from .batch import LossStream, PacketBatch, PacketPool, fifo_finish_times
 from .device import Device
@@ -234,10 +238,7 @@ class Network:
         ``n`` sequential sends — including on sharded networks, whose
         override makes the ids layout-invariant.
         """
-        from . import packet as packet_mod
-
-        ids = packet_mod._packet_ids
-        return [next(ids) for _ in range(n)]
+        return list(islice(packet_mod._packet_ids, n))
 
     def mint_lid(self):
         """Link id for the next :meth:`link` call (None = global counter)."""
@@ -556,12 +557,10 @@ class Network:
             return
         self._hop_batch(batch, route, 0, batch.send_time)
 
-    def _hop_batch(self, batch: PacketBatch, route: _Route, idx: int, ready) -> None:
+    def _hop_batch(self, batch: PacketBatch, route: _Route, idx: int, ready: np.ndarray) -> None:
         """Advance the window across hop ``idx`` (one callback per hop)."""
-        import numpy as np
-
         sim = self.sim
-        idxs = np.flatnonzero(batch.alive)
+        idxs = batch.alive.nonzero()[0]
         k = len(idxs)
         if k == 0:
             return
@@ -575,17 +574,20 @@ class Network:
             return
         wire = batch.wire_bytes[idxs]
         ser = link.serialization_delay(wire)
-        finish = fifo_finish_times(np.asarray(ready)[idxs], ser, end.busy_until)
+        ready = ready[idxs]
+        finish = fifo_finish_times(ready, ser, end.busy_until)
         end.busy_until = float(finish[-1])
-        end.bytes_carried += int(wire.sum())
+        end.bytes_carried += int(np.add.reduce(wire))
         end.packets_carried += k
-        self._queue_wait.observe_many(finish - ser - np.asarray(ready)[idxs])
+        wait = finish - ser
+        wait -= ready
+        self._queue_wait.observe_many(wait)
         lr = link.loss_rate
         if lr > 0.0:
-            draws = stream.draw(k)
-            lost = draws < lr
-            if lost.any():
-                self._drop_batch(batch, idxs[lost], "link_loss", link=link)
+            lost = stream.draw(k) < lr
+            lost_at = lost.nonzero()[0]
+            if len(lost_at):
+                self._drop_batch(batch, idxs[lost_at], "link_loss", link=link)
                 keep = ~lost
                 idxs = idxs[keep]
                 finish = finish[keep]
@@ -623,10 +625,8 @@ class Network:
 
     def _deliver_batch(self, batch: PacketBatch, route: _Route, version: int) -> None:
         """Single delivery callback at the window's last arrival."""
-        import numpy as np
-
         sim = self.sim
-        idxs = np.flatnonzero(batch.alive)
+        idxs = batch.alive.nonzero()[0]
         k = len(idxs)
         if k == 0:
             return

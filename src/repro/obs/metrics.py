@@ -23,6 +23,8 @@ import math
 from bisect import bisect_left
 from typing import Callable, Iterable, Optional
 
+import numpy as np
+
 __all__ = [
     "Counter",
     "DeferredHistogram",
@@ -232,9 +234,17 @@ class DeferredHistogram:
     :class:`ExactHistogram` — and :meth:`flush` (called from the owner's
     flush hook) assigns the totals to the series, so flushed values are
     bit-identical to observing each sample directly.
+
+    A window from :meth:`observe_many` adds to ``sum`` on arrival; its
+    samples wait in one fixed buffer and are binned (counts, min, max:
+    order-free) when it fills and at :meth:`flush`.
     """
 
-    __slots__ = ("series", "bounds", "counts", "n", "sum", "partials", "min", "max")
+    __slots__ = ("series", "bounds", "counts", "n", "sum", "partials", "min", "max",
+                 "_buf", "_fill")
+
+    #: Samples held back for binning (allocated on the first window).
+    BUFFER = 16384
 
     def __init__(self, series: Histogram):
         self.series = series
@@ -247,6 +257,8 @@ class DeferredHistogram:
         )
         self.min: Optional[float] = None
         self.max: Optional[float] = None
+        self._buf: Optional[np.ndarray] = None
+        self._fill = 0
 
     def observe(self, value: float) -> None:
         """Record one sample."""
@@ -261,23 +273,30 @@ class DeferredHistogram:
         if self.max is None or value > self.max:
             self.max = value
 
-    def observe_many(self, values) -> None:
+    def observe_many(self, values: np.ndarray) -> None:
         """Record a non-empty numpy array of samples (one batched window)."""
-        import numpy as np
-
-        idx = np.searchsorted(self.bounds, values, side="left")
-        binned = np.bincount(idx, minlength=len(self.counts))
-        counts = self.counts
-        for i in binned.nonzero()[0]:
-            counts[i] += int(binned[i])
-        self.n += len(values)
+        k = len(values)
+        self.n += k
         if self.partials is None:
-            self.sum += float(values.sum())
+            self.sum += float(np.add.reduce(values))
         else:
             for v in values.tolist():
                 exact_add(self.partials, v)
-        lo = float(values.min())
-        hi = float(values.max())
+        fill = self._fill
+        if fill + k > self.BUFFER:
+            self._bin(np.concatenate((self._buf[:fill], values)) if fill else values)
+            return
+        if self._buf is None:
+            self._buf = np.empty(self.BUFFER)
+        self._buf[fill : fill + k] = values
+        self._fill = fill + k
+
+    def _bin(self, values: np.ndarray) -> None:
+        """Fold held-back samples into the counts, min and max."""
+        self._fill = 0
+        binned = np.bincount(np.searchsorted(self.bounds, values), minlength=len(self.counts))
+        self.counts = [c + b for c, b in zip(self.counts, binned.tolist())]
+        lo, hi = float(values.min()), float(values.max())
         if self.min is None or lo < self.min:
             self.min = lo
         if self.max is None or hi > self.max:
@@ -288,6 +307,8 @@ class DeferredHistogram:
         was observed into is left untouched)."""
         if not self.n:
             return
+        if self._fill:
+            self._bin(self._buf[: self._fill])
         h = self.series
         h.bucket_counts = list(self.counts)
         h.count = self.n

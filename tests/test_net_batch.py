@@ -40,6 +40,10 @@ def _fresh_stream(seed: int = 9):
     [1] * 40,
     [7, 1, 1, 300, 5, 256, 1, 90],
     [512, 1, 512],
+    # across the block edge (LossStream.BLOCK = 4096) and past two blocks
+    [4095, 2, 8193, 1],
+    [1, 4096, 4095, 1, 1, 256],
+    [256] * 40,
 ])
 def test_lossstream_draw_matches_scalar_stream(pattern):
     ls = LossStream(_fresh_stream())
@@ -52,6 +56,20 @@ def test_lossstream_draw_matches_scalar_stream(pattern):
             got.extend(ls.draw(k))
     want = [ref.random() for _ in range(sum(pattern))]
     assert got == want  # bit-exact, not approx
+
+
+def test_lossstream_draw_views_are_read_only():
+    ls = LossStream(_fresh_stream())
+    view = ls.draw(256)  # the buffer holds 256 draws: a view of it
+    assert not view.flags.writeable
+    with pytest.raises(ValueError):
+        view[0] = 0.0
+    straddle = ls.draw(LossStream.BLOCK)  # crosses the block edge: a copy
+    assert straddle.flags.writeable
+    straddle[0] = 0.0
+    ref = _fresh_stream()
+    ref.random(256)
+    assert ls.one() == ref.random(LossStream.BLOCK + 1)[-1]
 
 
 @pytest.mark.parametrize("loss_rate", [0.03, 0.15, 0.5, 0.97])
@@ -109,6 +127,39 @@ def test_fifo_finish_times_matches_scalar_reserve_loop():
         # these times, only FIFO shape does.
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
         assert np.all(np.diff(got) > 0)
+
+
+def _fifo_finish_times_unfused(ready, ser, busy_until):
+    """The closed form as first written (four temporaries): the in-place
+    version must reproduce it bit for bit, not just to rounding."""
+    cum = np.cumsum(ser)
+    shifted = np.empty_like(cum)
+    shifted[0] = 0.0
+    shifted[1:] = cum[:-1]
+    base = ready - shifted
+    if busy_until > base[0]:
+        base = base.copy()
+        base[0] = busy_until
+    return np.maximum.accumulate(base) + cum
+
+
+def test_fifo_finish_times_is_bit_identical_to_the_unfused_form():
+    rng = np.random.default_rng(30)
+    cases = []
+    for _ in range(300):
+        k = int(rng.choice([1, 2, 3, int(rng.integers(4, 300))]))
+        ready = np.sort(rng.random(k)) * 1e-2
+        if rng.random() < 0.5:  # ties: packets ready at the same instant
+            ready = np.round(ready, 3)
+        ser = np.full(k, 4138 * 8.0 / 1e9) if rng.random() < 0.5 else rng.random(k) * 1e-4
+        for busy in (0.0, ready[0] - 1e-3, ready[0], ready[0] + 1e-3 * rng.random()):
+            cases.append((ready, ser, float(busy)))
+    for ready, ser, busy in cases:
+        want = _fifo_finish_times_unfused(ready, ser, busy)
+        ready_before = ready.copy()
+        got = fifo_finish_times(ready, ser, busy)
+        assert np.array_equal(got, want)
+        assert np.array_equal(ready, ready_before)  # inputs are not written
 
 
 # -- PacketPool invariants --------------------------------------------------
@@ -361,3 +412,45 @@ def _sharded_batch_pids(shards: int) -> dict:
 
 def test_batch_minted_pids_layout_invariant():
     assert _sharded_batch_pids(1) == _sharded_batch_pids(4)
+
+
+# -- golden: a flood-shaped network on the batched route ---------------------
+
+
+def _small_flood(seed: int = 7):
+    """8 hosts on an 8-switch ring, 2 % loss, 128-packet windows to the host
+    three switches on every 20 ms for 1 simulated s, then drained: the
+    contended, lossy shape of the e2e ``flood`` workload at a tenth of
+    its size."""
+    from repro.obs import ClusterReport
+
+    sim = Simulator(seed=seed)
+    net = Network(sim, default_latency_s=500e-6, default_loss_rate=0.02)
+    n = 8
+    switches = [net.add_switch(f"S{i}") for i in range(n)]
+    for i in range(n):
+        net.link(switches[i], switches[(i + 1) % n])
+    hosts = [net.add_host(f"H{i}") for i in range(n)]
+    for i, host in enumerate(hosts):
+        net.link(host.nic(0), switches[i])
+        host.bind_batch(9000, lambda batch: None)
+
+    def pump(i):
+        hosts[i].send_batch(hosts[(i + 3) % n].endpoint(9000), [None] * 128, size_bytes=4096)
+        if sim.now + 0.02 < 1.0:
+            sim.call_in(0.02, pump, i)
+
+    for i in range(n):
+        sim.call_in(0.0, pump, i)
+    sim.run()
+    return ClusterReport.capture(sim, scenario="flood-small")
+
+
+SMALL_FLOOD_SHA256 = "49db9508db40148dbea0a7cf42be49c226cd1eac54d02d738cb6e426798f1b35"
+
+
+def test_small_flood_report_golden():
+    import hashlib
+
+    report = _small_flood()
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == SMALL_FLOOD_SHA256

@@ -6,10 +6,12 @@ non-trivial and byte-identical across same-seed runs.
 """
 
 import json
+import math
+from bisect import bisect_left
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import ClusterConfig, RainCluster, Simulator
@@ -18,7 +20,7 @@ from repro.obs import (
     LabelCardinalityError,
     MetricsRegistry,
 )
-from repro.obs.metrics import DeferredHistogram
+from repro.obs.metrics import DeferredHistogram, exact_add
 
 
 class Clock:
@@ -143,6 +145,113 @@ def test_deferred_histogram_window_matches_sample_by_sample(exact, samples):
     if not exact:  # numpy sums a window pairwise, not left to right
         assert got.pop("sum") == pytest.approx(want.pop("sum"))
     assert got == want
+
+
+class _BinEveryWindow:
+    """The accumulator as it was before windows were buffered: each
+    ``observe_many`` bins its window and folds its min/max on arrival.
+    The buffered one must flush to the same snapshot bit for bit."""
+
+    def __init__(self, series):
+        self.series = series
+        self.bounds = series.bounds
+        self.counts = [0] * (len(self.bounds) + 1)
+        self.n = 0
+        self.sum = 0.0
+        self.partials = [] if hasattr(series, "partials") else None
+        self.min = self.max = None
+
+    def observe(self, value):
+        self.counts[bisect_left(self.bounds, value)] += 1
+        self.n += 1
+        if self.partials is None:
+            self.sum += value
+        else:
+            exact_add(self.partials, value)
+        if self.min is None or value < self.min:
+            self.min = value
+        if self.max is None or value > self.max:
+            self.max = value
+
+    def observe_many(self, values):
+        binned = np.bincount(np.searchsorted(self.bounds, values), minlength=len(self.counts))
+        for i in binned.nonzero()[0]:
+            self.counts[i] += int(binned[i])
+        self.n += len(values)
+        if self.partials is None:
+            self.sum += float(values.sum())
+        else:
+            for v in values.tolist():
+                exact_add(self.partials, v)
+        lo, hi = float(values.min()), float(values.max())
+        if self.min is None or lo < self.min:
+            self.min = lo
+        if self.max is None or hi > self.max:
+            self.max = hi
+
+    def flush(self):
+        if not self.n:
+            return
+        h = self.series
+        h.bucket_counts = list(self.counts)
+        h.count, h.min, h.max = self.n, self.min, self.max
+        if self.partials is None:
+            h.sum = self.sum
+        else:
+            h.partials = list(self.partials)
+            h.sum = math.fsum(self.partials)
+
+
+class _TinyBuffer(DeferredHistogram):
+    __slots__ = ()
+    BUFFER = 7  # nearly every window overflows it, many exceed it alone
+
+
+# Queue-wait-like samples: exact zeros, closed-form rounding residue just
+# below zero, bucket edges and exponential waits.  NaN and -0.0 are left
+# out: a window's min/max is numpy's reduce, which does not order them.
+_SPECIAL = (0.0, -1.1102230246251565e-16, 1e-6, 2.5e-6, 1e-3, 0.1, 1.0, 1e16)
+_OPS = st.lists(
+    st.tuples(st.just("one"), st.sampled_from(_SPECIAL) | st.floats(-1.0, 1e6))
+    | st.tuples(
+        st.just("many"),
+        st.sampled_from((1, 2, 256, 4096, 16383, 16384, 16385, 20000)) | st.integers(1, 600),
+        st.integers(0, 2**32 - 1),
+    )
+    | st.tuples(st.just("flush")),
+    max_size=8,
+)
+
+
+def _window(size: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    values = rng.exponential(rng.choice([1e-6, 1e-3, 1.0]), size)
+    special = rng.random(size) < 0.3
+    values[special] = rng.choice(_SPECIAL, int(special.sum()))
+    return values
+
+
+@pytest.mark.parametrize("kind", [DeferredHistogram, _TinyBuffer], ids=["buffer", "tiny"])
+@pytest.mark.parametrize("exact", [False, True], ids=["plain", "exact"])
+@settings(max_examples=40, deadline=None)
+@given(ops=_OPS)
+def test_buffered_windows_flush_to_the_bin_every_window_snapshot(kind, exact, ops):
+    registry = MetricsRegistry(exact_sums=exact)
+    want_series = registry.histogram("x.want").labels()
+    got_series = registry.histogram("x.got").labels()
+    want, got = _BinEveryWindow(want_series), kind(got_series)
+    for op in ops + [("flush",)]:
+        if op[0] == "one":
+            want.observe(op[1])
+            got.observe(op[1])
+        elif op[0] == "many":
+            values = _window(op[1], op[2])
+            want.observe_many(values)
+            got.observe_many(values.copy())
+        else:  # a mid-run read: accumulation carries on after it
+            want.flush()
+            got.flush()
+            assert got_series._snapshot() == want_series._snapshot()
 
 
 # -- registry semantics ----------------------------------------------------
