@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ..sim.shard import sanitize_enabled
 from .findings import AnalysisReport, Finding
 from .rules import HB_RULES
 
@@ -48,13 +49,6 @@ __all__ = ["HbMonitor", "install_sanitizer", "sanitize_enabled"]
 
 #: phases of the sharded run, in protocol order
 _PHASES = ("build", "window", "barrier", "idle")
-
-
-def sanitize_enabled() -> bool:
-    """Whether ``REPRO_SANITIZE`` asks for the sanitizer (truthy value)."""
-    import os
-
-    return os.environ.get("REPRO_SANITIZE", "") not in ("", "0")
 
 
 class HbMonitor:

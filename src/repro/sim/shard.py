@@ -70,6 +70,7 @@ whose pipes pickle the handoffs.
 from __future__ import annotations
 
 import heapq
+import os
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass
@@ -87,6 +88,7 @@ __all__ = [
     "deliver_handoff",
     "host_origin",
     "packet_origin",
+    "sanitize_enabled",
 ]
 
 #: ambient origin outside any event (build-time scheduling)
@@ -94,6 +96,11 @@ CONTROL_ORIGIN = (0,)
 #: span-id stride: ids are ``origin_code * SPAN_STRIDE + per-origin seq``
 SPAN_STRIDE = 1 << 40
 _INF = float("inf")
+
+
+def sanitize_enabled() -> bool:
+    """Whether ``REPRO_SANITIZE`` asks for the sanitizer (truthy value)."""
+    return os.environ.get("REPRO_SANITIZE", "") not in ("", "0")
 
 
 def host_origin(rank: int) -> tuple:
@@ -474,9 +481,9 @@ class ShardedSimulator:
         #: happens-before monitor; installed by REPRO_SANITIZE=1 or
         #: repro.analysis.hb.install_sanitizer (None in normal runs)
         self._hb = None
-        from ..analysis.hb import install_sanitizer, sanitize_enabled
+        if sanitize_enabled():  # the monitor's package loads only when asked for
+            from ..analysis.hb import install_sanitizer
 
-        if sanitize_enabled():
             install_sanitizer(self)
 
     @property

@@ -42,8 +42,14 @@ the new rule fires with everything else silent.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.analysis.hb import HbMonitor, install_sanitizer, sanitize_enabled
 from repro.rudp import RudpTransport
@@ -140,6 +146,33 @@ def test_env_var_installs_sanitizer(monkeypatch):
     sharded = ShardedSimulator(seed=1, shards=2, lookahead=0.5)
     assert isinstance(sharded._hb, HbMonitor)
     assert all(k._hb is sharded._hb for k in sharded.kernels)
+
+
+_BUILD_SCRIPT = """
+import sys
+from repro.cluster import ShardedRainCluster
+from repro.topology import diameter_ring
+
+cluster = ShardedRainCluster(diameter_ring(6), seed=7, shards=2)
+print(type(cluster.sharded._hb).__name__, "repro.analysis" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("env, want", [("", "NoneType False"), ("1", "HbMonitor True")])
+def test_sharded_build_loads_the_analysis_package_only_when_sanitizing(env, want):
+    # A fresh interpreter: the session around this test has imported
+    # repro.analysis long ago.  Without REPRO_SANITIZE a sharded build
+    # must not pay for compiling the linter and model checkers.
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", _BUILD_SCRIPT],
+        env=dict(os.environ, PYTHONPATH=src, REPRO_SANITIZE=env),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[-2] == want
 
 
 # -- mutation 1: the PR 6 rudp cross-shard scheduling bug (HB002) -----------
