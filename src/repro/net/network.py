@@ -581,6 +581,7 @@ class Network:
         end.packets_carried += k
         wait = finish - ser
         wait -= ready
+        np.maximum(wait, 0.0, out=wait)  # as _hop clamps: rounding can dip below 0
         self._queue_wait.observe_many(wait)
         lr = link.loss_rate
         if lr > 0.0:
