@@ -53,8 +53,8 @@ class LossStream:
 
     __slots__ = ("rng", "_buf", "_i")
 
-    #: Draws per refill: several windows, so a draw seldom crosses a block
-    #: edge.  Any size yields the same sequence.
+    #: Draws per refill, 32 KiB per lossy link direction in use: several
+    #: windows, so a draw seldom crosses an edge.  Any size, same sequence.
     BLOCK = 4096
 
     def __init__(self, rng):

@@ -50,7 +50,6 @@ from pathlib import Path
 import pytest
 
 import repro
-
 from repro.analysis.hb import HbMonitor, install_sanitizer, sanitize_enabled
 from repro.rudp import RudpTransport
 from repro.scenarios import SCENARIOS

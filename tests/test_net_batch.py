@@ -9,6 +9,8 @@ metrics.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -60,7 +62,7 @@ def test_lossstream_draw_matches_scalar_stream(pattern):
 
 def test_lossstream_draw_views_are_read_only():
     ls = LossStream(_fresh_stream())
-    view = ls.draw(256)  # the buffer holds 256 draws: a view of it
+    view = ls.draw(256)  # inside the block: a view of it
     assert not view.flags.writeable
     with pytest.raises(ValueError):
         view[0] = 0.0
@@ -452,8 +454,6 @@ SMALL_FLOOD_SHA256 = "4560bc12e22dbeb10cf3e3ff84a3c98ffefe178d051e7df0c7f86daf3f
 
 
 def test_small_flood_report_golden():
-    import hashlib
-
     report = _small_flood()
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == SMALL_FLOOD_SHA256
 
