@@ -109,6 +109,9 @@ class RainwallGateway:
             "moves": [],
             **token.attachments.get(_ADMIN_KEY, {}),
         }
+        # Earlier token copies share the nested maps: edit private ones.
+        admin["sticky"] = dict(admin["sticky"])
+        admin["prefer"] = dict(admin["prefer"])
         members = [m for m in token.ring]
         # publish our local traffic measurements for the VIPs we own
         my_rates = self.cluster.measured_rates(self.name, table)
