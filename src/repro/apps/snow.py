@@ -16,6 +16,7 @@ request id and an id is dequeued exactly once, cluster-wide.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
 from ..membership import MembershipNode, Token
@@ -29,7 +30,7 @@ __all__ = ["SnowServer", "SnowClient", "SNOW_SERVICE"]
 SNOW_SERVICE = "snow"
 
 _QUEUE_KEY = "snow.queue"  # token attachment: list of pending request records
-_SERVED_KEY = "snow.served"  # token attachment: recently served request ids
+_SERVED_KEY = "snow.served"  # token attachment: recently served ids, oldest first
 
 
 @dataclass(frozen=True)
@@ -79,25 +80,31 @@ class SnowServer:
     # -- the token hook: the mutual-exclusion zone ----------------------------
 
     def _on_token(self, token: Token) -> None:
-        queue: list[_Request] = list(token.attachments.get(_QUEUE_KEY, ()))
-        served_ids: list[str] = list(token.attachments.get(_SERVED_KEY, ()))
-        served_set = set(served_ids)
+        attachments = token.attachments
+        queue: list[_Request] = list(attachments.get(_QUEUE_KEY, ()))
+        # Earlier token copies (local_copy, copies in flight) share the
+        # record: read it here, and write only into a private copy.
+        served: dict[str, None] = attachments.get(_SERVED_KEY, {})
         queued_ids = {r.req_id for r in queue}
         # merge locally received requests into the global queue (dedup)
         for req in self._inbox:
-            if req.req_id not in served_set and req.req_id not in queued_ids:
+            if req.req_id not in served and req.req_id not in queued_ids:
                 queue.append(req)
                 queued_ids.add(req.req_id)
         self._inbox.clear()
         # serve up to `batch` requests — we hold the token, so nobody
         # else is serving these ids concurrently
         to_serve, queue = queue[: self.batch], queue[self.batch :]
-        for req in to_serve:
-            self._reply(req)
-            served_ids.append(req.req_id)
-        del served_ids[: max(0, len(served_ids) - self.served_memory)]
-        token.attachments[_QUEUE_KEY] = tuple(queue)
-        token.attachments[_SERVED_KEY] = tuple(served_ids)
+        if to_serve or len(served) > self.served_memory:
+            served = served.copy()
+            for req in to_serve:
+                self._reply(req)
+                served[req.req_id] = None
+            # forget the oldest ids past the limit (insertion order)
+            for req_id in list(islice(served, max(0, len(served) - self.served_memory))):
+                del served[req_id]
+        attachments[_QUEUE_KEY] = tuple(queue)
+        attachments[_SERVED_KEY] = served
 
     def _reply(self, req: _Request) -> None:
         self.served.append(req)

@@ -26,7 +26,7 @@ class WindowFull(Exception):
     """Raised when the send buffer exceeds its cap."""
 
 
-@dataclass
+@dataclass(slots=True)
 class Segment:
     """One wire unit of the reliable channel.
 

@@ -144,10 +144,9 @@ class Network:
         self._link_io: dict[int, tuple] = {}
         self._link_drop_series: dict[int, object] = {}
         self._drop_reason_series: dict[str, object] = {}
-        # Route cache, invalidated wholesale whenever the topology
-        # version moves.
+        # Route cache, emptied wholesale whenever the topology version
+        # moves.
         self._route_cache: dict = {}
-        self._route_version = -1
         #: Sticky flag (see ``arm_faults``): once armed, batched windows
         #: fall back to scalar transmits.
         self._fault_armed = False
@@ -266,6 +265,7 @@ class Network:
         :meth:`Router.path` checks live.  A bare call bumps both.
         """
         self._topo_version += 1
+        self._route_cache.clear()
         if fabric:
             self._fabric_version += 1
 
@@ -352,7 +352,11 @@ class Network:
 
     def transmit(self, pkt: Packet) -> None:
         """Inject ``pkt``; it is forwarded (or dropped) asynchronously."""
-        route = self._route_for(pkt.src.node, pkt.dst.node, pkt.src_nic, pkt.dst_nic)
+        src, dst, src_nic, dst_nic = pkt.src.node, pkt.dst.node, pkt.src_nic, pkt.dst_nic
+        # _route_for's cache hit, inlined: this runs once per packet.
+        key = (src, dst, -1 if src_nic is None else src_nic.ifindex,
+               -1 if dst_nic is None else dst_nic.ifindex)
+        route = self._route_cache.get(key) or self._route_for(src, dst, src_nic, dst_nic)
         sim = self.sim
         if pkt.ctx is not None:
             span_tracer = sim.obs.tracer
@@ -384,18 +388,12 @@ class Network:
             -1 if src_nic is None else src_nic.ifindex,
             -1 if dst_nic is None else dst_nic.ifindex,
         )
-        cache = self._routes()
-        route = cache.get(key)
+        route = self._route_cache.get(key)
         if route is None:
-            route = cache[key] = self._build_route(src_node, dst_node, src_nic, dst_nic)
+            route = self._route_cache[key] = self._build_route(
+                src_node, dst_node, src_nic, dst_nic
+            )
         return route
-
-    def _routes(self) -> dict:
-        """The route cache, emptied if the topology version has moved."""
-        if self._route_version != self._topo_version:
-            self._route_cache.clear()
-            self._route_version = self._topo_version
-        return self._route_cache
 
     def _build_route(self, src_node: str, dst_node: str, src_nic, dst_nic):
         src_host = self.hosts.get(src_node)
@@ -452,20 +450,24 @@ class Network:
                 self._deliver(pkt, device)
                 return
         link, end, stream, from_device, _receiver = hops[idx]
-        if not link.up or not from_device.usable:
+        # A later hop leaves the device its landing just checked.
+        if not link.up or (idx == 0 and not from_device.usable):
             self._drop(pkt, "element_down")
             return
         # Link.serialization_delay and LinkEnd.reserve, inlined: this
         # runs once per packet per hop.
         wire_bytes = pkt.size_bytes + HEADER_BYTES
         ser_delay = wire_bytes * 8.0 / link.bandwidth_bps
-        now = self.sim.now
+        now = self.sim._now
         busy_until = end.busy_until
         end.busy_until = finish = (now if now >= busy_until else busy_until) + ser_delay
         end.bytes_carried += wire_bytes
         end.packets_carried += 1
         wait = finish - ser_delay - now
-        self._queue_wait.observe(wait if wait > 0.0 else 0.0)
+        if wait > 0.0:
+            self._queue_wait.observe(wait)
+        else:
+            self._queue_wait.observe_zero()
         loss_rate = link.loss_rate
         if loss_rate > 0.0 and stream.one() < loss_rate:
             link.drops += 1
@@ -476,7 +478,8 @@ class Network:
     def _forward(self, pkt: Packet, route: _Route, idx: int, arrival: float) -> None:
         """Carry ``pkt`` to the far end of hop ``idx`` by ``arrival``
         (a sharded replica overrides this and ``_deliver``)."""
-        self.sim.call_at(arrival, self._hop, pkt, route, idx + 1)
+        sim = self.sim  # call_at, inlined
+        sim._schedule_call(arrival - sim._now, self._hop, (pkt, route, idx + 1))
 
     def _deliver(self, pkt: Packet, nic: Nic) -> None:
         if not (nic.up and nic.host.up):

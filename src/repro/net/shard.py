@@ -130,7 +130,7 @@ class ShardedNetwork(Network):
         would have used locally (``sched_time`` = the hop's start time).
         """
         arrival, hop_start, idx, key, pkt = payload
-        routes = self._routes()
+        routes = self._route_cache
         route = routes.get(key)
         if route is None:
             host, ifindex, lids = key

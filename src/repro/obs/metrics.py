@@ -237,11 +237,14 @@ class DeferredHistogram:
 
     A window from :meth:`observe_many` adds to ``sum`` on arrival; its
     samples wait in one fixed buffer and are binned (counts, min, max:
-    order-free) when it fills and at :meth:`flush`.
+    order-free) when it fills and at :meth:`flush`.  On a plain series,
+    :meth:`observe_zero` only tallies: adding 0.0 leaves a running sum
+    bit-identical, so the tally is folded into counts, n, min and max at
+    :meth:`flush`.
     """
 
     __slots__ = ("series", "bounds", "counts", "n", "sum", "partials", "min", "max",
-                 "_buf", "_fill")
+                 "zeros", "_buf", "_fill")
 
     #: Samples held back for binning (allocated on the first window).
     BUFFER = 16384
@@ -257,6 +260,7 @@ class DeferredHistogram:
         )
         self.min: Optional[float] = None
         self.max: Optional[float] = None
+        self.zeros = 0  # plain-series 0.0 samples not yet folded in
         self._buf: Optional[np.ndarray] = None
         self._fill = 0
 
@@ -272,6 +276,13 @@ class DeferredHistogram:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
+
+    def observe_zero(self) -> None:
+        """Record one sample of 0.0."""
+        if self.partials is None:
+            self.zeros += 1
+        else:  # the exact partials are part of the report: add it
+            self.observe(0.0)
 
     def observe_many(self, values: np.ndarray) -> None:
         """Record a non-empty numpy array of samples (one batched window)."""
@@ -305,6 +316,12 @@ class DeferredHistogram:
     def flush(self) -> None:
         """Assign the totals to the series (idempotent; a series nothing
         was observed into is left untouched)."""
+        if self.zeros:  # min/max keep the earlier of equal values, as observe does
+            self.counts[bisect_left(self.bounds, 0.0)] += self.zeros
+            self.n += self.zeros
+            self.min = 0.0 if self.min is None else min(self.min, 0.0)
+            self.max = 0.0 if self.max is None else max(self.max, 0.0)
+            self.zeros = 0
         if not self.n:
             return
         if self._fill:

@@ -79,9 +79,13 @@ class PathBundle:
 
     def pick(self) -> Path:
         """Choose the path for the next segment, per policy."""
-        candidates = self.up_paths() or self.paths
         if self.policy == "failover":
-            path = candidates[0]
+            # The first Up path, else the first: no candidate list.
+            for path, mon in zip(self.paths, self._watchers):
+                if mon is None or mon.is_up:
+                    break
+            else:
+                path = self.paths[0]
             # A change of the stable path is a failover (or a fail-back);
             # striping rotates by design, so only failover reports it.
             if self._last_pick is not None and path != self._last_pick:
@@ -89,6 +93,7 @@ class PathBundle:
                     self.on_switch(self._last_pick, path)
             self._last_pick = path
             return path
+        candidates = self.up_paths() or self.paths
         path = candidates[self._rr % len(candidates)]
         self._rr += 1
         return path

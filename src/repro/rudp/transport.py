@@ -40,7 +40,7 @@ class RudpConfig:
     monitor: Optional[MonitorConfig] = None  # None = no path monitoring
 
 
-@dataclass
+@dataclass(slots=True)
 class _Envelope:
     """Application message inside a reliable segment."""
 
@@ -55,6 +55,7 @@ class RudpConnection:
         self.transport = transport
         self.sim = transport.sim  # bound once: never reach through transport.sim (RL012)
         self.peer = peer
+        self._dst = Endpoint(peer, transport.port)  # built once, not per segment
         self.bundle = PathBundle(
             peer,
             paths,
@@ -111,19 +112,19 @@ class RudpConnection:
 
     def _transmit(self, seg: Segment) -> None:
         local_if, remote_if = self.bundle.pick()
+        tp = self.transport
         size = seg.size_bytes
         if size:  # bare acks carry no payload and count nothing
             self.bytes_sent += size
-            tp = self.transport
             series = tp._m_bytes
             if series is None:
                 series = tp._m_bytes = tp._f_bytes.labels(node=tp.host.name)
             series.inc(size)
-        self.transport.host.send(
-            Endpoint(self.peer, self.transport.port),
+        tp.host.send(
+            self._dst,
             payload=seg,
-            size_bytes=seg.size_bytes + 12,  # 12B RUDP header
-            src_port=self.transport.port,
+            size_bytes=size + 12,  # 12B RUDP header
+            src_port=tp.port,
             src_nic=local_if,
             dst_nic=remote_if,
             ctx=seg.ctx,
@@ -252,13 +253,16 @@ class RudpTransport:
         self, peer: str, service: str, data: Any, size_bytes: int = 0, ctx: Any = None
     ) -> None:
         """Reliable, in-order send of ``data`` to ``service`` on ``peer``."""
-        self.connect(peer).send(service, data, size_bytes, ctx=ctx)
+        conn = self.connections.get(peer) or self.connect(peer)
+        conn.send(service, data, size_bytes, ctx=ctx)
 
     def _on_packet(self, pkt: Packet) -> None:
         seg = pkt.payload
         if not isinstance(seg, Segment):
             return
-        self.connect(pkt.src.node).endpoint.on_segment(seg)
+        peer = pkt.src.node
+        conn = self.connections.get(peer) or self.connect(peer)
+        conn.endpoint.on_segment(seg)
 
     def _dispatch(self, src: str, env: _Envelope) -> None:
         handler = self._services.get(env.service)
