@@ -1,8 +1,15 @@
 """Tests for the SNOW web cluster (paper Sec. 5.2)."""
 
+import copy
+from types import SimpleNamespace
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import ClusterConfig, RainCluster, Simulator
 from repro.apps import SnowClient, SnowServer
+from repro.apps.snow import _QUEUE_KEY, _SERVED_KEY
+from repro.membership import Token
 from repro.rudp import RudpTransport
 
 
@@ -135,3 +142,90 @@ def test_scalability_more_nodes_share_work():
     served = [len(s.served) for s in servers]
     assert sum(served) == 36
     assert sum(1 for v in served if v > 0) >= 4
+
+
+# -- the token hook against the tuple record it replaced --------------------
+
+
+class _TupleSnowServer(SnowServer):
+    """The token hook as it was when the served ids rode the token as a
+    tuple, rebuilt into a list and a set on every visit."""
+
+    def _on_token(self, token):
+        queue = list(token.attachments.get(_QUEUE_KEY, ()))
+        served_ids = list(token.attachments.get(_SERVED_KEY, ()))
+        served_set = set(served_ids)
+        queued_ids = {r.req_id for r in queue}
+        for req in self._inbox:
+            if req.req_id not in served_set and req.req_id not in queued_ids:
+                queue.append(req)
+                queued_ids.add(req.req_id)
+        self._inbox.clear()
+        to_serve, queue = queue[: self.batch], queue[self.batch :]
+        for req in to_serve:
+            self._reply(req)
+            served_ids.append(req.req_id)
+        del served_ids[: max(0, len(served_ids) - self.served_memory)]
+        token.attachments[_QUEUE_KEY] = tuple(queue)
+        token.attachments[_SERVED_KEY] = tuple(served_ids)
+
+
+class _World:
+    """Servers driven by hand: no network, one token, the older copies a
+    911 regeneration could restart from."""
+
+    def __init__(self, kind, n, batch, memory):
+        sim = Simulator(seed=0)
+        self.replies = []
+        self.servers = []
+        for i in range(n):
+            host = SimpleNamespace(sim=sim, name=f"s{i}", up=True)
+            transport = SimpleNamespace(
+                register=lambda service, fn: None,
+                send=lambda peer, service, msg, size_bytes, i=i: self.replies.append((i, msg[1])),
+            )
+            membership = SimpleNamespace(on_hold=lambda fn: None)
+            self.servers.append(kind(host, transport, membership, batch=batch, served_memory=memory))
+        self.token = Token(seq=0, ring=tuple(f"s{i}" for i in range(n)))
+        self.copies = []  # (copy, deep snapshot taken with it)
+
+    def step(self, op):
+        kind, a, b = op
+        if kind == "get":  # b: spray at every server
+            for srv in self.servers if b else [self.servers[a % len(self.servers)]]:
+                srv._on_msg("client", ("GET", f"r{a}", "/"))
+        elif kind == "visit":
+            before = self.token.copy()  # the holder's local_copy
+            self.copies.append((before, copy.deepcopy(before)))
+            self.servers[a % len(self.servers)]._on_token(self.token)
+        elif self.copies:  # regenerate from an older copy
+            self.token = self.copies[a % len(self.copies)][0].copy()
+
+    def record(self):
+        att = self.token.attachments
+        return tuple(att.get(_QUEUE_KEY, ())), tuple(att.get(_SERVED_KEY, ()))
+
+
+_SNOW_OPS = st.lists(
+    st.tuples(st.sampled_from(("get", "get", "visit", "visit", "regen")),
+              st.integers(0, 11), st.booleans()),
+    max_size=60,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=_SNOW_OPS, n=st.integers(1, 3), batch=st.integers(1, 4), memory=st.integers(0, 6))
+def test_served_record_matches_the_tuple_hook(ops, n, batch, memory):
+    got = _World(SnowServer, n, batch, memory)
+    want = _World(_TupleSnowServer, n, batch, memory)
+    for op in ops:
+        got.step(op)
+        want.step(op)
+        queue, served = want.record()
+        # the map counts an id once, so the tuple must never hold one twice
+        assert len(set(served)) == len(served)
+        assert got.record() == (queue, served)
+        assert got.replies == want.replies
+        assert [s.served for s in got.servers] == [s.served for s in want.servers]
+    for before, snapshot in got.copies:  # earlier copies kept their version
+        assert before == snapshot

@@ -1,6 +1,10 @@
 """Tests for RUDP: reliable datagrams over bundled interfaces."""
 
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.channel import MonitorConfig
 from repro.net import FaultInjector, Network
@@ -177,3 +181,53 @@ class TestPathBundle:
         sim.run(until=2.0)
         assert not conn.bundle.any_up
         assert conn.bundle.pick() in PATHS  # optimistic send still possible
+
+
+class _ListPickBundle(PathBundle):
+    """``pick`` as it was: build the Up-path list, then choose from it."""
+
+    def pick(self):
+        candidates = self.up_paths() or self.paths
+        if self.policy == "failover":
+            path = candidates[0]
+            if self._last_pick is not None and path != self._last_pick:
+                if self.on_switch is not None:
+                    self.on_switch(self._last_pick, path)
+            self._last_pick = path
+            return path
+        path = candidates[self._rr % len(candidates)]
+        self._rr += 1
+        return path
+
+
+class _StubMonitors:
+    """One flippable monitor per pinned path, shared by every watcher."""
+
+    def __init__(self):
+        self.paths = {}
+
+    def watch(self, peer, local_if, remote_if):
+        return self.paths.setdefault((local_if, remote_if), SimpleNamespace(is_up=True))
+
+
+_PATH = st.sampled_from([(0, 0), (1, 1), (2, 2), (0, 1), (None, None), (1, None)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    paths=st.lists(_PATH, min_size=1, max_size=4, unique=True),
+    policy=st.sampled_from(["failover", "stripe"]),
+    ops=st.lists(st.tuples(st.integers(0, 3), st.booleans()) | st.just(None), max_size=40),
+)
+def test_pick_matches_the_candidate_list_pick(paths, policy, ops):
+    monitors = _StubMonitors()
+    got_switches, want_switches = [], []
+    got = PathBundle("B", paths, monitors, policy, lambda *a: got_switches.append(a))
+    want = _ListPickBundle("B", paths, monitors, policy, lambda *a: want_switches.append(a))
+    pinned = list(monitors.paths.values())
+    for op in ops:
+        if op is None or not pinned:
+            assert got.pick() == want.pick()
+        else:  # a monitor flips Up or Down
+            pinned[op[0] % len(pinned)].is_up = op[1]
+        assert got_switches == want_switches
