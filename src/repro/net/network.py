@@ -144,8 +144,8 @@ class Network:
         self._link_io: dict[int, tuple] = {}
         self._link_drop_series: dict[int, object] = {}
         self._drop_reason_series: dict[str, object] = {}
-        # Route cache, emptied wholesale whenever the topology version
-        # moves.
+        # Route cache, invalidated wholesale whenever the topology
+        # version moves.
         self._route_cache: dict = {}
         #: Sticky flag (see ``arm_faults``): once armed, batched windows
         #: fall back to scalar transmits.
@@ -390,9 +390,7 @@ class Network:
         )
         route = self._route_cache.get(key)
         if route is None:
-            route = self._route_cache[key] = self._build_route(
-                src_node, dst_node, src_nic, dst_nic
-            )
+            route = self._route_cache[key] = self._build_route(src_node, dst_node, src_nic, dst_nic)
         return route
 
     def _build_route(self, src_node: str, dst_node: str, src_nic, dst_nic):

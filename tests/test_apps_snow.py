@@ -213,7 +213,7 @@ _SNOW_OPS = st.lists(
 )
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(ops=_SNOW_OPS, n=st.integers(1, 3), batch=st.integers(1, 4), memory=st.integers(0, 6))
 def test_served_record_matches_the_tuple_hook(ops, n, batch, memory):
     got = _World(SnowServer, n, batch, memory)

@@ -256,7 +256,7 @@ def test_buffered_windows_flush_to_the_bin_every_window_snapshot(kind, exact, op
 
 @pytest.mark.parametrize("kind", [DeferredHistogram, _TinyBuffer], ids=["buffer", "tiny"])
 @pytest.mark.parametrize("exact", [False, True], ids=["plain", "exact"])
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=25, deadline=None)
 @given(ops=st.lists(st.just(("zero",)) | _OP, max_size=12))
 def test_tallied_zeros_flush_to_the_observe_each_snapshot(kind, exact, ops):
     # The parent of the zero tally observed every zero-wait hop as

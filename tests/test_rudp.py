@@ -213,7 +213,7 @@ class _StubMonitors:
 _PATH = st.sampled_from([(0, 0), (1, 1), (2, 2), (0, 1), (None, None), (1, None)])
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
     paths=st.lists(_PATH, min_size=1, max_size=4, unique=True),
     policy=st.sampled_from(["failover", "stripe"]),
