@@ -44,11 +44,9 @@ class Host:
         self.nics: list[Nic] = [Nic(self, i) for i in range(nics)]
         self._handlers: dict[int, PacketHandler] = {}
         self._batch_handlers: dict[int, BatchHandler] = {}
-        # Source Endpoints (per port) and destination NicAddrs (per peer
-        # NIC) are frozen; caching them keeps dataclass construction off
-        # the per-send hot path.
+        # Source Endpoints are frozen and per-(host, port); caching them
+        # keeps dataclass construction off the per-send hot path.
         self._src_endpoints: dict[int, Endpoint] = {}
-        self._dst_nics: dict[tuple[str, int], NicAddr] = {}
         self._next_ephemeral = 49152
         self.delivered = 0
 
@@ -153,9 +151,7 @@ class Host:
         """
         src = self._src_endpoints.get(src_port) or self._src_endpoint(src_port)
         src_addr = self.nics[src_nic].addr if src_nic is not None else None
-        dst_addr = None
-        if dst_nic is not None:
-            dst_addr = self._dst_nics.get((dst.node, dst_nic)) or self._dst_nic(dst.node, dst_nic)
+        dst_addr = self._dst_nic_addr(dst.node, dst_nic) if dst_nic is not None else None
         pid = self.network.mint_pid(self)
         # Positional (declaration order): keyword matching on a 12-field
         # dataclass costs more than the rest of its construction.
@@ -190,7 +186,7 @@ class Host:
             size_bytes,
             pids,
             src_nic=self.nics[src_nic].addr if src_nic is not None else None,
-            dst_nic=self._dst_nic(dst.node, dst_nic) if dst_nic is not None else None,
+            dst_nic=self._dst_nic_addr(dst.node, dst_nic) if dst_nic is not None else None,
         )
         self.network.transmit_batch(batch)
         return batch
@@ -201,12 +197,11 @@ class Host:
             ep = self._src_endpoints[port] = Endpoint(self.name, port)
         return ep
 
-    def _dst_nic(self, node: str, ifindex: int) -> NicAddr:
-        key = (node, ifindex)
-        addr = self._dst_nics.get(key)
-        if addr is None:
-            addr = self._dst_nics[key] = NicAddr(node, ifindex)
-        return addr
+    def _dst_nic_addr(self, node: str, ifindex: int) -> Optional[NicAddr]:
+        """The peer NIC's own frozen address, so no send builds one (None
+        for an unknown peer: routing then rejects the send)."""
+        peer = self.network.hosts.get(node)
+        return peer.nics[ifindex].addr if peer is not None else None
 
     def deliver(self, packet: Packet) -> None:
         """Called by the network when a packet reaches this host."""
