@@ -185,7 +185,8 @@ class _World:
                 send=lambda peer, service, msg, size_bytes, i=i: self.replies.append((i, msg[1])),
             )
             membership = SimpleNamespace(on_hold=lambda fn: None)
-            self.servers.append(kind(host, transport, membership, batch=batch, served_memory=memory))
+            server = kind(host, transport, membership, batch=batch, served_memory=memory)
+            self.servers.append(server)
         self.token = Token(seq=0, ring=tuple(f"s{i}" for i in range(n)))
         self.copies = []  # (copy, deep snapshot taken with it)
 

@@ -60,7 +60,9 @@ def _raincheck(sim, cl):
         RainCheckNode(cl.member(i), cl.elections[i], cl.store_on(i, XCode(5)), jobs)
 
 
-@pytest.mark.parametrize("build", [_snow, _rainwall, _raincheck], ids=["snow", "rainwall", "raincheck"])
+@pytest.mark.parametrize(
+    "build", [_snow, _rainwall, _raincheck], ids=["snow", "rainwall", "raincheck"]
+)
 def test_hold_hooks_leave_earlier_token_copies_unchanged(build):
     sim = Simulator(seed=3)
     cl = RainCluster(sim, ClusterConfig(nodes=5))
