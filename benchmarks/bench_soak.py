@@ -17,6 +17,25 @@ from repro.codes import BCode
 from repro.membership import check_invariants
 
 
+def _poisson_outages(fi, elements, rate, mean_downtime, horizon) -> int:
+    """Schedule Poisson outages on each element until ``horizon``:
+    exponential inter-arrivals at ``rate`` per second, exponential
+    downtimes of mean ``mean_downtime``.  Returns how many."""
+    rng = fi.sim.rng.stream("faults")
+    scheduled = 0
+    for element in elements:
+        t = 0.0
+        while True:
+            t += float(rng.exponential(1.0 / rate))
+            if t >= horizon:
+                break
+            downtime = float(rng.exponential(mean_downtime))
+            fi.outage(element, t, downtime)
+            scheduled += 1
+            t += downtime
+    return scheduled
+
+
 def test_fault_storm_soak(benchmark, record):
     def run():
         sim = Simulator(seed=777)
@@ -43,9 +62,8 @@ def test_fault_storm_soak(benchmark, record):
             fi.outage(cl.host(idx), start=start, duration=5.0)
             outages += 1
         # random link outages on top
-        links = [lk for lk in cl.network.links]
-        outages += fi.random_outages(
-            links[:6], rate_per_element=0.01, mean_downtime=2.0, horizon=45.0
+        outages += _poisson_outages(
+            fi, cl.network.links[:6], rate=0.01, mean_downtime=2.0, horizon=45.0
         )
         sim.run(until=60.0)  # storm ends by ~47s; settle
         # audits

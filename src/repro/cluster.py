@@ -228,11 +228,12 @@ class ShardedRainCluster:
     determinism reference; any other shard count must produce
     byte-identical reports for the same seed.
 
-    Faults must go through :meth:`crash_at` / :meth:`recover_at` (they
+    Faults must go through :meth:`fail_at` / :meth:`repair_at` (they
     replicate into every replica so routing state stays consistent), and
     workloads through :meth:`run_on` — both are *scripts* registered
     before :meth:`run`, because the script registration order is part of
-    the deterministic schedule.
+    the deterministic schedule.  Both fault calls name an element by a
+    :meth:`element` tag.
     """
 
     def __init__(
@@ -265,6 +266,7 @@ class ShardedRainCluster:
         ring = tuple(self.names)  # one bootstrap ring shared by every member
         rudp_cfg = config.rudp_config()
         self.replicas: list[_ShardReplica] = []
+        self._link_index: Optional[dict] = None  # edge id -> wired link index
         for kernel in self.sharded.kernels:
             net = ShardedNetwork(kernel, owner, host_index, default_latency_s=latency_s)
             hosts, switches, _, _ = wire(net, topo, self.names, "sw", config.switch_ports)
@@ -315,21 +317,41 @@ class ShardedRainCluster:
 
     # -- scripting -----------------------------------------------------------
 
-    def crash_at(self, time: float, i: int) -> None:
-        """Script node ``i``'s crash at ``time`` (replicated to all shards)."""
-        name = self.names[i]
-        self.sharded.control_each(
-            time, lambda k: (self.replicas[k.rank].faults.fail,
-                             (self.replicas[k.rank].net.hosts[name],))
-        )
+    def element(self, rep: _ShardReplica, tag: tuple):
+        """``rep``'s live element for a :meth:`repro.topology.FaultSet.of`
+        tag — ``("node", i)``, ``("switch", j)``, ``("link", edge_id)`` —
+        or ``("nic", (i, k))``.  :func:`~repro.topology.deploy.wire`
+        cables in :meth:`~repro.topology.TopologyGraph.edge_ids` order,
+        so a link is the wired link at its edge id's position.  An
+        unknown kind or element is a ``KeyError``."""
+        kind, ident = tag
+        if kind == "link":
+            if self._link_index is None:
+                self._link_index = {eid: idx for idx, eid in enumerate(self.topo.edge_ids())}
+            pool, ident = rep.net.links, self._link_index.get(ident, -1)
+        elif kind == "nic":
+            i, ident = ident
+            pool = self.element(rep, ("node", i)).nics
+        elif kind in ("node", "switch"):
+            pool = rep.hosts if kind == "node" else rep.switches
+        else:
+            raise KeyError(f"unknown element kind {kind!r} (node, switch, link, nic)")
+        if not (isinstance(ident, int) and 0 <= ident < len(pool)):
+            raise KeyError(f"no such element: {tag!r}")
+        return pool[ident]
 
-    def recover_at(self, time: float, i: int) -> None:
-        """Script node ``i``'s recovery at ``time`` (replicated)."""
-        name = self.names[i]
-        self.sharded.control_each(
-            time, lambda k: (self.replicas[k.rank].faults.repair,
-                             (self.replicas[k.rank].net.hosts[name],))
-        )
+    def fail_at(self, time: float, tag: tuple) -> None:
+        """Script element ``tag``'s failure at ``time`` (replicated to
+        all shards; a bad tag raises here, before anything is scheduled)."""
+        self._flip_at(time, tag, "fail")
+
+    def repair_at(self, time: float, tag: tuple) -> None:
+        """Script element ``tag``'s repair at ``time`` (replicated)."""
+        self._flip_at(time, tag, "repair")
+
+    def _flip_at(self, time: float, tag: tuple, action: str) -> None:
+        calls = [(getattr(rep.faults, action), (self.element(rep, tag),)) for rep in self.replicas]
+        self.sharded.control_each(time, lambda k: calls[k.rank])
 
     def run_on(self, time: float, i: int, make_gen, name: Optional[str] = None):
         """Script a generator-based workload on node ``i`` at ``time``.

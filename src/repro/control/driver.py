@@ -18,6 +18,8 @@ single-kernel path.
 
 from __future__ import annotations
 
+import re
+
 from ..obs import EventRing
 from ..scenarios import Scenario
 
@@ -206,41 +208,46 @@ class ScenarioDriver:
 
     # -- fault injection -------------------------------------------------
 
-    def _element(self, net, kind: str, target: str):
-        if kind == "node":
-            dev = net.hosts.get(target)
-        elif kind == "switch":
-            dev = net.switches.get(target)
-        elif kind == "link":
-            if not target.startswith("L"):
-                raise KeyError(f"link targets are topology ids like 'L3', got {target!r}")
-            idx = int(target[1:])
-            dev = net.links[idx] if 0 <= idx < len(net.links) else None
-        else:
+    def _tag(self, kind: str, target: str) -> tuple:
+        """The fault tag an HTTP name stands for: "node1" -> ("node", 1),
+        "sw0" -> ("switch", 0), "L3" -> ("link", edge_ids[3])."""
+        prefix = {"node": self.cluster.config.node_prefix, "switch": "sw", "link": "L"}.get(kind)
+        if prefix is None:
             raise KeyError(f"unknown fault kind {kind!r} (node, switch, link)")
-        if dev is None:
+        match = re.fullmatch(re.escape(prefix) + "(0|[1-9][0-9]*)", target)
+        if match is None:
             raise KeyError(f"no such {kind}: {target!r}")
-        return dev
+        index = int(match[1])
+        if kind != "link":
+            return (kind, index)
+        edge_ids = self.cluster.topo.edge_ids()
+        if index >= len(edge_ids):
+            raise KeyError(f"no such link: {target!r}")
+        return ("link", edge_ids[index])
 
     def inject_fault(self, action: str, kind: str, target: str) -> dict:
         """Kill or revive a node/switch/link programmatically.
 
-        Applied identically on every shard replica (the cluster is
-        paused at a barrier when this runs, so all kernels sit at the
-        same instant and the flip is deterministic going forward).
+        Applied identically on every shard replica through the
+        cluster's one resolver (the cluster is paused at a barrier when
+        this runs, so all kernels sit at the same instant and the flip
+        is deterministic going forward).
         """
         if action not in ("fail", "repair"):
             raise KeyError(f"unknown fault action {action!r} (fail, repair)")
-        state = None
-        for rep in self.cluster.replicas:
-            element = self._element(rep.net, kind, target)
+        tag = self._tag(kind, target)
+        replicas = self.cluster.replicas
+        try:
+            elements = [self.cluster.element(rep, tag) for rep in replicas]
+        except KeyError:
+            raise KeyError(f"no such {kind}: {target!r}") from None
+        for rep, element in zip(replicas, elements):
             getattr(rep.faults, action)(element)
-            state = element.up
         return {
             "action": action,
             "kind": kind,
             "target": target,
-            "up": state,
+            "up": element.up,
             "time": self.now,
         }
 

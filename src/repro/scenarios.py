@@ -82,10 +82,10 @@ def _script_churn(topo: TopologyGraph, seed: int, shards: int) -> ShardedRainClu
     # the crashes already in effect: a contiguous pair plus a straggler,
     # with one node coming back before the horizon.
     a = int(topo.num_nodes * 0.45)
-    cluster.crash_at(0.2, a)
-    cluster.crash_at(0.2, a + 1)
-    cluster.crash_at(0.35, a + 2)
-    cluster.recover_at(0.8, a)
+    cluster.fail_at(0.2, ("node", a))
+    cluster.fail_at(0.2, ("node", a + 1))
+    cluster.fail_at(0.35, ("node", a + 2))
+    cluster.repair_at(0.8, ("node", a))
     return cluster
 
 
@@ -102,8 +102,8 @@ def build_churn_cluster(
 def _script_membership(topo: TopologyGraph, seed: int, shards: int) -> ShardedRainCluster:
     """Converge, crash node 4, 911 rejoin."""
     cluster = ShardedRainCluster(topo, seed=seed, shards=shards)
-    cluster.crash_at(1.0, 4)
-    cluster.recover_at(2.0, 4)
+    cluster.fail_at(1.0, ("node", 4))
+    cluster.repair_at(2.0, ("node", 4))
     return cluster
 
 
@@ -126,7 +126,7 @@ def _store_crash_read(
                 raise RuntimeError(f"{key}: degraded read returned wrong bytes")
 
         cluster.run_on(store_at, 0, lambda rep: store.store(key, payload), name="store")
-        cluster.crash_at(crash_at, victim)
+        cluster.fail_at(crash_at, ("node", victim))
         cluster.run_on(read_at, 0, retrieve, name="retrieve")
         return cluster
 

@@ -4,8 +4,8 @@ Constructions (:func:`naive_ring`, :func:`diameter_ring`,
 :func:`generalized_diameter_ring`, :func:`clique_construction`,
 :func:`fig1_testbed`, :func:`switch_planes`),
 partition-resistance analysis (:func:`analyze`, :func:`worst_case`,
-:func:`min_faults_to_partition`), and deployment onto the live simulated
-network (:func:`deploy`).
+:func:`min_faults_to_partition`), and cabling onto the live simulated
+network (:func:`repro.topology.deploy.wire`).
 """
 
 from .constructions import (
@@ -19,7 +19,6 @@ from .constructions import (
     ring_switch_graph,
     switch_planes,
 )
-from .deploy import Deployment, deploy
 from .graph import EdgeId, TopologyGraph, Vertex, node_v, switch_v
 from .partition import LayoutError, Partition, partition_topology
 from .render import render_attachment_table, render_ring_construction
@@ -35,7 +34,6 @@ from .resilience import (
 )
 
 __all__ = [
-    "Deployment",
     "EdgeId",
     "FaultSet",
     "LayoutError",
@@ -48,7 +46,6 @@ __all__ = [
     "chordal_ring_graph",
     "clique_construction",
     "constant_degree_diameter",
-    "deploy",
     "diameter_ring",
     "enumerate_elements",
     "fig1_testbed",

@@ -1,46 +1,21 @@
 """Instantiate a :class:`TopologyGraph` as a live simulated network.
 
 Bridges the static analysis world (Sec. 2.1 constructions) and the
-protocol world: the same diameter construction that was analyzed for
-partition resistance can be deployed, loaded with RUDP/membership
-traffic, and subjected to fault injection.
+protocol world: :func:`wire` cables the same construction that was
+analyzed for partition resistance, in
+:meth:`~repro.topology.TopologyGraph.edge_ids` order, so an analysis
+fault tag names one live element
+(:meth:`repro.cluster.ShardedRainCluster.element`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-from ..net import FaultInjector, Host, Link, Network, Switch
-from ..sim import Simulator
+from ..net import Host, Link, Network, Switch
 from .graph import TopologyGraph
 
-__all__ = ["Deployment", "deploy", "wire"]
-
-
-@dataclass
-class Deployment:
-    """A live network built from a topology graph.
-
-    Keeps the graph↔network correspondence so experiments can translate
-    analysis-level fault sets into injections on the live elements.
-    """
-
-    topo: TopologyGraph
-    network: Network
-    hosts: list[Host]
-    switches: list[Switch]
-    node_links: dict[tuple[int, int], Link]  # (node, k-th attachment) -> link
-    switch_links: list[Link]
-    faults: FaultInjector
-
-    def host_of(self, node: int) -> Host:
-        """Live host for compute node ``node``."""
-        return self.hosts[node]
-
-    def switch_of(self, j: int) -> Switch:
-        """Live switch for switch index ``j``."""
-        return self.switches[j]
+__all__ = ["wire"]
 
 
 def wire(
@@ -80,33 +55,3 @@ def wire(
     ]
     return hosts, switches, node_links, switch_links
 
-
-def deploy(
-    topo: TopologyGraph,
-    sim: Simulator,
-    switch_ports: int = 8,
-    **link_kwargs,
-) -> Deployment:
-    """Build hosts ``c<i>``, switches ``s<j>`` and cables matching
-    ``topo`` on a fresh network (raise ``switch_ports`` for high-degree
-    constructions; see :func:`wire`)."""
-    net = Network(sim)
-    names = [f"c{i}" for i in range(topo.num_nodes)]
-    hosts, switches, node_links, switch_links = wire(
-        net, topo, names, "s", switch_ports, **link_kwargs
-    )
-    gauges = sim.obs.metrics.gauge(
-        "topology.deploy.elements", help="live elements built from the topology graph"
-    )
-    gauges.labels(kind="hosts").set(len(hosts))
-    gauges.labels(kind="switches").set(len(switches))
-    gauges.labels(kind="links").set(len(node_links) + len(switch_links))
-    return Deployment(
-        topo=topo,
-        network=net,
-        hosts=hosts,
-        switches=switches,
-        node_links=node_links,
-        switch_links=switch_links,
-        faults=FaultInjector(net),
-    )

@@ -14,7 +14,7 @@ class TestFaultInjectorEdges:
         with pytest.raises(TypeError):
             fi.fail("not-an-element")
 
-    def test_failures_before_cutoff(self):
+    def test_scheduled_flips_are_logged_at_their_times(self):
         sim = Simulator()
         net = Network(sim)
         s = net.add_switch("S")
@@ -23,15 +23,11 @@ class TestFaultInjectorEdges:
         fi.repair_at(2.0, s)
         fi.fail_at(3.0, s)
         sim.run()
-        assert len(fi.failures_before(2.5)) == 1
-        assert len(fi.failures_before()) == 2
-
-    def test_random_outages_zero_rate(self):
-        sim = Simulator()
-        net = Network(sim)
-        s = net.add_switch("S")
-        fi = FaultInjector(net)
-        assert fi.random_outages([s], 0.0, 1.0, 10.0) == 0
+        assert [(e.time, e.action) for e in fi.log] == [
+            (1.0, "fail"),
+            (2.0, "repair"),
+            (3.0, "fail"),
+        ]
 
 
 class TestFsRpcEdges:

@@ -320,7 +320,6 @@ class TestFaults:
             ("fail", "S0"),
             ("repair", "S0"),
         ]
-        assert fi.failures_before() == [fi.log[0]]
 
     def test_idempotent_fail(self):
         sim, net, a, b, s0, s1 = two_switch_cluster()
@@ -339,17 +338,6 @@ class TestFaults:
         sim.run()
         assert got == ["via-nic1"]
         assert not a.nic(0).usable
-
-    def test_random_outages_schedules(self):
-        sim, net, a, b, s0, s1 = two_switch_cluster()
-        fi = FaultInjector(net)
-        n = fi.random_outages([s0, s1], rate_per_element=0.1, mean_downtime=1.0, horizon=100.0)
-        assert n > 0
-        sim.run(until=100.0)
-        # network must end in some consistent state; log has pairs
-        fails = sum(1 for e in fi.log if e.action == "fail")
-        repairs = sum(1 for e in fi.log if e.action == "repair")
-        assert fails >= repairs >= 0
 
 
 class TestLoss:

@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 from repro.analysis.hb import install_sanitizer
 from repro.cluster import ShardedRainCluster
 from repro.scenarios import SCENARIOS
-from repro.topology import constant_degree_diameter, diameter_ring
+from repro.topology import constant_degree_diameter, diameter_ring, enumerate_elements
 
 from .test_golden_trace import _canon, check_golden
 
@@ -129,6 +129,39 @@ def test_shard1k_demo_byte_identical_and_pinned():
     )
 
 
+def _shard1k_fabric_faults(shards: int) -> tuple:
+    """``shard1k`` plus a switch outage and a switch-switch link outage
+    inside its horizon, sanitized."""
+    scenario = SCENARIOS["shard1k"]
+    cluster = scenario.build(7, shards)
+    switch, link = ("switch", 5), ("link", ("ss", 0, 1, 0))
+    cluster.fail_at(0.3, switch)
+    cluster.fail_at(0.4, link)
+    cluster.repair_at(0.9, switch)
+    cluster.repair_at(1.1, link)
+    monitor = install_sanitizer(cluster.sharded)
+    cluster.run(scenario.horizon)
+    for rep in cluster.replicas:
+        sw, lk = cluster.element(rep, switch).name, cluster.element(rep, link).name
+        flips = [(e.time, e.action, e.name) for e in rep.faults.log if e.kind != "host"]
+        assert flips == [
+            (0.3, "fail", sw), (0.4, "fail", lk), (0.9, "repair", sw), (1.1, "repair", lk)
+        ]
+    monitor.check_gauges([k.obs.metrics.snapshot() for k in cluster.sharded.kernels])
+    return cluster.metrics(scenario="shard1k-fabric", seed=7).to_json(), monitor.report()
+
+
+def test_shard1k_switch_and_link_faults_are_layout_invariant():
+    """Fabric faults replicate like host crashes: the flagship with a
+    switch and a switch-switch link failed and repaired reports the same
+    bytes at 1, 2 and 4 shards, and the sanitizer is clean at 4."""
+    serial, _ = _shard1k_fabric_faults(1)
+    assert _shard1k_fabric_faults(2)[0] == serial
+    sharded, sanitized = _shard1k_fabric_faults(4)
+    assert sanitized.ok, sanitized.render()
+    assert sharded == serial
+
+
 # -- scenario 4: the multiprocessing executor --------------------------------
 
 
@@ -180,11 +213,12 @@ def _drawn_runs(draw):
     switches = draw(_ODD)
     nodes = draw(_ODD)
     shards = draw(st.integers(2, 4))
+    elements = enumerate_elements(_CONSTRUCTIONS[construction](switches, nodes))
     faults = draw(
         st.lists(
             st.tuples(
                 st.integers(1, 3000).map(lambda ms: ms / 1000),
-                st.integers(0, nodes - 1),
+                st.sampled_from(elements),
                 st.booleans(),
             ),
             max_size=4,
@@ -196,8 +230,8 @@ def _drawn_runs(draw):
 def _drawn_report(construction, switches, nodes, shards, faults) -> tuple:
     topo = _CONSTRUCTIONS[construction](switches, nodes)
     cluster = ShardedRainCluster(topo, seed=11, shards=shards)
-    for time, node, crash in faults:
-        (cluster.crash_at if crash else cluster.recover_at)(time, node)
+    for time, tag, fail in faults:
+        (cluster.fail_at if fail else cluster.repair_at)(time, tag)
     monitor = install_sanitizer(cluster.sharded)
     cluster.run(4.0)
     monitor.check_gauges([k.obs.metrics.snapshot() for k in cluster.sharded.kernels])
@@ -207,8 +241,8 @@ def _drawn_report(construction, switches, nodes, shards, faults) -> tuple:
 @settings(max_examples=12, deadline=None)
 @given(_drawn_runs())
 def test_drawn_topologies_and_fault_scripts_are_layout_invariant(run):
-    """Odd-sized constructions, 2-4 shards and crash/recover scripts:
-    the sharded report is byte-equal to ``shards=1`` and the
+    """Odd-sized constructions, 2-4 shards and fail/repair scripts over
+    nodes, switches and links: the sharded report is byte-equal to ``shards=1`` and the
     happens-before sanitizer is clean on the sharded run."""
     construction, switches, nodes, shards, faults = run
     serial, _ = _drawn_report(construction, switches, nodes, 1, faults)
