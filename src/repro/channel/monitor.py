@@ -150,7 +150,9 @@ class PathMonitor:
         cfg = self.config
         try:
             while True:
-                self._send_hello()
+                # A down host is silent; its peers cannot know and keep pinging.
+                if self.service.host.up:
+                    self._send_hello()
                 # Silence check: tout while the peer has been quiet too long.
                 quiet_since = (
                     self.last_heard if self.last_heard is not None else self.started_at

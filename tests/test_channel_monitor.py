@@ -159,6 +159,21 @@ def test_stop_halts_pinging():
     assert sent_after - sent_before <= 12  # ~10 hellos from B alone
 
 
+def test_down_host_stops_pinging():
+    """Fail-stop: a crashed host's monitors send nothing while it is
+    down (none of its hellos is dropped at the source), its peer keeps
+    pinging into it, and both ends see Down then Up across the outage."""
+    sim, net, sa, sb = build_pair()
+    ma = sa.watch("B", 0, 0)
+    mb = sb.watch("A", 0, 0)
+    FaultInjector(net).outage(net.hosts["A"], start=1.0, duration=2.0)
+    sim.run(until=6.0)
+    snap = sim.obs.metrics.snapshot()
+    assert "net.network.dropped_src_down" not in snap
+    assert snap["net.network.dropped_unreachable"]["series"][0]["value"] > 0
+    assert views(ma) == views(mb) == [ChannelView.DOWN, ChannelView.UP]
+
+
 def test_detection_time_tracks_timeout_config():
     for timeout, bound in ((0.3, 1.0), (1.5, 2.5)):
         cfg = MonitorConfig(ping_interval=0.1, timeout=timeout)
