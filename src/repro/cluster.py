@@ -87,9 +87,7 @@ class RainCluster:
         self.network = Network(sim)
         self.faults = FaultInjector(self.network)
         names = [f"{config.node_prefix}{i}" for i in range(config.nodes)]
-        self.hosts, self.switches, _, _ = wire(
-            self.network, _topo, names, "sw", config.switch_ports
-        )
+        self.hosts, self.switches = wire(self.network, _topo, names, "sw", config.switch_ports)
         if _topo.switch_links:
             # cabled planes: leave paths unpinned and let routing pick,
             # as the real testbed's source routing did
@@ -269,7 +267,7 @@ class ShardedRainCluster:
         self._link_index: Optional[dict] = None  # edge id -> wired link index
         for kernel in self.sharded.kernels:
             net = ShardedNetwork(kernel, owner, host_index, default_latency_s=latency_s)
-            hosts, switches, _, _ = wire(net, topo, self.names, "sw", config.switch_ports)
+            hosts, switches = wire(net, topo, self.names, "sw", config.switch_ports)
             rep = _ShardReplica(kernel, net, FaultInjector(net), hosts, switches)
             for i in range(topo.num_nodes):
                 if owner[self.names[i]] != kernel.rank:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..net import Host, Link, Network, Switch
+from ..net import Host, Network, Switch
 from .graph import TopologyGraph
 
 __all__ = ["wire"]
@@ -24,15 +24,15 @@ def wire(
     node_names: Sequence[str],
     switch_prefix: str,
     switch_ports: int,
-    **link_kwargs,
-) -> tuple[list[Host], list[Switch], dict[tuple[int, int], Link], list[Link]]:
+) -> tuple[list[Host], list[Switch]]:
     """Build ``topo``'s switches, hosts, node links and switch links on
-    ``net`` — in that order, which fixes every link id.
+    ``net`` — in that order, so ``net.links`` follows
+    ``topo.edge_ids()`` index for index.
 
     Host ``i`` gets one NIC per attachment, in the order the
     construction listed them; the switch port budget is ``switch_ports``
     raised to the construction's highest switch degree.  Returns
-    ``(hosts, switches, node_links, switch_links)``.
+    ``(hosts, switches)``.
     """
     nd, sd = topo.degrees()
     ports = max(switch_ports, max(sd.values(), default=0))
@@ -44,14 +44,10 @@ def wire(
         net.add_host(node_names[i], nics=max(1, nd.get(i, 0)))
         for i in range(topo.num_nodes)
     ]
-    node_links: dict[tuple[int, int], Link] = {}
     next_nic = [0] * topo.num_nodes
     for n, s in topo.node_links:
-        k = next_nic[n]
+        net.link(hosts[n].nic(next_nic[n]), switches[s])
         next_nic[n] += 1
-        node_links[(n, k)] = net.link(hosts[n].nic(k), switches[s], **link_kwargs)
-    switch_links = [
-        net.link(switches[a], switches[b], **link_kwargs) for a, b in topo.switch_links
-    ]
-    return hosts, switches, node_links, switch_links
-
+    for a, b in topo.switch_links:
+        net.link(switches[a], switches[b])
+    return hosts, switches

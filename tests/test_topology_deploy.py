@@ -23,16 +23,18 @@ def _wired(topo, switch_ports=8):
     sim = Simulator()
     net = Network(sim)
     names = [f"c{i}" for i in range(topo.num_nodes)]
-    hosts, switches, node_links, switch_links = wire(net, topo, names, "s", switch_ports)
-    return sim, net, hosts, switches, node_links, switch_links, FaultInjector(net)
+    hosts, switches = wire(net, topo, names, "s", switch_ports)
+    return sim, net, hosts, switches, FaultInjector(net)
 
 
 def test_deploy_element_counts():
-    _, _, hosts, switches, node_links, switch_links, _ = _wired(diameter_ring(6))
+    _, net, hosts, switches, _ = _wired(diameter_ring(6))
     assert len(hosts) == 6
     assert len(switches) == 6
-    assert len(switch_links) == 6
-    assert len(node_links) == 12
+    ends = [(lk.a.host, lk.b) for lk in net.links[:12]]
+    assert ends == [(hosts[n], switches[s]) for n, s in diameter_ring(6).node_links]
+    ring = [(switches[j], switches[(j + 1) % 6]) for j in range(6)]
+    assert [(lk.a, lk.b) for lk in net.links[12:]] == ring
     assert all(len(h.nics) == 2 for h in hosts)
 
 
@@ -49,7 +51,7 @@ def test_live_faults_match_static_analysis():
     # The same fault set must yield the same reachability verdict in the
     # static analysis and on the cabled network.
     topo = diameter_ring(10)
-    _, net, _, switches, *_, faults = _wired(topo)
+    _, net, _, switches, faults = _wired(topo)
     # isolate node 0: kill s0 and s6
     faults.fail(switches[0])
     faults.fail(switches[6])
@@ -61,12 +63,12 @@ def test_live_faults_match_static_analysis():
 
 def test_switch_ports_sized_for_extra_nodes():
     topo = diameter_ring(10, num_nodes=30)  # switch degree 8
-    _, _, _, switches, *_ = _wired(topo)
+    _, _, _, switches, _ = _wired(topo)
     assert all(s.free_ports >= 0 for s in switches)
 
 
 def test_naive_deploy_partition_behaviour():
-    _, net, _, switches, *_, faults = _wired(naive_ring(10))
+    _, net, _, switches, faults = _wired(naive_ring(10))
     # Fig. 4b: two opposite switch failures split the cluster
     faults.fail(switches[0])
     faults.fail(switches[5])
