@@ -10,10 +10,6 @@ bulk representation:
   payloads, so serialization and arrival times are cumulative-sum
   array math and a whole window moves through each hop in **one**
   kernel callback;
-- :class:`PacketPool` — a free list of :class:`Packet` objects so the
-  survivors that must surface to per-object protocol code are
-  materialized lazily and reclaimed after the delivery callback unless
-  the handler takes ownership (``pkt.detach()``);
 - :class:`LossStream` — a block-buffered view of one per-direction rng
   stream whose vectorized ``draw(k)`` consumes *exactly* the same
   underlying PCG64 stream as ``k`` scalar ``one()`` calls, so the drop
@@ -22,22 +18,21 @@ bulk representation:
   deterministic.
 
 See docs/architecture.md ("Vectorized data plane") for the batch
-lifecycle and the fallback conditions that route traffic back to the
-per-object path.
+lifecycle and the one rule that keeps batches off fault-armed networks.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .packet import HEADER_BYTES, Packet
+from .packet import HEADER_BYTES
 
 if TYPE_CHECKING:  # pragma: no cover
     from .address import Endpoint, NicAddr
 
-__all__ = ["PacketBatch", "PacketPool", "LossStream"]
+__all__ = ["PacketBatch", "LossStream"]
 
 
 class LossStream:
@@ -110,10 +105,11 @@ class PacketBatch:
     - column lengths never change after :meth:`transmit <repro.net.
       network.Network.transmit_batch>` — drops only clear ``alive``;
     - a batch is owned by the network while in flight; the delivery
-      callback may read it only for the duration of the callback
-      (copy out or :meth:`materialize` + ``detach()`` to retain);
-    - batches never carry span contexts or cross shard boundaries —
-      those senders fall back to the per-object path.
+      callback may read it only for the duration of the callback (copy
+      out to retain);
+    - batches never carry span contexts and never run on a fault-armed
+      network (which every sharded replica is): ``transmit_batch``
+      refuses them there.
     """
 
     __slots__ = (
@@ -171,98 +167,6 @@ class PacketBatch:
     def alive_indices(self) -> np.ndarray:
         """Positions of the survivors, in send order."""
         return self.alive.nonzero()[0]
-
-    def materialize(self, i: int, pool: Optional["PacketPool"] = None) -> Packet:
-        """A :class:`Packet` view of row ``i`` for per-object consumers.
-
-        With ``pool``, the object is on loan (``pkt.pooled``) and is
-        reclaimed after the delivery callback unless the handler calls
-        ``pkt.detach()``; without, it is an ordinary packet.
-        """
-        if pool is not None:
-            return pool.acquire(self, i)
-        return Packet(
-            src=self.src,
-            dst=self.dst,
-            payload=self.payloads[i],
-            size_bytes=int(self.size_bytes[i]),
-            src_nic=self.src_nic,
-            dst_nic=self.dst_nic,
-            pid=self.pid[i],
-            send_time=float(self.send_time[i]),
-            hops=int(self.hops[i]),
-        )
-
-    def to_packets(self) -> list[Packet]:
-        """Materialize every *surviving* row as an owned packet (copies
-        out of the batch — safe to retain)."""
-        return [self.materialize(int(i)) for i in self.alive_indices()]
-
-
-class PacketPool:
-    """Free-list recycler for pool-materialized packets.
-
-    ``acquire`` reuses a released :class:`Packet` object when one is
-    available (rewriting every field, so no state leaks between loans)
-    and allocates otherwise; ``release`` returns a still-``pooled``
-    object to the free list.  Handlers that keep a packet call
-    ``pkt.detach()``, which drops the ``pooled`` flag so ``release``
-    becomes a no-op for it.  The pool never shrinks below, or grows
-    beyond, the high-water mark of simultaneously-loaned packets plus
-    ``max_free``.
-    """
-
-    __slots__ = ("_free", "max_free", "allocated", "reused")
-
-    def __init__(self, max_free: int = 1024):
-        self._free: list[Packet] = []
-        self.max_free = max_free
-        self.allocated = 0
-        self.reused = 0
-
-    def acquire(self, batch: PacketBatch, i: int) -> Packet:
-        """A pooled :class:`Packet` loaded from row ``i`` of ``batch``."""
-        free = self._free
-        if free:
-            pkt = free.pop()
-            self.reused += 1
-            pkt.src = batch.src
-            pkt.dst = batch.dst
-            pkt.payload = batch.payloads[i]
-            pkt.size_bytes = int(batch.size_bytes[i])
-            pkt.src_nic = batch.src_nic
-            pkt.dst_nic = batch.dst_nic
-            pkt.pid = batch.pid[i]
-            pkt.send_time = float(batch.send_time[i])
-            pkt.hops = int(batch.hops[i])
-            pkt.ctx = None
-            pkt.span = None
-            pkt.pooled = True
-            return pkt
-        self.allocated += 1
-        return Packet(
-            src=batch.src,
-            dst=batch.dst,
-            payload=batch.payloads[i],
-            size_bytes=int(batch.size_bytes[i]),
-            src_nic=batch.src_nic,
-            dst_nic=batch.dst_nic,
-            pid=batch.pid[i],
-            send_time=float(batch.send_time[i]),
-            hops=int(batch.hops[i]),
-            pooled=True,
-        )
-
-    def release(self, pkt: Packet) -> None:
-        """Return a loaned packet; no-op if the handler detached it."""
-        if pkt.pooled and len(self._free) < self.max_free:
-            pkt.payload = None  # don't pin handler data from the free list
-            self._free.append(pkt)
-
-    @property
-    def free_count(self) -> int:
-        """Packets currently parked on the free list."""
-        return len(self._free)
 
 
 def fifo_finish_times(

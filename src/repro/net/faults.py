@@ -46,8 +46,8 @@ class FaultInjector:
         self.sim: Simulator = network.sim
         self.log: list[FaultEvent] = []
         # The batched route checks a whole window once per hop, not
-        # each packet in flight; an injector's mere existence makes
-        # batches fall back to scalar transmits, whose checks are exact.
+        # each packet in flight; an injector's mere existence makes the
+        # network refuse batches, so every packet gets exact checks.
         network.arm_faults()
 
     # -- immediate ---------------------------------------------------------

@@ -21,12 +21,15 @@ Forwarding runs on two routes:
 - the **batched route** (:meth:`Network.transmit_batch`): a whole
   :class:`~repro.net.batch.PacketBatch` window moves through each hop in
   one kernel callback — cumulative-sum serialization, one vectorized
-  loss draw per (link, direction, window), deferred metrics.
+  loss draw per (link, direction, window), deferred metrics, and one
+  ``bind_batch`` handler call per window.
 
-One fallback rule joins them: on a fault-armed network (any
-:class:`~repro.net.faults.FaultInjector` constructed, or a sharded
-replica, which arms itself) the rows of a batch become scalar
-transmits.
+The two never mix.  A batch checks faults once per hop for the whole
+window, so a fault-armed network (any :class:`~repro.net.faults.
+FaultInjector` built on it, or a sharded replica, which arms itself)
+refuses batches outright.  A window reaching a port with no batch
+handler, and a scalar packet reaching a port with only one, is counted
+as ``dropped_no_handler``.
 
 Loss draws always come from a per-(link, direction) stream
 (:class:`~repro.net.batch.LossStream`), consumed in serializer
@@ -46,7 +49,7 @@ from ..obs.metrics import DeferredHistogram
 from ..sim import Simulator, StatCounters
 from . import packet as packet_mod
 from .address import NicAddr
-from .batch import LossStream, PacketBatch, PacketPool, fifo_finish_times
+from .batch import LossStream, PacketBatch, fifo_finish_times
 from .device import Device
 from .link import Link
 from .nic import Nic
@@ -147,16 +150,13 @@ class Network:
         # Route cache, invalidated wholesale whenever the topology
         # version moves.
         self._route_cache: dict = {}
-        #: Sticky flag (see ``arm_faults``): once armed, batched windows
-        #: fall back to scalar transmits.
+        #: Sticky flag (see ``arm_faults``): once armed, the network
+        #: refuses batched windows.
         self._fault_armed = False
         # Deferred hot-path accumulators, pushed into registry series by
         # the flush hook below (same pattern as the kernel's counters).
         self._sums = self.stats.sums
         self._pending_traces = {"net.trace.deliver": 0, "net.trace.drop": 0}
-        #: Free-list recycler behind per-object materialization of
-        #: batched survivors (see ``PacketBatch.materialize``).
-        self.pool = PacketPool()
         sim.obs.add_flush_hook(self._flush_net_metrics)
 
     @staticmethod
@@ -232,10 +232,10 @@ class Network:
     def mint_pid_batch(self, host: Host, n: int) -> list:
         """``n`` packet ids for one batched send, in send order.
 
-        Draws from exactly the source :meth:`mint_pid` would use, one id
-        per packet, so a batch-minted window is indistinguishable from
-        ``n`` sequential sends — including on sharded networks, whose
-        override makes the ids layout-invariant.
+        The next ``n`` ids of the process-global counter that
+        :meth:`mint_pid` leaves to :class:`Packet`, so a batch-minted
+        window is numbered like ``n`` sequential sends.  No sharded
+        override: a replica refuses batches.
         """
         return list(islice(packet_mod._packet_ids, n))
 
@@ -270,11 +270,12 @@ class Network:
             self._fabric_version += 1
 
     def arm_faults(self) -> None:
-        """Called by :class:`~repro.net.faults.FaultInjector` before any
-        fault activity (and by a sharded replica on itself).  Sticky:
-        from here on every batched window falls back to scalar
-        transmits, whose per-hop checks make in-flight fault semantics
-        exact."""
+        """The guard that keeps batches off networks that can fault.
+
+        Called by :class:`~repro.net.faults.FaultInjector` before any
+        fault activity, and by a sharded replica on itself.  Sticky:
+        from here on :meth:`transmit_batch` raises, because only the
+        scalar route's per-hop checks make in-flight faults exact."""
         self._fault_armed = True
 
     def nic(self, addr: NicAddr) -> Nic:
@@ -536,13 +537,15 @@ class Network:
         as per-packet draws, per-packet arrival times kept in the
         ``arrival`` column.  Delivery fires once at the window's last
         arrival.  A fault-armed network (which every sharded replica
-        is) falls back to scalar transmits.
+        is) raises before anything is scheduled: send scalars there.
         """
         if batch.src.node not in self.hosts or batch.dst.node not in self.hosts:
             raise ValueError(f"unknown endpoint {batch.src} -> {batch.dst}")
         if self._fault_armed:
-            self._transmit_batch_fallback(batch)
-            return
+            raise RuntimeError(
+                "batched windows need a network that cannot fault: this one has a "
+                "FaultInjector or is a shard replica; send scalar packets instead"
+            )
         route = self._route_for(batch.src.node, batch.dst.node, batch.src_nic, batch.dst_nic)
         n = len(batch)
         if type(route) is str:
@@ -648,21 +651,7 @@ class Network:
         batch.hops[idxs] += len(route.hops)
         self._sums["packets_delivered"] += float(k)
         self._trace_batch("net.trace.deliver", batch, idxs)
-        nic.host.deliver_batch(batch, idxs, self.pool)
-
-    def _transmit_batch_fallback(self, batch: PacketBatch) -> None:
-        """The fallback rule: each row becomes a scalar transmit.
-
-        Used on fault-armed networks, sharded replicas included — exact
-        per-packet semantics, including in-flight fault checks and
-        cross-shard handoffs.
-        """
-        batch.send_time[:] = self.sim.now
-        for i in range(len(batch)):
-            self.transmit(batch.materialize(i))
-        # Rows handed to the per-object pipeline live their own lives;
-        # the batch itself is spent.
-        batch.alive[:] = False
+        nic.host.deliver_batch(batch, idxs)
 
     # -- queries -----------------------------------------------------------
 

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from ..sim import Mailbox, Simulator
 from .address import Endpoint, NicAddr
-from .batch import PacketBatch, PacketPool
+from .batch import PacketBatch
 from .nic import Nic
 from .packet import Packet
 
@@ -64,8 +64,7 @@ class Host:
 
     def bind(self, port: int, handler: PacketHandler) -> None:
         """Attach ``handler`` to ``port``; it runs on each delivery."""
-        if port in self._handlers:
-            raise PortInUse(f"{self.name} port {port} already bound")
+        self._claim(port)
         self._handlers[port] = handler
 
     def unbind(self, port: int) -> None:
@@ -77,52 +76,30 @@ class Host:
         """Attach a whole-window handler to ``port``.
 
         Batched deliveries hand the handler the :class:`PacketBatch`
-        itself (valid for the duration of the callback — copy out or
-        ``materialize(i).detach()`` to retain rows).  Traffic that falls
-        back to the per-object pipeline (fault-armed networks, sharded
-        replicas) is adapted into one-row batches, so the handler sees a
-        uniform interface either way.
+        itself, valid for the duration of the callback (copy out to
+        retain rows).  Scalar packets to this port are counted as
+        ``dropped_no_handler``, as at an unbound port.
         """
-        if port in self._batch_handlers:
-            raise PortInUse(f"{self.name} port {port} already batch-bound")
-
-        def _adapt(pkt: Packet) -> None:
-            one = PacketBatch(
-                pkt.src,
-                pkt.dst,
-                [pkt.payload],
-                pkt.size_bytes,
-                [pkt.pid],
-                src_nic=pkt.src_nic,
-                dst_nic=pkt.dst_nic,
-            )
-            one.send_time[0] = 0.0 if pkt.send_time is None else pkt.send_time
-            one.arrival[0] = self.sim.now
-            one.hops[0] = pkt.hops
-            handler(one)
-
-        self.bind(port, _adapt)
+        self._claim(port)
         self._batch_handlers[port] = handler
+
+    def _claim(self, port: int) -> None:
+        """One handler per port, of either kind."""
+        if port in self._handlers or port in self._batch_handlers:
+            raise PortInUse(f"{self.name} port {port} already bound")
 
     def open_mailbox(self, port: int, capacity: Optional[int] = None) -> Mailbox:
         """Bind ``port`` to a fresh :class:`Mailbox` and return it."""
         box = Mailbox(self.sim, capacity=capacity)
-
-        def _put(pkt: Packet, _put=box.put) -> None:
-            # Mailboxes retain packets past the delivery callback, so a
-            # pool-materialized packet must be taken off its loan first.
-            pkt.detach()
-            _put(pkt)
-
-        self.bind(port, _put)
+        self.bind(port, box.put)
         return box
 
     def ephemeral_port(self) -> int:
         """Allocate an unused high port."""
-        while self._next_ephemeral in self._handlers:
-            self._next_ephemeral += 1
         port = self._next_ephemeral
-        self._next_ephemeral += 1
+        while port in self._handlers or port in self._batch_handlers:
+            port += 1
+        self._next_ephemeral = port + 1
         return port
 
     def endpoint(self, port: int) -> Endpoint:
@@ -153,7 +130,7 @@ class Host:
         src_addr = self.nics[src_nic].addr if src_nic is not None else None
         dst_addr = self._dst_nic_addr(dst.node, dst_nic) if dst_nic is not None else None
         pid = self.network.mint_pid(self)
-        # Positional (declaration order): keyword matching on a 12-field
+        # Positional (declaration order): keyword matching on an 11-field
         # dataclass costs more than the rest of its construction.
         pkt = Packet(src, dst, payload, size_bytes, src_addr, dst_addr, pid, ctx=ctx)
         self.network.transmit(pkt)
@@ -214,34 +191,19 @@ class Host:
         self.delivered += 1
         handler(packet)
 
-    def deliver_batch(self, batch: PacketBatch, idxs, pool: PacketPool) -> None:
-        """Called by the network when a batched window reaches this host.
-
-        A ``bind_batch`` handler gets the whole window in one call;
-        otherwise each surviving row is materialized from ``pool``,
-        dispatched through the ordinary per-packet handler, and reclaimed
-        unless the handler detached it.
-        """
+    def deliver_batch(self, batch: PacketBatch, idxs) -> None:
+        """Called by the network when a batched window reaches this host:
+        the port's ``bind_batch`` handler gets the whole window in one
+        call."""
         if not self.up:
             return
-        port = batch.dst.port
         k = len(idxs)
-        handler = self._batch_handlers.get(port)
-        if handler is not None:
-            self.delivered += k
-            handler(batch)
-            return
-        per_packet = self._handlers.get(port)
-        if per_packet is None:
+        handler = self._batch_handlers.get(batch.dst.port)
+        if handler is None:
             self.network.stats.add("dropped_no_handler", float(k))
             return
         self.delivered += k
-        acquire = pool.acquire
-        release = pool.release
-        for i in idxs:
-            pkt = acquire(batch, int(i))
-            per_packet(pkt)
-            release(pkt)
+        handler(batch)
 
     def __repr__(self) -> str:
         state = "up" if self.up else "DOWN"

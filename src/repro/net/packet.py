@@ -57,9 +57,9 @@ class Packet:
     #:   that advance in keyed event order — the same sequence in every
     #:   layout — and passes them in explicitly, so ``__post_init__``
     #:   never touches the global counter on a sharded run.
-    #: - Batched sends follow the same contract in bulk:
-    #:   ``Network.mint_pid_batch`` draws ``n`` consecutive ids from
-    #:   whichever source ``mint_pid`` would use, in send order.
+    #: - Batched sends run on plain networks only, so
+    #:   ``Network.mint_pid_batch`` draws ``n`` consecutive ids from the
+    #:   process-global counter, in send order.
     pid: Any = None
     send_time: Optional[float] = None
     hops: int = 0
@@ -69,23 +69,10 @@ class Packet:
     #: installed and the sender threaded a context through.
     ctx: Any = None
     span: Any = None
-    #: True while this object is on loan from a :class:`~repro.net.batch.
-    #: PacketPool`: it is valid only for the duration of the delivery
-    #: callback unless the handler calls :meth:`detach`.
-    pooled: bool = False
 
     def __post_init__(self):
         if self.pid is None:
             self.pid = next(_packet_ids)
-
-    def detach(self) -> None:
-        """Take ownership of a pool-materialized packet.
-
-        Handlers that retain a packet past their callback (mailboxes,
-        reassembly buffers) call this; the pool then never reclaims or
-        reuses the object.  A no-op for ordinary packets.
-        """
-        self.pooled = False
 
     @property
     def wire_bytes(self) -> int:

@@ -64,9 +64,9 @@ class ShardedNetwork(Network):
         self.owner = owner
         self.host_index = host_index
         kernel.on_inject = self._inject_arrival
-        # Batched windows become scalar transmits here: the per-hop
-        # route is what stages cross-shard handoffs and keeps the keyed
-        # event schedule layout-invariant.
+        # A replica refuses batched windows: the per-hop route is what
+        # stages cross-shard handoffs and keeps the keyed event schedule
+        # layout-invariant.
         self.arm_faults()
 
     # -- replica-stable identities --------------------------------------
@@ -79,12 +79,6 @@ class ShardedNetwork(Network):
     def mint_pid(self, host: Host) -> tuple:
         hi = self.host_index[host.name]
         return (hi, self.sim.mint_origin_seq(("pid", hi)))
-
-    def mint_pid_batch(self, host: Host, n: int) -> list:
-        # Batched sends mint from the same keyed per-origin counters as
-        # sequential sends, so a window's ids — and everything keyed off
-        # them — are identical in every shard layout.
-        return [self.mint_pid(host) for _ in range(n)]
 
     def owns(self, name: str) -> bool:
         """Whether this shard owns the named element."""

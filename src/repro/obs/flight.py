@@ -1,9 +1,9 @@
 """Flight recorder: bounded event ring buffer + crash reports.
 
-A :class:`FlightRecorder` subscribes to the whole event bus (``"*"``)
-and keeps the last ``capacity`` events in a fixed-size deque — the
-"black box" of a simulation.  Memory is bounded no matter how long the
-run; the cost per event is one deque append.
+A :class:`FlightRecorder` is an :class:`~repro.obs.bus.EventRing` over
+the whole bus (``"*"``): the last ``capacity`` events, the "black box"
+of a simulation.  Memory is bounded no matter how long the
+run; the cost per event is one ring append.
 
 When something goes wrong — a membership invariant trips, a scenario
 raises — :meth:`dump` produces a deterministic crash report: the
@@ -20,10 +20,9 @@ the golden traces.
 from __future__ import annotations
 
 import json
-from collections import deque
 from typing import TYPE_CHECKING, Optional
 
-from .bus import Event
+from .bus import Event, EventRing
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from . import Observability
@@ -31,27 +30,21 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = ["FlightRecorder"]
 
 
-class FlightRecorder:
+class FlightRecorder(EventRing):
     """Last-N event window over the bus, dumpable as a crash report."""
 
     def __init__(self, obs: "Observability", capacity: int = 512):
+        super().__init__(obs.bus, capacity=capacity)
         self.obs = obs
-        self.capacity = capacity
-        self._ring: deque[Event] = deque(maxlen=capacity)
-        self.n_seen = 0
-        obs.bus.subscribe("*", self._on_event)
 
-    def _on_event(self, ev: Event) -> None:
-        self.n_seen += 1
-        self._ring.append(ev)
-
-    def close(self) -> None:
-        """Detach from the bus (restores the no-subscriber fast path)."""
-        self.obs.bus.unsubscribe("*", self._on_event)
+    @property
+    def n_seen(self) -> int:
+        """Events recorded since installation, retained or not."""
+        return self.next_seq
 
     def events(self) -> list[Event]:
         """The retained window, oldest first."""
-        return list(self._ring)
+        return [ev for _seq, _label, ev in self.since()]
 
     # -- crash reports -----------------------------------------------------
 
@@ -69,10 +62,10 @@ class FlightRecorder:
             "time": self.obs.time_fn(),
             "events": [
                 {"time": ev.time, "topic": ev.topic, "data": dict(ev.data)}
-                for ev in self._ring
+                for ev in self.events()
             ],
             "n_events_seen": self.n_seen,
-            "n_events_retained": len(self._ring),
+            "n_events_retained": len(self),
             "open_spans": (
                 [s.to_dict() for s in tracer.open_spans()] if tracer else []
             ),

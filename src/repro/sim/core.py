@@ -487,11 +487,10 @@ class Simulator:
     def credit_events(self, n: int) -> None:
         """Credit ``n`` elided callbacks to the kernel event counter.
 
-        Fused fast paths — the network's whole-path packet walk, batched
-        link delivery — execute work the per-object pipeline would have
-        dispatched as ``n`` extra kernel callbacks; crediting keeps the
-        ``sim.kernel.events`` metric counting *logical* events, invariant
-        under the fusion optimizations.
+        The network's batched route moves a whole window per hop in one
+        callback, where scalar sends would have dispatched ``n`` more;
+        crediting keeps the ``sim.kernel.events`` metric counting
+        *logical* events, the same count either way.
         """
         self._n_events += n
 

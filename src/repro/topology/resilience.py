@@ -64,6 +64,15 @@ class FaultSet:
                 raise ValueError(f"unknown element kind {kind!r}")
         return FaultSet(frozenset(sw), frozenset(nd), frozenset(lk))
 
+    def tags(self) -> tuple:
+        """The inverse of :meth:`of`: switch, then node, then link tags,
+        each kind sorted."""
+        return (
+            tuple(("switch", j) for j in sorted(self.switches))
+            + tuple(("node", i) for i in sorted(self.nodes))
+            + tuple(("link", eid) for eid in sorted(self.links))
+        )
+
 
 @dataclass(frozen=True)
 class PartitionReport:

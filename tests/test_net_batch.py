@@ -1,10 +1,10 @@
 """Tests for the vectorized struct-of-arrays data plane.
 
 Covers the batch module itself (LossStream stream parity, FIFO closed
-form, pool invariants), the batched pipeline end to end, and the
-equivalence contract the batched route must keep with its scalar
-fallback: same drop decisions, same logical kernel event counts, same
-metrics.
+form), the batched pipeline end to end, the equivalence contract the
+batched route must keep with the same packets sent one by one (same
+drop decisions, same logical kernel event counts, same metrics), and
+the rules that keep windows and scalar packets apart.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.net import HEADER_BYTES, Network
-from repro.net.batch import LossStream, PacketBatch, PacketPool, fifo_finish_times
+from repro.net import HEADER_BYTES, FaultInjector, Network, PortInUse
+from repro.net.batch import LossStream, fifo_finish_times
 from repro.net.link import LinkEnd
 from repro.sim import Simulator
 
@@ -164,32 +164,6 @@ def test_fifo_finish_times_is_bit_identical_to_the_unfused_form():
         assert np.array_equal(ready, ready_before)  # inputs are not written
 
 
-# -- PacketPool invariants --------------------------------------------------
-
-
-def test_pool_reuses_released_objects_and_respects_detach():
-    sim, net, a, b = two_host_net()
-    batch = PacketBatch(
-        a.endpoint(1), b.endpoint(2), ["p0", "p1"], 10, [101, 102]
-    )
-    pool = PacketPool()
-    p0 = pool.acquire(batch, 0)
-    assert p0.pooled and p0.payload == "p0" and p0.pid == 101
-    pool.release(p0)
-    assert pool.free_count == 1
-    assert p0.payload is None  # free list must not pin handler data
-    p1 = pool.acquire(batch, 1)
-    assert p1 is p0  # recycled
-    assert p1.payload == "p1" and p1.pid == 102 and p1.size_bytes == 10
-    p1.detach()
-    pool.release(p1)
-    assert pool.free_count == 0  # detached: release is a no-op
-    assert p1.payload == "p1"
-    p2 = pool.acquire(batch, 0)
-    assert p2 is not p1
-    assert pool.allocated == 2 and pool.reused == 1
-
-
 # -- batched pipeline end to end --------------------------------------------
 
 
@@ -209,29 +183,6 @@ def test_batch_delivery_whole_window():
     # pids minted consecutively in send order from the global counter
     pids = list(sent.pid)
     assert pids == list(range(pids[0], pids[0] + 100))
-
-
-def test_batch_to_per_object_handler_uses_pool():
-    sim, net, a, b = two_host_net()
-    got = []
-    b.bind(7, lambda pkt: got.append((pkt.pid, pkt.payload)))
-    a.send_batch(b.endpoint(7), ["x", "y", "z"])
-    sim.run(until=1.0)
-    assert [p for _, p in got] == ["x", "y", "z"]
-    # all three loans went through one recycled object
-    assert net.pool.allocated == 1 and net.pool.reused == 2
-    assert net.pool.free_count == 1
-
-
-def test_mailbox_detaches_pooled_packets():
-    sim, net, a, b = two_host_net()
-    box = b.open_mailbox(7)
-    a.send_batch(b.endpoint(7), ["x", "y"])
-    sim.run(until=1.0)
-    pkts = [box.get_nowait() for _ in range(2)]
-    assert [p.payload for p in pkts] == ["x", "y"]
-    assert not pkts[0].pooled and pkts[0] is not pkts[1]
-    assert net.pool.free_count == 0  # nothing reclaimed
 
 
 def test_batch_drops_clear_alive_mask_only():
@@ -296,24 +247,31 @@ def test_hop_batch_survives_a_lost_window_tail():
     assert int(net.stats.sums["packets_delivered"]) == len(alive)
 
 
-# -- equivalence: batched route vs the scalar fallback ----------------------
+# -- equivalence: a window vs the same packets sent one by one --------------
 
 
-def _run_batch_flow(armed: bool, loss: float = 0.2, n: int = 300):
+def _run_flow(batched: bool, loss: float = 0.2, n: int = 300):
+    """``n`` 256-byte packets from A to B at t = 0: one window to a
+    ``bind_batch`` handler, or ``n`` scalar sends to a ``bind`` handler.
+    Returns the delivered positions (pid minus the first pid), the
+    network's sums and the kernel's event count."""
     sim, net, a, b = two_host_net(seed=21, loss=loss)
-    if armed:
-        net.arm_faults()
-    sent = a.send_batch(b.endpoint(7), [None] * n, size_bytes=256)
-    base = int(sent.pid[0])
     got = []
-    b.bind_batch(7, lambda batch: got.extend(
-        int(p) - base for i in batch.alive_indices() for p in [batch.pid[i]]))
+    if batched:
+        b.bind_batch(7, lambda batch: got.extend(
+            int(batch.pid[i]) - base for i in batch.alive_indices()))
+        base = int(a.send_batch(b.endpoint(7), [None] * n, size_bytes=256).pid[0])
+    else:
+        b.bind(7, lambda pkt: got.append(pkt.pid - base))
+        base = a.send(b.endpoint(7), None, size_bytes=256).pid
+        for _ in range(n - 1):
+            a.send(b.endpoint(7), None, size_bytes=256)
     sim.run(until=2.0)
     events = int(sim.obs.metrics.value("sim.kernel.events"))
     return got, dict(net.stats.sums), events
 
 
-def test_batched_route_matches_per_object_fallback():
+def test_batched_route_matches_scalar_sends():
     """Single flow: same drop set, same stats, same *logical* event count.
 
     With one sender, serializer reservation order is identical on both
@@ -321,18 +279,22 @@ def test_batched_route_matches_per_object_fallback():
     the same packets — and the batched route credits exactly the
     callbacks it elides.
     """
-    fast_pos, fast_stats, fast_events = _run_batch_flow(False)
-    slow_pos, slow_stats, slow_events = _run_batch_flow(True)
+    fast_pos, fast_stats, fast_events = _run_flow(True)
+    slow_pos, slow_stats, slow_events = _run_flow(False)
+    assert 0 < len(fast_pos) < 300  # the loss actually bit
     assert fast_pos == slow_pos  # identical drop decisions, window order
     assert fast_stats == slow_stats
     assert fast_events == slow_events
 
 
-def test_send_batch_on_a_sharded_replica_takes_the_fallback():
-    """A sharded replica is fault-armed from construction, so a batch
-    becomes scalar transmits that cross the shard boundary hop by hop."""
+# -- the rules that keep windows and scalar packets apart -------------------
+
+
+def test_send_batch_on_a_sharded_replica_raises():
+    """A sharded replica is fault-armed from construction, so a window
+    is refused before anything is scheduled."""
     from repro.net.shard import ShardedNetwork
-    from repro.sim.shard import ShardedSimulator, host_origin
+    from repro.sim.shard import ShardedSimulator
 
     ss = ShardedSimulator(seed=5, shards=2, lookahead=40e-6)
     owner = {"A": 0, "S": 1, "B": 1}
@@ -346,19 +308,48 @@ def test_send_batch_on_a_sharded_replica_takes_the_fallback():
         net.link(a.nic(0), s)
         net.link(b.nic(0), s)
         nets.append(net)
-    windows = []
-    nets[1].hosts["B"].bind_batch(7, lambda batch: windows.append(len(batch)))
-    sent = []
-    sender = nets[0].hosts["A"]
-    dst = nets[1].hosts["B"].endpoint(7)
-    ss.kernels[0].schedule_keyed(
-        0.0, host_origin(0), 0, lambda: sent.append(sender.send_batch(dst, ["x"] * 6))
-    )
-    ss.run(0.01)
-    assert windows == [1] * 6  # six one-row batches, not one window of six
-    assert sent[0].n_alive == 0  # the batch itself is spent
-    assert int(nets[0].stats.sums["packets_sent"]) == 6
-    assert int(nets[1].stats.sums["packets_delivered"]) == 6
+    with pytest.raises(RuntimeError, match="shard replica"):
+        nets[0].hosts["A"].send_batch(nets[1].hosts["B"].endpoint(7), ["x"] * 6)
+    assert [k.peek() for k in ss.kernels] == [float("inf")] * 2
+    assert "packets_sent" not in nets[0].stats.sums
+
+
+def test_send_batch_on_a_network_with_a_fault_injector_raises():
+    sim, net, a, b = two_host_net()
+    FaultInjector(net)
+    b.bind_batch(7, lambda batch: None)
+    with pytest.raises(RuntimeError, match="FaultInjector"):
+        a.send_batch(b.endpoint(7), [None] * 8)
+    assert sim.peek() == float("inf")
+    assert "packets_sent" not in net.stats.sums
+
+
+def test_a_window_to_a_bind_port_and_a_packet_to_a_bind_batch_port_are_dropped():
+    sim, net, a, b = two_host_net()
+    got = []
+    b.bind(7, got.append)
+    b.bind_batch(8, got.append)
+    a.send_batch(b.endpoint(7), [None] * 5)
+    a.send(b.endpoint(8), None)
+    sim.run(until=1.0)
+    assert got == [] and b.delivered == 0
+    sums = net.stats.sums
+    assert sums["packets_delivered"] == 6.0  # the network delivered them...
+    assert sums["dropped_no_handler"] == 6.0  # ...and the host had no handler
+
+
+def test_a_port_holds_one_handler_of_either_kind():
+    sim, net, a, b = two_host_net()
+    b.bind(7, lambda pkt: None)
+    b.bind_batch(8, lambda batch: None)
+    with pytest.raises(PortInUse):
+        b.bind_batch(7, lambda batch: None)
+    with pytest.raises(PortInUse):
+        b.bind(8, lambda pkt: None)
+    with pytest.raises(PortInUse):
+        b.open_mailbox(8)
+    b.bind_batch(49152, lambda batch: None)
+    assert b.ephemeral_port() == 49153  # skips the batch-bound port
 
 
 def test_manual_mid_flight_link_kill_is_exact_per_hop():
@@ -385,35 +376,6 @@ def test_manual_mid_flight_link_kill_is_exact_per_hop():
 
     assert run(0.5 * hop) == {"drop_element_down": 1.0}
     assert run(1.5 * hop) == {"drop_link_died_in_flight": 1.0}
-
-
-# -- satellite 2: batch-minted pids are layout-invariant --------------------
-
-
-def _sharded_batch_pids(shards: int) -> dict:
-    from repro.net.shard import ShardedNetwork
-    from repro.sim.shard import ShardedSimulator
-
-    ss = ShardedSimulator(seed=5, shards=shards, lookahead=1e-3)
-    names = ["A", "B", "C", "D"]
-    owner = {name: i % shards for i, name in enumerate(names)}
-    owner["sw0"] = 0
-    host_index = {name: i for i, name in enumerate(names)}
-    minted: dict = {}
-    for kernel in ss.kernels:
-        net = ShardedNetwork(kernel, owner, host_index)
-        sw = net.add_switch("sw0")
-        hosts = [net.add_host(name) for name in names]
-        for host in hosts:
-            net.link(host.nic(0), sw)
-        for host in hosts:
-            if net.owns(host.name):
-                minted[host.name] = net.mint_pid_batch(host, 5)
-    return minted
-
-
-def test_batch_minted_pids_layout_invariant():
-    assert _sharded_batch_pids(1) == _sharded_batch_pids(4)
 
 
 # -- golden: a flood-shaped network on the batched route ---------------------

@@ -76,14 +76,6 @@ def test_naive_deploy_partition_behaviour():
     assert not net.host_reachable("c1", "c6")
 
 
-def _tags(faults: FaultSet) -> list:
-    return (
-        [("switch", j) for j in sorted(faults.switches)]
-        + [("node", i) for i in sorted(faults.nodes)]
-        + [("link", eid) for eid in sorted(faults.links)]
-    )
-
-
 def _live_component_sizes(net, names) -> tuple:
     """Sizes of the classes of up hosts that reach each other, descending."""
     left = [name for name in names if net.hosts[name].up]
@@ -128,7 +120,7 @@ def test_worst_case_replayed_on_the_sharded_cluster(kinds, pick):
     report = analyze(_RING10, faults)
     assert report.nodes_lost == worst.max_lost or report.is_partitioned
     cluster = ShardedRainCluster(_RING10, seed=7, shards=2)
-    for tag in _tags(faults):
+    for tag in faults.tags():
         cluster.fail_at(0.1, tag)
     cluster.run(0.2)
     for rep in cluster.replicas:
