@@ -18,7 +18,6 @@ from conftest import once
 
 from repro.membership import MembershipConfig, build_membership
 from repro.net import FaultInjector, Network
-from repro.rudp import UNPINNED
 from repro.sim import Simulator
 
 
@@ -37,9 +36,7 @@ def mesh_cluster(n=4, detection="aggressive", seed=1):
             pair_links[(hosts[i].name, hosts[j].name)] = net.link(
                 hosts[i].nic(li), hosts[j].nic(lj)
             )
-    nodes = build_membership(
-        hosts, MembershipConfig(detection=detection), paths=[UNPINNED]
-    )
+    nodes = build_membership(hosts, MembershipConfig(detection=detection))
     return sim, net, hosts, nodes, pair_links
 
 

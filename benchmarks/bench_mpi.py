@@ -31,9 +31,7 @@ def dual_plane_world(n=4, seed=51, bandwidth=1e9):
         net.link(h.nic(1), s1)
         hosts.append(h)
     mon = MonitorConfig(ping_interval=0.05, timeout=0.2)
-    world = MpiWorld.build(
-        sim, hosts, paths=[(0, 0), (1, 1)], rudp_config=RudpConfig(monitor=mon)
-    )
+    world = MpiWorld.build(sim, hosts, rudp_config=RudpConfig(monitor=mon))
     return sim, net, world
 
 
@@ -136,8 +134,8 @@ def test_bundling_bandwidth(benchmark, record):
             net.link(b.nic(1), s1)
             ta = RudpTransport(a, RudpConfig(window=256, policy=policy))
             tb = RudpTransport(b)
-            ta.connect("B", paths=[(0, 0), (1, 1)])
-            tb.connect("A", paths=[(0, 0), (1, 1)])
+            ta.connect("B")  # bundles (0, 0) and (1, 1)
+            tb.connect("A")
             got = []
             tb.register("bulk", lambda src, x: got.append(sim.now))
             total_bytes = 2_000_000

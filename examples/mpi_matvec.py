@@ -35,7 +35,6 @@ def main() -> None:
     world = MpiWorld.build(
         sim,
         hosts,
-        paths=[(0, 0), (1, 1)],
         rudp_config=RudpConfig(monitor=MonitorConfig(ping_interval=0.05, timeout=0.2)),
     )
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 from .harness import (
@@ -40,8 +41,9 @@ def add_bench_parser(sub) -> None:
     p.add_argument(
         "--out",
         type=Path,
-        default=Path("."),
-        help="directory for BENCH_<name>.json artifacts (default: cwd)",
+        default=None,
+        help="directory for BENCH_<name>.json artifacts (default: a fresh "
+        "scratch directory, printed; --out . regenerates the committed files)",
     )
     p.add_argument(
         "--check",
@@ -69,13 +71,16 @@ def cmd_bench(args) -> int:
             file=sys.stderr,
         )
         return 2
+    out = args.out or Path(tempfile.mkdtemp(prefix="repro-bench-"))
+    if args.out is None:  # the committed BENCH_*.json are rewritten only on request
+        print(f"writing BENCH_<name>.json to {out}")
     calibration = calibrate()
     print(f"calibration: {calibration:,.0f} loop iters/sec")
     results = []
     for name in names:
         result = run_workload(WORKLOADS[name], quick=args.quick, repeats=args.repeats)
         results.append(result)
-        path = write_result(result, args.out, calibration, args.quick)
+        path = write_result(result, out, calibration, args.quick)
         print(
             f"{name:>12}: {result['ops_per_sec']:>14,.0f} {result['unit']}/s  "
             f"p50 {result['p50_op_ns']:>8,.0f} ns/op  "

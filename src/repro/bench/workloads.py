@@ -163,7 +163,6 @@ def _wl_flood(quick: bool) -> tuple[int, int]:
 def _wl_membership(quick: bool) -> tuple[int, int]:
     from repro.membership import MembershipConfig, build_membership
     from repro.net import Network
-    from repro.rudp import UNPINNED
     from repro.sim import Simulator
 
     n = 4
@@ -177,7 +176,7 @@ def _wl_membership(quick: bool) -> tuple[int, int]:
             nic_next[i] += 1
             nic_next[j] += 1
             net.link(hosts[i].nic(li), hosts[j].nic(lj))
-    nodes = build_membership(hosts, MembershipConfig(), paths=[UNPINNED])
+    nodes = build_membership(hosts, MembershipConfig())
     sim.run(until=4.0 if quick else 15.0)
     seen = [node.tokens_seen for node in nodes]
     ops = sum(seen)
@@ -209,9 +208,8 @@ def _wl_rudp(quick: bool) -> tuple[int, int]:
     tb = RudpTransport(b, cfg)
     got: list[int] = []
     tb.register("bench", lambda src, data: got.append(data))
-    paths = [(0, 0), (1, 1)]
-    ta.connect("B", paths=paths)
-    tb.connect("A", paths=paths)
+    ta.connect("B")  # bundles (0, 0) and (1, 1)
+    tb.connect("A")
     n = 80 if quick else 400
     for i in range(n):
         ta.send("B", "bench", i, size_bytes=256)

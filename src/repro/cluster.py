@@ -17,7 +17,7 @@ from .codes import ErasureCode
 from .election import LeaderElection
 from .membership import MembershipConfig, MembershipNode, build_membership
 from .net import FaultInjector, Host, Network
-from .rudp import UNPINNED, RudpConfig, RudpTransport
+from .rudp import RudpConfig, RudpTransport
 from .sim import ShardedSimulator, Simulator, host_origin
 from .storage import DistributedStore, Placement, StorageNode
 from .topology import TopologyGraph, fig1_testbed, switch_planes
@@ -88,24 +88,10 @@ class RainCluster:
         self.faults = FaultInjector(self.network)
         names = [f"{config.node_prefix}{i}" for i in range(config.nodes)]
         self.hosts, self.switches = wire(self.network, _topo, names, "sw", config.switch_ports)
-        if _topo.switch_links:
-            # cabled planes: leave paths unpinned and let routing pick,
-            # as the real testbed's source routing did
-            paths = [UNPINNED]
-        else:
-            # isolated planes: mirrored NIC pairing between any two nodes
-            paths = [(j, j) for j in range(config.nics)]
-        rudp_cfg = config.rudp_config()
-        self.transports: list[RudpTransport] = [
-            RudpTransport(h, rudp_cfg) for h in self.hosts
-        ]
-        for tp in self.transports:
-            for peer in self.hosts:
-                if peer.name != tp.host.name:
-                    tp.connect(peer.name, paths=paths)
         self.membership: list[MembershipNode] = build_membership(
-            self.hosts, config.membership, transports=self.transports
+            self.hosts, config.membership, config.rudp_config()
         )
+        self.transports = [m.transport for m in self.membership]
         self.elections: list[LeaderElection] = [
             LeaderElection(m) for m in self.membership
         ]
@@ -262,6 +248,7 @@ class ShardedRainCluster:
         self.owner = owner
         host_index = {self.names[i]: i for i in range(topo.num_nodes)}
         ring = tuple(self.names)  # one bootstrap ring shared by every member
+        members = frozenset(ring)  # and one member set shared by every transport
         rudp_cfg = config.rudp_config()
         self.replicas: list[_ShardReplica] = []
         self._link_index: Optional[dict] = None  # edge id -> wired link index
@@ -276,7 +263,7 @@ class ShardedRainCluster:
                 # watchdog onwards — must be keyed to the host's own
                 # origin so the schedule is identical in every layout.
                 with kernel.origin(host_origin(i)):
-                    tp = RudpTransport(hosts[i], rudp_cfg)
+                    tp = RudpTransport(hosts[i], rudp_cfg, members=members)
                     member = MembershipNode(hosts[i], tp, config.membership)
                     member.bootstrap(ring, first_holder=(i == 0))
                     rep.transports[i] = tp

@@ -16,30 +16,21 @@ def build_membership(
     hosts: Sequence[Host],
     config: Optional[MembershipConfig] = None,
     rudp_config: Optional[RudpConfig] = None,
-    paths: Sequence[tuple[int, int]] = ((0, 0),),
-    transports: Optional[Sequence[RudpTransport]] = None,
-    first_holder: int = 0,
 ) -> list[MembershipNode]:
-    """Create and bootstrap a membership node on every host.
-
-    Existing ``transports`` may be passed when other services (MPI,
-    storage) share them; otherwise fresh RUDP transports are created and
-    fully connected over ``paths``.
-    """
+    """Create a fresh RUDP transport and a bootstrapped membership node
+    on every host; the first host holds the token.  Every pair of hosts
+    is connected by :meth:`RudpTransport.connect`'s path rule."""
     config = config if config is not None else MembershipConfig()
-    rudp_config = rudp_config if rudp_config is not None else RudpConfig()
-    if transports is None:
-        transports = [RudpTransport(h, rudp_config) for h in hosts]
-        for tp in transports:
-            for peer in hosts:
-                if peer.name != tp.host.name:
-                    tp.connect(peer.name, paths=paths)
     names = tuple(h.name for h in hosts)  # one ring shared by every node
-    nodes = [
-        MembershipNode(h, tp, config) for h, tp in zip(hosts, transports)
-    ]
+    members = frozenset(names)  # and one member set shared by every transport
+    transports = [RudpTransport(h, rudp_config, members=members) for h in hosts]
+    for tp in transports:
+        for peer in names:
+            if peer != tp.host.name:
+                tp.connect(peer)
+    nodes = [MembershipNode(h, tp, config) for h, tp in zip(hosts, transports)]
     for i, node in enumerate(nodes):
-        node.bootstrap(names, first_holder=(i == first_holder))
+        node.bootstrap(names, first_holder=(i == 0))
     return nodes
 
 

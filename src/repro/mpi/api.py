@@ -14,7 +14,7 @@ network is repaired — then resumes.
 
 Usage inside simulation processes::
 
-    world = MpiWorld.build(sim, hosts, paths=[(0, 0), (1, 1)])
+    world = MpiWorld.build(sim, hosts)
 
     def program(comm):
         if comm.rank == 0:
@@ -202,22 +202,18 @@ class MpiWorld:
         cls,
         sim: Simulator,
         hosts: Sequence[Host],
-        paths: Sequence[tuple[int, int]] = ((0, 0),),
         rudp_config: Optional[RudpConfig] = None,
     ) -> "MpiWorld":
-        """Create transports and communicators for ``hosts``.
-
-        ``paths`` lists the NIC pairs to bundle between every host pair
-        (e.g. ``[(0, 0), (1, 1)]`` for the testbed's dual interfaces).
-        """
+        """Transports and communicators for ``hosts``, connected pairwise."""
         world = cls(sim)
-        transports = [RudpTransport(h, rudp_config) for h in hosts]
+        members = frozenset(h.name for h in hosts)
+        transports = [RudpTransport(h, rudp_config, members=members) for h in hosts]
         for rank, (host, tp) in enumerate(zip(hosts, transports)):
             world.comms.append(Communicator(world, rank, host, tp))
         for i, tp in enumerate(transports):
             for j, peer in enumerate(hosts):
                 if i != j:
-                    tp.connect(peer.name, paths=paths)
+                    tp.connect(peer.name)
         return world
 
     def comm(self, rank: int) -> Communicator:

@@ -35,7 +35,6 @@ class RudpConfig:
 
     window: int = 64
     rto: float = 0.2
-    ack_delay: float = 0.0
     policy: str = "failover"  # default bundle policy
     monitor: Optional[MonitorConfig] = None  # None = no path monitoring
 
@@ -51,18 +50,13 @@ class _Envelope:
 class RudpConnection:
     """Reliable bidirectional pipe between this host and one peer."""
 
-    def __init__(self, transport: "RudpTransport", peer: str, paths: Sequence[Path], policy: str):
+    def __init__(self, transport: "RudpTransport", peer: str, bundle: PathBundle):
         self.transport = transport
         self.sim = transport.sim  # bound once: never reach through transport.sim (RL012)
         self.peer = peer
         self._dst = Endpoint(peer, transport.port)  # built once, not per segment
-        self.bundle = PathBundle(
-            peer,
-            paths,
-            monitors=transport.monitors,
-            policy=policy,
-            on_switch=self._on_path_switch,
-        )
+        self.bundle = bundle
+        bundle.on_switch = self._on_path_switch
         cfg = transport.config
         self.endpoint = ReliableEndpoint(
             transport.sim,
@@ -70,7 +64,6 @@ class RudpConnection:
             deliver=self._deliver,
             window=cfg.window,
             rto=cfg.rto,
-            ack_delay=cfg.ack_delay,
             on_retransmit=transport._count_retransmission,
         )
         self.bytes_sent = 0
@@ -149,8 +142,10 @@ class RudpConnection:
 
     @property
     def connected(self) -> bool:
-        """Whether any monitored path to the peer is Up."""
-        return self.bundle.any_up
+        """Whether any monitored path to the peer is Up (an unpinned
+        path is never monitored, so it does not count unless nothing is)."""
+        watched = [mon for mon in self.bundle._watchers if mon is not None]
+        return any(mon.is_up for mon in watched) if watched else True
 
 
 class RudpTransport:
@@ -162,11 +157,12 @@ class RudpTransport:
         Owning host.
     config:
         Transport tuning; setting ``config.monitor`` attaches a
-        consistent-history link monitor to every path of every
-        connection (required for failure-aware path selection).
-    default_paths:
-        Paths assumed for peers that were not explicitly connected; by
-        default a single path on NIC 0 both sides.
+        consistent-history link monitor to every pinned path to another
+        member (required for failure-aware path selection).
+    members:
+        The cluster's node names, one set shared by every member's
+        transport; only paths to them are monitored.  ``None`` means
+        every other host.
     """
 
     def __init__(
@@ -174,7 +170,7 @@ class RudpTransport:
         host: Host,
         config: Optional[RudpConfig] = None,
         port: int = RUDP_PORT,
-        default_paths: Sequence[Path] = ((0, 0),),
+        members: Optional[frozenset] = None,
     ):
         self.host = host
         self.sim: Simulator = host.sim
@@ -198,7 +194,7 @@ class RudpTransport:
         # so a report lists only what happened.
         self._m_bytes = self._m_messages = None
         self._m_retransmissions = self._m_failovers = None
-        self.default_paths = list(default_paths)
+        self.members = members
         self.monitors: Optional[LinkMonitorService] = (
             LinkMonitorService(host, config.monitor) if config.monitor else None
         )
@@ -216,19 +212,38 @@ class RudpTransport:
     ) -> RudpConnection:
         """Create (or return) the connection to ``peer``.
 
-        ``paths`` lists the (local NIC, remote NIC) pairs to bundle; the
-        peer should connect back with mirrored pairs.
+        The one path rule: bundle the mirrored NIC pairs ``(k, k)`` that
+        both hosts have, then, where this host's switches are cabled on
+        to other switches, one unpinned path, so that once every pair is
+        Down routing can still find a crossed route (NIC 0 to NIC 1).  A
+        NIC cabled straight to another host (a direct mesh) leaves the
+        unpinned path alone.  Pinned paths are monitored only to another
+        member.  ``paths`` overrides the rule (a snapshot names its own).
         """
         conn = self.connections.get(peer)
         if conn is None:
-            conn = RudpConnection(
-                self,
+            watched = peer != self.host.name and (self.members is None or peer in self.members)
+            bundle = PathBundle(
                 peer,
-                paths if paths is not None else self.default_paths,
+                paths if paths is not None else self._paths(peer),
+                self.monitors if watched else None,
                 policy or self.config.policy,
             )
-            self.connections[peer] = conn
+            conn = self.connections[peer] = RudpConnection(self, peer, bundle)
         return conn
+
+    def _paths(self, peer: str) -> list[Path]:
+        nics = self.host.nics
+        far = [link.other(nic) for nic in nics for link in nic.links]
+        if any(dev.kind == "nic" for dev in far):
+            return [UNPINNED]
+        other = self.host.network.hosts.get(peer)
+        count = len(nics) if other is None else min(len(nics), len(other.nics))
+        paths: list[Path] = [(k, k) for k in range(count)]
+        # wire() cables switch to switch last: scan from the end
+        if any(link.other(sw).kind == "switch" for sw in far for link in reversed(sw.links)):
+            paths.append(UNPINNED)
+        return paths
 
     # -- service registry ------------------------------------------------------
 

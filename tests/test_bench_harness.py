@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -163,6 +165,18 @@ class TestCli:
              "--check", str(base)]
         )
         assert rc == 1
+
+    def test_bench_cli_without_out_leaves_the_cwd_alone(self, tmp_path, monkeypatch, capsys):
+        cwd = tmp_path / "checkout"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        assert main(["bench", "kernel", "--quick", "--repeats", "1"]) == 0
+        assert list(cwd.glob("BENCH_*.json")) == []
+        first = capsys.readouterr().out.splitlines()[0]
+        scratch = Path(first.removeprefix("writing BENCH_<name>.json to "))
+        assert scratch.parent == tmp_path
+        assert (scratch / "BENCH_kernel.json").exists()
 
     def test_bench_cli_rejects_unknown_workload(self, tmp_path):
         assert main(["bench", "nope", "--out", str(tmp_path)]) == 2

@@ -5,6 +5,7 @@ import pytest
 from repro import ClusterConfig, RainCluster, Simulator
 from repro.codes import XCode
 from repro.membership import MembershipConfig
+from repro.rudp import RudpTransport
 
 
 def test_default_shape_matches_testbed_style():
@@ -48,6 +49,28 @@ def test_monitoring_can_be_disabled():
     sim = Simulator(seed=1)
     cl = RainCluster(sim, ClusterConfig(monitor=None))
     assert cl.transports[0].monitors is None
+
+
+def test_monitors_watch_only_other_members():
+    # A host outside the cluster runs no LinkMonitorService and a path
+    # from a node to itself crosses no cable: neither is watched, so no
+    # hello goes unanswered.
+    sim = Simulator(seed=1)
+    cl = RainCluster(sim, ClusterConfig(nodes=3))
+    outside = cl.network.add_host("outside", nics=2)
+    cl.network.link(outside.nic(0), cl.switches[0])
+    cl.network.link(outside.nic(1), cl.switches[1])
+    got = []
+    cl.transport(0).register("probe", lambda src, data: got.append(data))
+    RudpTransport(outside).send("node0", "probe", "from outside")
+    cl.transport(0).send("node0", "probe", "to itself")
+    sim.run(until=3.0)
+    assert sorted(got) == ["from outside", "to itself"]
+    assert cl.network.stats.sums["dropped_no_handler"] == 0
+    watched = {peer for tp in cl.transports for (peer, _, _) in tp.monitors.paths}
+    assert watched == {"node1", "node2", "node0"}
+    for tp in cl.transports:
+        assert all(peer not in (tp.host.name, "outside") for (peer, _, _) in tp.monitors.paths)
 
 
 def test_more_nics_than_switches_wraps():

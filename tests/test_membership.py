@@ -46,11 +46,7 @@ def mesh_cluster(n=4, detection="aggressive", seed=1):
             pair_links[(hosts[i].name, hosts[j].name)] = net.link(
                 hosts[i].nic(li), hosts[j].nic(lj)
             )
-    from repro.rudp import UNPINNED
-
-    nodes = build_membership(
-        hosts, MembershipConfig(detection=detection), paths=[UNPINNED]
-    )
+    nodes = build_membership(hosts, MembershipConfig(detection=detection))
     return sim, net, hosts, nodes, pair_links
 
 

@@ -22,8 +22,7 @@ def build_world(n=4, nics=2, monitor=None, seed=1):
         if nics > 1:
             net.link(h.nic(1), s1)
         hosts.append(h)
-    paths = [(0, 0), (1, 1)] if nics > 1 else [(0, 0)]
-    world = MpiWorld.build(sim, hosts, paths=paths, rudp_config=RudpConfig(monitor=monitor))
+    world = MpiWorld.build(sim, hosts, rudp_config=RudpConfig(monitor=monitor))
     return sim, net, world
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.channel import MonitorConfig
 from repro.net import FaultInjector, Network
-from repro.rudp import PathBundle, RudpConfig, RudpTransport
+from repro.rudp import UNPINNED, PathBundle, RudpConfig, RudpTransport
 from repro.sim import Simulator
 
 
@@ -127,6 +127,45 @@ def test_peer_connected_tracks_monitors():
     sim.run(until=3.0)
     assert not ta.peer_connected("B")
     assert not ta.peer_connected("NEVER-SEEN")
+
+
+def test_connect_bundles_the_mirrored_pairs_both_hosts_have():
+    sim, net, ta, tb = dual_path_cluster()
+    c = net.add_host("C")
+    net.link(c.nic(0), net.switches["S0"])
+    assert ta.connect("B").bundle.paths == [(0, 0), (1, 1)]
+    assert ta.connect("C").bundle.paths == [(0, 0)]
+    # planes cabled together: a crossed route may outlive both pairs
+    net.link(net.switches["S0"], net.switches["S1"])
+    assert tb.connect("A").bundle.paths == [(0, 0), (1, 1), UNPINNED]
+
+
+def test_connect_monitors_only_other_members():
+    sim, net, ta, tb = dual_path_cluster(monitor=MonitorConfig())
+    c = net.add_host("C", nics=2)
+    net.link(c.nic(0), net.switches["S0"])
+    net.link(c.nic(1), net.switches["S1"])
+    tc = RudpTransport(c, RudpConfig(monitor=MonitorConfig()), members=frozenset({"B", "C"}))
+    for peer in ("A", "B", "C"):
+        tc.connect(peer)
+    assert sorted(tc.monitors.paths) == [("B", 0, 0), ("B", 1, 1)]
+    ta.connect("A")
+    ta.connect("C")  # no member set: every other host is watched
+    assert sorted(ta.monitors.paths) == [("C", 0, 0), ("C", 1, 1)]
+
+
+def test_peer_connected_ignores_the_unmonitored_path():
+    mon = MonitorConfig(ping_interval=0.05, timeout=0.2)
+    sim, net, ta, tb = dual_path_cluster(monitor=mon)
+    net.link(net.switches["S0"], net.switches["S1"])
+    ta.connect("B")
+    tb.connect("A")
+    sim.run(until=1.0)
+    assert ta.peer_connected("B")
+    FaultInjector(net).fail(tb.host)
+    sim.run(until=3.0)
+    assert ta.connections["B"].bundle.paths[-1] == UNPINNED
+    assert not ta.peer_connected("B")
 
 
 def test_striping_uses_both_paths():
