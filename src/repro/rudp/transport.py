@@ -142,8 +142,8 @@ class RudpConnection:
 
     @property
     def connected(self) -> bool:
-        """Whether any monitored path to the peer is Up (an unpinned
-        path is never monitored, so it does not count unless nothing is)."""
+        """Whether any monitored path to the peer is Up (True when no
+        path is monitored)."""
         watched = [mon for mon in self.bundle._watchers if mon is not None]
         return any(mon.is_up for mon in watched) if watched else True
 
