@@ -68,7 +68,7 @@ def test_monitors_watch_only_other_members():
     assert sorted(got) == ["from outside", "to itself"]
     assert cl.network.stats.sums["dropped_no_handler"] == 0
     watched = {peer for tp in cl.transports for (peer, _, _) in tp.monitors.paths}
-    assert watched == {"node1", "node2", "node0"}
+    assert watched == {"node0", "node1", "node2"}
     for tp in cl.transports:
         assert all(peer not in (tp.host.name, "outside") for (peer, _, _) in tp.monitors.paths)
 
