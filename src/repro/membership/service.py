@@ -18,16 +18,12 @@ def build_membership(
     rudp_config: Optional[RudpConfig] = None,
 ) -> list[MembershipNode]:
     """Create a fresh RUDP transport and a bootstrapped membership node
-    on every host; the first host holds the token.  Every pair of hosts
-    is connected by :meth:`RudpTransport.connect`'s path rule."""
+    on every host; the first host holds the token.  A transport opens
+    its connection to a peer on first use (send or receive)."""
     config = config if config is not None else MembershipConfig()
     names = tuple(h.name for h in hosts)  # one ring shared by every node
     members = frozenset(names)  # and one member set shared by every transport
     transports = [RudpTransport(h, rudp_config, members=members) for h in hosts]
-    for tp in transports:
-        for peer in names:
-            if peer != tp.host.name:
-                tp.connect(peer)
     nodes = [MembershipNode(h, tp, config) for h, tp in zip(hosts, transports)]
     for i, node in enumerate(nodes):
         node.bootstrap(names, first_holder=(i == 0))

@@ -204,16 +204,13 @@ class MpiWorld:
         hosts: Sequence[Host],
         rudp_config: Optional[RudpConfig] = None,
     ) -> "MpiWorld":
-        """Transports and communicators for ``hosts``, connected pairwise."""
+        """Transports and communicators for ``hosts``; each transport
+        opens its connection to a peer on first use."""
         world = cls(sim)
         members = frozenset(h.name for h in hosts)
         transports = [RudpTransport(h, rudp_config, members=members) for h in hosts]
         for rank, (host, tp) in enumerate(zip(hosts, transports)):
             world.comms.append(Communicator(world, rank, host, tp))
-        for i, tp in enumerate(transports):
-            for j, peer in enumerate(hosts):
-                if i != j:
-                    tp.connect(peer.name)
         return world
 
     def comm(self, rank: int) -> Communicator:

@@ -14,7 +14,12 @@ and picks the path for each outgoing segment:
 When every path is marked Down the bundle still returns a path (the
 first), because the monitors might lag reality and RUDP's retransmission
 makes optimistic sends free — matching the paper's RUDP, which "must
-wait for the problem to be resolved" rather than erroring.
+wait for the problem to be resolved" rather than erroring.  Until some
+monitor has heard the peer, though, Down says nothing about the cables:
+a connection opens on first use, so the peer starts its monitors only
+once a first segment reaches it.  Such a bundle tries its paths in turn
+(failover policy), and a first segment gets through on any path that
+works.
 """
 
 from __future__ import annotations
@@ -85,6 +90,10 @@ class PathBundle:
                 if mon is None or mon.is_up:
                     break
             else:
+                if not any(mon.last_heard is not None for mon in self._watchers):
+                    # first contact: probe the next path, report no switch
+                    self._rr += 1
+                    return self.paths[self._rr % len(self.paths)]
                 path = self.paths[0]
             # A change of the stable path is a failover (or a fail-back);
             # striping rotates by design, so only failover reports it.

@@ -221,6 +221,20 @@ class TestPathBundle:
         assert not conn.bundle.any_up
         assert conn.bundle.pick() in PATHS  # optimistic send still possible
 
+    def test_all_down_before_first_contact_tries_each_path(self):
+        # No monitor has heard the peer: Down may only mean its end is not
+        # open yet, so the paths take turns and no switch is reported.
+        monitors = _StubMonitors()
+        switches = []
+        b = PathBundle("B", PATHS, monitors, on_switch=lambda *a: switches.append(a))
+        assert b.pick() == (0, 0)
+        for mon in monitors.paths.values():
+            mon.is_up, mon.last_heard = False, None
+        assert [b.pick() for _ in range(4)] == [(1, 1), (0, 0), (1, 1), (0, 0)]
+        assert switches == []
+        monitors.paths[(0, 0)].last_heard = 1.0  # the peer answered once
+        assert [b.pick() for _ in range(2)] == [(0, 0), (0, 0)]
+
 
 class _ListPickBundle(PathBundle):
     """``pick`` as it was: build the Up-path list, then choose from it."""
@@ -240,13 +254,17 @@ class _ListPickBundle(PathBundle):
 
 
 class _StubMonitors:
-    """One flippable monitor per pinned path, shared by every watcher."""
+    """One flippable monitor per pinned path, shared by every watcher;
+    each has heard its peer, so an all-Down bundle falls back to its
+    first path."""
 
     def __init__(self):
         self.paths = {}
 
     def watch(self, peer, local_if, remote_if):
-        return self.paths.setdefault((local_if, remote_if), SimpleNamespace(is_up=True))
+        return self.paths.setdefault(
+            (local_if, remote_if), SimpleNamespace(is_up=True, last_heard=0.0)
+        )
 
 
 _PATH = st.sampled_from([(0, 0), (1, 1), (2, 2), (0, 1), (None, None), (1, None)])
