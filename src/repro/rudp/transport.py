@@ -91,6 +91,11 @@ class RudpConnection:
         self.endpoint.send(_Envelope(service, data), size_bytes=size_bytes, ctx=span_ctx)
 
     def _on_path_switch(self, old: Path, new: Path) -> None:
+        # A failover moves traffic between two pinned NIC pairs.  A move
+        # onto or off the unpinned tail is not one: a crashed peer and a
+        # fault that kills every pair both end there.
+        if None in old or None in new:
+            return
         tp = self.transport
         if tp._m_failovers is None:
             tp._m_failovers = tp._f_failovers.labels(node=tp.host.name)

@@ -7,9 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.channel import MonitorConfig
+from repro.cluster import ShardedRainCluster
 from repro.net import FaultInjector, Network
 from repro.rudp import UNPINNED, PathBundle, RudpConfig, RudpTransport
+from repro.scenarios import SCENARIOS
 from repro.sim import Simulator
+from repro.topology import diameter_ring
 
 
 def dual_path_cluster(seed=1, loss=0.0, monitor=None):
@@ -166,6 +169,27 @@ def test_peer_connected_ignores_the_unmonitored_path():
     sim.run(until=3.0)
     assert ta.connections["B"].bundle.paths[-1] == UNPINNED
     assert not ta.peer_connected("B")
+
+
+def _failovers(cluster) -> float:
+    family = cluster.metrics().to_dict()["metrics"].get("rudp.bundle.failovers")
+    return sum(s["value"] for s in family["series"]) if family else 0.0
+
+
+def test_a_crashed_peer_is_no_failover():
+    # node4's crash sends its ring predecessor's bundle onto the unpinned
+    # tail and back: no switch between two NIC pairs, so no failover.
+    scenario = SCENARIOS["membership"]
+    cluster = scenario.build(7, 1)
+    cluster.run(scenario.horizon)
+    assert _failovers(cluster) == 0
+
+
+def test_a_dead_nic_is_a_failover():
+    cluster = ShardedRainCluster(diameter_ring(6), seed=7)
+    cluster.fail_at(1.0, ("nic", (2, 0)))
+    cluster.run(3.0)
+    assert _failovers(cluster) >= 1
 
 
 def test_striping_uses_both_paths():
