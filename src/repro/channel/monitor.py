@@ -40,6 +40,9 @@ __all__ = ["MonitorConfig", "HelloMsg", "PathMonitor", "LinkMonitorService", "MO
 #: Well-known port for link monitor traffic.
 MONITOR_PORT = 5001
 
+#: Wire size of a hello.
+HELLO_SIZE = 16
+
 
 @dataclass(frozen=True)
 class MonitorConfig:
@@ -49,7 +52,6 @@ class MonitorConfig:
     timeout: float = 0.5  # silence before a tout fires
     slack: int = 2  # bounded-slack N of the protocol
     token_implies_tin: bool = True
-    hello_bytes: int = 16  # wire size of a hello
     #: False disables the token protocol: each endpoint flips on its own
     #: local evidence only.  This is the Fig. 6(a) baseline — endpoints'
     #: histories may diverge without bound.
@@ -178,7 +180,7 @@ class PathMonitor:
         self.service.host.send(
             self._peer_endpoint,
             payload=msg,
-            size_bytes=self.config.hello_bytes,
+            size_bytes=HELLO_SIZE,
             src_port=self.service.port,
             src_nic=self.local_if,
             dst_nic=self.remote_if,

@@ -71,9 +71,6 @@ class ReliableEndpoint:
         Retransmission timeout in seconds.
     max_buffer:
         Cap on queued-but-unsent messages (raises :class:`WindowFull`).
-    ack_delay:
-        Small delay before sending a standalone ACK, letting one ACK
-        cover a burst (0 = immediate).
     on_retransmit:
         Optional callback invoked on every retransmission — the owning
         transport's hook into the observability layer.
@@ -87,7 +84,6 @@ class ReliableEndpoint:
         window: int = 32,
         rto: float = 0.2,
         max_buffer: int = 10_000,
-        ack_delay: float = 0.0,
         on_retransmit: Optional[Callable[[], None]] = None,
     ):
         self.sim = sim
@@ -96,7 +92,6 @@ class ReliableEndpoint:
         self.window = window
         self.rto = rto
         self.max_buffer = max_buffer
-        self.ack_delay = ack_delay
         self.on_retransmit = on_retransmit
         # sender state
         self.next_seq = 1
@@ -226,7 +221,8 @@ class ReliableEndpoint:
         if self._ack_pending:
             return
         self._ack_pending = True
-        self.sim.call_in(self.ack_delay, self._send_ack)
+        # later in this instant: segments arriving together share one ACK
+        self.sim.call_in(0.0, self._send_ack)
 
     def _send_ack(self) -> None:
         self._ack_pending = False

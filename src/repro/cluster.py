@@ -9,17 +9,17 @@ applications (:mod:`repro.apps`) and the examples build on this facade.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .channel import MonitorConfig
 from .codes import ErasureCode
 from .election import LeaderElection
-from .membership import MembershipConfig, MembershipNode, build_membership
+from .membership import MembershipConfig, MembershipNode, build_membership, membership_converged
 from .net import FaultInjector, Host, Network
 from .rudp import RudpConfig, RudpTransport
 from .sim import ShardedSimulator, Simulator, host_origin
-from .storage import DistributedStore, Placement, StorageNode
+from .storage import DistributedStore, StorageNode
 from .topology import TopologyGraph, fig1_testbed, switch_planes
 from .topology.deploy import wire
 
@@ -37,21 +37,13 @@ class ClusterConfig:
     #: degree (:func:`repro.topology.deploy.wire`)
     switch_ports: int = 32
     membership: MembershipConfig = field(default_factory=MembershipConfig)
-    rudp: RudpConfig = field(default_factory=RudpConfig)
     #: per-path consistent-history monitoring feeds RUDP failover; on by
     #: default — it is the RAIN architecture (Fig. 2).  Set to None to
-    #: run without monitors (e.g. single-switch microbenchmarks).
+    #: run without monitors (e.g. single-switch microbenchmarks).  Every
+    #: transport runs ``RudpConfig(monitor=monitor)``.
     monitor: Optional[MonitorConfig] = field(
         default_factory=lambda: MonitorConfig(ping_interval=0.1, timeout=0.5)
     )
-    node_prefix: str = "node"
-
-    def rudp_config(self) -> RudpConfig:
-        """``rudp`` with the cluster-level ``monitor`` filled in unless
-        the transport config names its own."""
-        if self.monitor is None or self.rudp.monitor is not None:
-            return self.rudp
-        return replace(self.rudp, monitor=self.monitor)
 
 
 class RainCluster:
@@ -86,10 +78,10 @@ class RainCluster:
         self.config = config
         self.network = Network(sim)
         self.faults = FaultInjector(self.network)
-        names = [f"{config.node_prefix}{i}" for i in range(config.nodes)]
+        names = [f"node{i}" for i in range(config.nodes)]
         self.hosts, self.switches = wire(self.network, _topo, names, "sw", config.switch_ports)
         self.membership: list[MembershipNode] = build_membership(
-            self.hosts, config.membership, config.rudp_config()
+            self.hosts, config.membership, RudpConfig(monitor=config.monitor)
         )
         self.transports = [m.transport for m in self.membership]
         self.elections: list[LeaderElection] = [
@@ -138,12 +130,7 @@ class RainCluster:
         return self.membership[i]
 
     def store_on(
-        self,
-        i: int,
-        code: ErasureCode,
-        placement: Optional[Placement] = None,
-        nodes: Optional[Sequence[str]] = None,
-        request_timeout: float = 1.0,
+        self, i: int, code: ErasureCode, nodes: Optional[Sequence[str]] = None
     ) -> DistributedStore:
         """A distributed-store client running on node ``i``."""
         return DistributedStore(
@@ -151,8 +138,6 @@ class RainCluster:
             self.transports[i],
             list(nodes) if nodes is not None else self.names,
             code,
-            placement=placement,
-            request_timeout=request_timeout,
         )
 
     # -- fault helpers -------------------------------------------------------
@@ -167,10 +152,7 @@ class RainCluster:
 
     def live_members_converged(self) -> bool:
         """All up nodes agree the membership is exactly the up nodes."""
-        up = {h.name for h in self.hosts if h.up}
-        return all(
-            set(m.membership) == up for m in self.membership if m.host.up
-        )
+        return membership_converged(self.membership, [h.name for h in self.hosts if h.up])
 
 
 class _ShardReplica:
@@ -226,7 +208,6 @@ class ShardedRainCluster:
         seed: int = 7,
         shards: int = 1,
         config: Optional[ClusterConfig] = None,
-        latency_s: float = 50e-6,
         with_election: bool = True,
         with_storage: bool = True,
     ):
@@ -236,12 +217,11 @@ class ShardedRainCluster:
         config = config if config is not None else ClusterConfig()
         self.config = config
         self.topo = topo
-        self.partition = partition_topology(topo, shards, default_latency_s=latency_s)
+        self.partition = partition_topology(topo, shards)
         self.sharded = ShardedSimulator(
             seed=seed, shards=shards, lookahead=self.partition.lookahead
         )
-        prefix = config.node_prefix
-        self.names = [f"{prefix}{i}" for i in range(topo.num_nodes)]
+        self.names = [f"node{i}" for i in range(topo.num_nodes)]
         owner = self.partition.owner_map(
             node_name=lambda i: self.names[i], switch_name=lambda j: f"sw{j}"
         )
@@ -249,11 +229,11 @@ class ShardedRainCluster:
         host_index = {self.names[i]: i for i in range(topo.num_nodes)}
         ring = tuple(self.names)  # one bootstrap ring shared by every member
         members = frozenset(ring)  # and one member set shared by every transport
-        rudp_cfg = config.rudp_config()
+        rudp_cfg = RudpConfig(monitor=config.monitor)
         self.replicas: list[_ShardReplica] = []
         self._link_index: Optional[dict] = None  # edge id -> wired link index
         for kernel in self.sharded.kernels:
-            net = ShardedNetwork(kernel, owner, host_index, default_latency_s=latency_s)
+            net = ShardedNetwork(kernel, owner, host_index)
             hosts, switches = wire(net, topo, self.names, "sw", config.switch_ports)
             rep = _ShardReplica(kernel, net, FaultInjector(net), hosts, switches)
             for i in range(topo.num_nodes):
@@ -356,23 +336,10 @@ class ShardedRainCluster:
 
         return self.sharded.control_at(time, rank, start)
 
-    def store_on(
-        self,
-        i: int,
-        code: ErasureCode,
-        placement: Optional[Placement] = None,
-        request_timeout: float = 1.0,
-    ) -> DistributedStore:
+    def store_on(self, i: int, code: ErasureCode) -> DistributedStore:
         """A distributed-store client on node ``i`` (in its owning shard)."""
         rep = self.replica_of(i)
-        return DistributedStore(
-            rep.hosts[i],
-            rep.transports[i],
-            list(self.names),
-            code,
-            placement=placement,
-            request_timeout=request_timeout,
-        )
+        return DistributedStore(rep.hosts[i], rep.transports[i], list(self.names), code)
 
     # -- execution & observability ----------------------------------------
 
@@ -413,16 +380,7 @@ class ShardedRainCluster:
         )
 
     def live_members_converged(self) -> bool:
-        """All up owned nodes agree membership = the up nodes."""
-        up = {
-            name
-            for rep in self.replicas
-            for name in rep.net.hosts
-            if rep.net.hosts[name].up and self.owner[name] == rep.kernel.rank
-        }
-        up &= set(self.names)
-        for rep in self.replicas:
-            for i, m in rep.members.items():
-                if rep.hosts[i].up and set(m.membership) != up:
-                    return False
-        return True
+        """All up nodes agree the membership is exactly the up nodes
+        (each node as its owning shard sees it)."""
+        members = [m for rep in self.replicas for m in rep.members.values()]
+        return membership_converged(members, [m.name for m in members if m.host.up])

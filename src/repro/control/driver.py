@@ -211,7 +211,7 @@ class ScenarioDriver:
     def _tag(self, kind: str, target: str) -> tuple:
         """The fault tag an HTTP name stands for: "node1" -> ("node", 1),
         "sw0" -> ("switch", 0), "L3" -> ("link", edge_ids[3])."""
-        prefix = {"node": self.cluster.config.node_prefix, "switch": "sw", "link": "L"}.get(kind)
+        prefix = {"node": "node", "switch": "sw", "link": "L"}.get(kind)
         if prefix is None:
             raise KeyError(f"unknown fault kind {kind!r} (node, switch, link)")
         match = re.fullmatch(re.escape(prefix) + "(0|[1-9][0-9]*)", target)

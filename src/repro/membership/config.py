@@ -19,10 +19,8 @@ class MembershipConfig:
     token_interval: float = 0.1  # hold time before passing the token on
     ack_timeout: float = 0.5  # silence after a send => failure suspected
     starvation_timeout: float = 2.0  # tokenless time before a 911
-    reply_window: float = 0.5  # how long a 911 collects replies
     detection: str = "aggressive"  # or "conservative"
     conservative_threshold: int = 2  # consecutive failed sends => removal
-    token_bytes: int = 256  # wire size charged per token hop
 
     def __post_init__(self):
         if self.detection not in ("aggressive", "conservative"):

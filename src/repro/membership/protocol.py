@@ -42,6 +42,11 @@ __all__ = ["MembershipNode", "MembershipEvent", "KnownPeers", "MEMBERSHIP_SERVIC
 #: RUDP service name carrying membership traffic.
 MEMBERSHIP_SERVICE = "membership"
 
+#: wire size charged per token hop
+TOKEN_SIZE = 256
+#: how long a 911 collects replies (seconds)
+REPLY_WAIT = 0.5
+
 
 @dataclass(frozen=True)
 class MembershipEvent:
@@ -345,7 +350,7 @@ class MembershipNode:
             self.local_copy = token.copy()
             ack = self.sim.event()
             self._pending_ack = (token.seq, ack)
-            self._send(target, ("TOKEN", token.copy()), size=cfg.token_bytes)
+            self._send(target, ("TOKEN", token.copy()), size=TOKEN_SIZE)
             winner = yield self.sim.any_of([ack, self.sim.timeout(cfg.ack_timeout)])
             if self.holding is not token:
                 return
@@ -406,7 +411,7 @@ class MembershipNode:
                 # STARVING (Sec. 3.3.1): request regeneration / rejoin.
                 self._911_replies: list[tuple[str, str, int]] = []
                 self._send_911s()
-                yield self.sim.timeout(cfg.reply_window)
+                yield self.sim.timeout(REPLY_WAIT)
                 if not self.host.up:
                     continue
                 if self.sim.now - self.last_token_time <= cfg.starvation_timeout:

@@ -28,6 +28,9 @@ __all__ = ["StorageNode", "DistributedStore", "StoreResult", "RetrieveError", "S
 #: RUDP service name carrying storage traffic.
 STORAGE_SERVICE = "storage"
 
+#: seconds a client waits for each node's reply
+REQUEST_TIMEOUT = 1.0
+
 _req_ids = itertools.count(1)
 
 
@@ -146,8 +149,6 @@ class DistributedStore:
         nodes: Sequence[str],
         code: ErasureCode,
         placement: Optional[Placement] = None,
-        request_timeout: float = 1.0,
-        service: str = STORAGE_SERVICE,
     ):
         if len(nodes) != code.n:
             raise ValueError(
@@ -159,8 +160,6 @@ class DistributedStore:
         self.nodes = list(nodes)
         self.code = code
         self.placement = placement or FirstK()
-        self.request_timeout = request_timeout
-        self.service = service
         self.outstanding: dict[str, int] = {n: 0 for n in nodes}
         metrics = self.sim.obs.metrics
         self._f_store_time = metrics.histogram(
@@ -192,7 +191,7 @@ class DistributedStore:
                 if sig is not None and not sig.triggered:
                     sig.succeed((src, msg))
 
-            transport.register(service + ".client", on_reply)
+            transport.register(STORAGE_SERVICE + ".client", on_reply)
 
     # -- coding (tally deltas feed the codes.* metrics) --------------------
 
@@ -232,7 +231,7 @@ class DistributedStore:
         self._pending[req] = sig
         kind, *rest = msg_body
         self.transport.send(
-            node, self.service, (kind, req, *rest), size_bytes=size, ctx=ctx
+            node, STORAGE_SERVICE, (kind, req, *rest), size_bytes=size, ctx=ctx
         )
         return sig
 
@@ -242,7 +241,7 @@ class DistributedStore:
         """Generator: encode ``data`` and place one symbol per node.
 
         Use as ``result = yield from store.store(oid, data)``.  Waits up
-        to ``request_timeout`` for each node's ack (in parallel);
+        to ``REQUEST_TIMEOUT`` for each node's ack (in parallel);
         unresponsive nodes are listed in ``result.missing`` — the object
         is still retrievable while at least k symbols landed.
         """
@@ -268,7 +267,7 @@ class DistributedStore:
                 ctx=ctx,
             )
         result = StoreResult(object_id=object_id)
-        deadline = self.sim.timeout(self.request_timeout)
+        deadline = self.sim.timeout(REQUEST_TIMEOUT)
         remaining = dict(sigs)
         while remaining:
             fired = yield self.sim.any_of(list(remaining.values()) + [deadline])
@@ -324,7 +323,7 @@ class DistributedStore:
                 raise RetrieveError(
                     f"{object_id}: only {len(collected)}/{self.code.k} symbols reachable"
                 )
-            deadline = self.sim.timeout(self.request_timeout)
+            deadline = self.sim.timeout(REQUEST_TIMEOUT)
             fired = yield self.sim.any_of(list(inflight) + [deadline])
             if fired is deadline:
                 # everyone still pending is considered failed this round
@@ -363,7 +362,7 @@ class DistributedStore:
         """Best-effort delete of every node's symbol."""
         for node in self.nodes:
             req = next(_req_ids)
-            self.transport.send(node, self.service, ("DROP", req, object_id))
+            self.transport.send(node, STORAGE_SERVICE, ("DROP", req, object_id))
 
     def rebuild(self, object_id: str, ctx: Any = None):
         """Generator: restore full redundancy after node replacement.
@@ -389,7 +388,7 @@ class DistributedStore:
         collected: dict[int, bytes] = {}
         data_len = 0
         holders: set[str] = set()
-        deadline = self.sim.timeout(self.request_timeout)
+        deadline = self.sim.timeout(REQUEST_TIMEOUT)
         remaining = dict(sigs)
         while remaining:
             fired = yield self.sim.any_of(list(remaining.values()) + [deadline])
@@ -426,7 +425,7 @@ class DistributedStore:
                 ctx=ctx,
             )
             repaired.append(node)
-        deadline2 = self.sim.timeout(self.request_timeout)
+        deadline2 = self.sim.timeout(REQUEST_TIMEOUT)
         pending = dict(acks)
         restored = []
         while pending:

@@ -30,10 +30,10 @@ def test_invalid_config_rejected():
 
 def test_names_and_lookups():
     sim = Simulator(seed=1)
-    cl = RainCluster(sim, ClusterConfig(nodes=3, node_prefix="box"))
-    assert cl.names == ["box0", "box1", "box2"]
-    assert cl.host(1).name == "box1"
-    assert cl.member(2).name == "box2"
+    cl = RainCluster(sim, ClusterConfig(nodes=3))
+    assert cl.names == ["node0", "node1", "node2"]
+    assert cl.host(1).name == "node1"
+    assert cl.member(2).name == "node2"
     assert cl.transport(0).host is cl.host(0)
 
 
