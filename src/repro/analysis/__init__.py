@@ -13,8 +13,7 @@ proves and the determinism the simulation promises:
   under ``lint --strict``: RL009–RL012 track wall-clock reachability
   from handlers, dropped ctx/span on handoff paths, unordered data
   escaping into serialization, and reaching, aliasing or shipping
-  another object's kernel; gated in CI by a suppression baseline
-  (:mod:`repro.analysis.baseline`);
+  another object's kernel;
 - :mod:`repro.analysis.hb` (**RainSan, dynamic head**) — a vector-clock
   happens-before sanitizer for the sharded DES (``python -m repro
   sanitize``, or ``REPRO_SANITIZE=1``): HB001–HB003 catch events below
@@ -31,8 +30,6 @@ deterministic, canonically-serialized shape as ``repro.obs`` cluster
 reports — and back the ``python -m repro lint`` / ``sanitize`` /
 ``modelcheck`` CLI.
 """
-
-from .baseline import apply_baseline, load_baseline, write_baseline
 
 from .chm_model import (
     FIG7_STATES,
@@ -76,9 +73,6 @@ __all__ = [
     "HbMonitor",
     "install_sanitizer",
     "sanitize_enabled",
-    "load_baseline",
-    "write_baseline",
-    "apply_baseline",
     "PairState",
     "PairCheckResult",
     "explore_pair",

@@ -4,10 +4,7 @@ Wired into ``python -m repro`` by :mod:`repro.__main__`:
 
 - ``python -m repro lint [paths...] [--format=text|json]`` — run
   rainlint; exit 0 iff the tree is clean.  ``--strict`` adds the
-  whole-program rules RL009–RL012 (:mod:`repro.analysis.program`) and
-  compares against the committed suppression baseline
-  (:mod:`repro.analysis.baseline`); ``--update-baseline`` re-snapshots
-  it.
+  whole-program rules RL009–RL012 (:mod:`repro.analysis.program`).
 - ``python -m repro sanitize <scenario> [--shards N]`` — run an
   entry of :data:`repro.scenarios.SCENARIOS` under the happens-before
   sanitizer (:mod:`repro.analysis.hb`) and report HB001–HB003
@@ -24,7 +21,6 @@ from __future__ import annotations
 import argparse
 
 from ..scenarios import SCENARIOS, layout_count
-from .baseline import DEFAULT_BASELINE, apply_baseline, load_baseline, write_baseline
 from .chm_model import pair_report
 from .linter import lint_paths
 from .ring_model import ring_report
@@ -61,19 +57,7 @@ def add_lint_parser(sub: argparse._SubParsersAction) -> argparse.ArgumentParser:
     p.add_argument(
         "--strict",
         action="store_true",
-        help="also run the whole-program rules RL009-RL012 and gate "
-        "against the suppression baseline",
-    )
-    p.add_argument(
-        "--baseline",
-        default=DEFAULT_BASELINE,
-        metavar="FILE",
-        help=f"suppression-baseline file for --strict (default: {DEFAULT_BASELINE})",
-    )
-    p.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline from this run's findings and exit 0",
+        help="also run the whole-program rules RL009-RL012",
     )
     return p
 
@@ -140,14 +124,7 @@ def add_modelcheck_parser(sub: argparse._SubParsersAction) -> argparse.ArgumentP
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
-    strict = getattr(args, "strict", False)
-    report = lint_paths(args.paths, strict=strict)
-    if strict:
-        if getattr(args, "update_baseline", False):
-            accepted = write_baseline(args.baseline, report)
-            print(f"baseline {args.baseline} updated: {len(accepted)} entries")
-            return 0
-        report = apply_baseline(report, load_baseline(args.baseline))
+    report = lint_paths(args.paths, strict=getattr(args, "strict", False))
     print(report.to_json() if args.format == "json" else report.render())
     return 0 if report.ok else 1
 

@@ -411,7 +411,7 @@ class TestCli:
         assert "lint: OK" in capsys.readouterr().out
 
     def test_lint_strict_clean_tree_exits_zero(self, capsys):
-        # --strict gates against the committed (empty) baseline
+        # --strict adds the whole-program rules; the tree has no finding
         assert main(["lint", "src", "benchmarks", "--strict"]) == 0
         assert "lint: OK" in capsys.readouterr().out
 

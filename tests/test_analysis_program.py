@@ -5,7 +5,7 @@ point — the defect only exists across function boundaries) and must
 yield exactly one finding from ``lint_program``, anchored where the fix
 goes.  The suite also covers the index itself, pragma suppression of
 interprocedural findings, the ``--strict`` merge into ``lint_paths``,
-and the suppression-baseline workflow the CI gate runs.
+and the strict-clean shipped tree the CI gate runs.
 """
 
 from pathlib import Path
@@ -13,13 +13,10 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import (
-    apply_baseline,
     build_program_index,
     lint_file,
     lint_paths,
     lint_program,
-    load_baseline,
-    write_baseline,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures" / "rainlint" / "program"
@@ -194,58 +191,7 @@ def test_lint_paths_strict_merges_program_findings():
 
 
 def test_clean_tree_is_strict_clean():
-    """The shipped tree carries zero interprocedural findings — the
-    committed baseline stays empty."""
-    findings, _ = lint_program(["src", "benchmarks"])
-    assert findings == []
-
-
-# -- the suppression baseline -----------------------------------------------
-
-
-def test_baseline_round_trip_accepts_known_findings(tmp_path):
-    report = lint_paths([FIXTURES], strict=True)
-    assert len(report.findings) == 6
-    baseline_file = tmp_path / "baseline.json"
-    accepted = write_baseline(baseline_file, report)
-    assert sum(accepted.values()) == 6
-    # a fresh identical run gates clean against the snapshot
-    fresh = lint_paths([FIXTURES], strict=True)
-    gated = apply_baseline(fresh, load_baseline(baseline_file))
-    assert gated.findings == []
-    assert gated.stats["baselined"] == 6
-    assert gated.stats["baseline_stale"] == 0
-
-
-def test_baseline_missing_file_is_empty(tmp_path):
-    assert load_baseline(tmp_path / "nope.json") == {}
-
-
-def test_baseline_does_not_mask_new_findings(tmp_path):
-    report = lint_paths([FIXTURES / "rl009_handler_wall_clock.py"], strict=True)
-    baseline_file = tmp_path / "baseline.json"
-    write_baseline(baseline_file, report)
-    # a second file's findings are NOT covered by the snapshot
-    wider = lint_paths([FIXTURES], strict=True)
-    gated = apply_baseline(wider, load_baseline(baseline_file))
-    assert [f.rule for f in gated.findings] == ["RL010", "RL011"] + ["RL012"] * 3
-    assert gated.stats["baselined"] == 1
-
-
-def test_baseline_reports_stale_entries(tmp_path):
-    clean = lint_paths([FIXTURES / "rl011_unordered_pickle.py"], strict=True)
-    stale = {"gone/file.py::RL009": 2}
-    gated = apply_baseline(clean, stale)
-    assert gated.stats["baseline_stale"] == 1
-    # the real finding still surfaces — stale entries accept nothing
-    assert [f.rule for f in gated.findings] == ["RL011"]
-
-
-def test_committed_baseline_is_empty_and_tree_gates_clean():
-    """The acceptance bar: `lint --strict` exits 0 against the committed
-    baseline, and that baseline currently accepts nothing."""
-    committed = load_baseline(Path(__file__).parent.parent / "RAINLINT_BASELINE.json")
-    assert committed == {}
+    """The shipped tree carries zero findings under ``lint --strict``:
+    per-file and interprocedural, with pragmas as the only suppression."""
     report = lint_paths(["src", "benchmarks"], strict=True)
-    gated = apply_baseline(report, committed)
-    assert gated.ok, gated.render()
+    assert report.ok, report.render()
