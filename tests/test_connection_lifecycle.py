@@ -32,8 +32,8 @@ def _assert_unopened(transports):
         assert tp.monitors.paths == {}
 
 
-def _assert_only_talking_pairs(transports):
-    """Every connection names a pair that delivered a message either way."""
+def _talking_pairs(transports):
+    """The pairs with a connection; each delivered a message either way."""
     by_name = {tp.host.name: tp for tp in transports}
     pairs = set()
     for tp in transports:
@@ -54,7 +54,7 @@ def test_rain_cluster_opens_ring_connections_only():
     _assert_unopened(cl.transports)
     sim.run(until=2.0)
     assert cl.live_members_converged()
-    assert _assert_only_talking_pairs(cl.transports) == _ring_pairs(cl.names)
+    assert _talking_pairs(cl.transports) == _ring_pairs(cl.names)
 
 
 def test_build_membership_opens_ring_connections_only():
@@ -66,7 +66,7 @@ def test_build_membership_opens_ring_connections_only():
     sim.run(until=2.0)
     names = [h.name for h in hosts]
     assert membership_converged(nodes, names)
-    assert _assert_only_talking_pairs(transports) == _ring_pairs(names)
+    assert _talking_pairs(transports) == _ring_pairs(names)
 
 
 def test_mpi_world_opens_the_pair_that_talks_only():
@@ -86,7 +86,7 @@ def test_mpi_world_opens_the_pair_that_talks_only():
     procs = world.launch(program)
     sim.run(until=1.0)
     assert procs[1].value == "ping"
-    assert _assert_only_talking_pairs(transports) == {frozenset(("n0", "n1"))}
+    assert _talking_pairs(transports) == {frozenset(("n0", "n1"))}
 
 
 def test_first_contact_across_a_dead_plane_is_bounded():
