@@ -10,10 +10,10 @@ proves and the determinism the simulation promises:
   lookups), with ``# rainlint: disable=...`` pragmas;
 - :mod:`repro.analysis.program` (**RainSan, static head**) — a
   whole-program import/call graph making rainlint interprocedural
-  under ``lint --strict``: RL009–RL012 track wall-clock reachability
+  under ``lint --strict``: RL009–RL013 track wall-clock reachability
   from handlers, dropped ctx/span on handoff paths, unordered data
-  escaping into serialization, and reaching, aliasing or shipping
-  another object's kernel;
+  escaping into serialization, reaching, aliasing or shipping another
+  object's kernel, and library code that nothing calls;
 - :mod:`repro.analysis.hb` (**RainSan, dynamic head**) — a vector-clock
   happens-before sanitizer for the sharded DES (``python -m repro
   sanitize``, or ``REPRO_SANITIZE=1``): HB001–HB003 catch events below
@@ -41,7 +41,7 @@ from .chm_model import (
 )
 from .findings import AnalysisReport, Finding
 from .hb import HbMonitor, install_sanitizer, sanitize_enabled
-from .linter import iter_python_files, lint_file, lint_paths, lint_source
+from .linter import iter_python_files, lint_paths, lint_source
 from .pragmas import Pragmas, parse_pragmas
 from .program import ProgramIndex, build_program_index, lint_program
 from .ring_model import (
@@ -64,7 +64,6 @@ __all__ = [
     "Pragmas",
     "parse_pragmas",
     "lint_source",
-    "lint_file",
     "lint_paths",
     "iter_python_files",
     "ProgramIndex",

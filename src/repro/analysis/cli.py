@@ -4,7 +4,7 @@ Wired into ``python -m repro`` by :mod:`repro.__main__`:
 
 - ``python -m repro lint [paths...] [--format=text|json]`` — run
   rainlint; exit 0 iff the tree is clean.  ``--strict`` adds the
-  whole-program rules RL009–RL012 (:mod:`repro.analysis.program`).
+  whole-program rules RL009–RL013 (:mod:`repro.analysis.program`).
 - ``python -m repro sanitize <scenario> [--shards N]`` — run an
   entry of :data:`repro.scenarios.SCENARIOS` under the happens-before
   sanitizer (:mod:`repro.analysis.hb`) and report HB001–HB003
@@ -34,19 +34,20 @@ __all__ = [
     "cmd_sanitize",
 ]
 
-_DEFAULT_LINT_PATHS = ("src", "benchmarks")
+#: the library plus every program that calls it (RL013 counts their uses)
+_DEFAULT_LINT_PATHS = ("src", "benchmarks", "examples")
 
 
 def add_lint_parser(sub: argparse._SubParsersAction) -> argparse.ArgumentParser:
     p = sub.add_parser(
         "lint",
-        help="run the rainlint determinism rules (--strict adds RL009-RL012)",
+        help="run the rainlint determinism rules (--strict adds RL009-RL013)",
     )
     p.add_argument(
         "paths",
         nargs="*",
         default=list(_DEFAULT_LINT_PATHS),
-        help="files or directories to walk (default: src benchmarks)",
+        help="files or directories to walk (default: src benchmarks examples)",
     )
     p.add_argument(
         "--format",
@@ -57,7 +58,7 @@ def add_lint_parser(sub: argparse._SubParsersAction) -> argparse.ArgumentParser:
     p.add_argument(
         "--strict",
         action="store_true",
-        help="also run the whole-program rules RL009-RL012",
+        help="also run the whole-program rules RL009-RL013",
     )
     return p
 

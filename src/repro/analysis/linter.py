@@ -54,7 +54,7 @@ from .findings import AnalysisReport, Finding
 from .pragmas import Pragmas, parse_pragmas
 from .rules import PARSE_RULE, RULES
 
-__all__ = ["lint_source", "lint_file", "lint_paths", "iter_python_files"]
+__all__ = ["lint_source", "lint_paths", "iter_python_files"]
 
 
 def _dotted(node: ast.AST) -> Optional[str]:
@@ -440,8 +440,11 @@ class _FileChecker(ast.NodeVisitor):
 # -- runners -----------------------------------------------------------------
 
 
-def _lint_one(source: str, path_label: str) -> tuple[list[Finding], dict[str, int]]:
-    """Findings plus per-rule pragma-suppression counts for one source."""
+def lint_source(
+    source: str, path_label: str = "<string>"
+) -> tuple[list[Finding], dict[str, int]]:
+    """Lint one source text: findings in canonical order, plus per-rule
+    pragma-suppression counts."""
     pragmas = parse_pragmas(source)
     try:
         tree = ast.parse(source)
@@ -458,17 +461,6 @@ def _lint_one(source: str, path_label: str) -> tuple[list[Finding], dict[str, in
     checker = _FileChecker(path_label, tree, pragmas)
     checker.visit(tree)
     return sorted(set(checker.findings)), checker.suppressed
-
-
-def lint_source(source: str, path_label: str = "<string>") -> list[Finding]:
-    """Lint one source text; returns findings in canonical order."""
-    return _lint_one(source, path_label)[0]
-
-
-def lint_file(path: Union[str, Path]) -> list[Finding]:
-    """Lint one file from disk."""
-    p = Path(path)
-    return lint_source(p.read_text(encoding="utf-8"), p.as_posix())
 
 
 def iter_python_files(paths: Iterable[Union[str, Path]]) -> list[Path]:
@@ -490,13 +482,13 @@ def lint_paths(
 
     ``strict=True`` additionally builds the whole-program index
     (:mod:`repro.analysis.program`) and runs the interprocedural rules
-    RL009–RL012 over it, merging their findings and suppressions into
+    RL009–RL013 over it, merging their findings and suppressions into
     the same report.
     """
     report = AnalysisReport(kind="lint")
     files = iter_python_files(paths)
     for p in files:
-        findings, skipped = _lint_one(p.read_text(encoding="utf-8"), p.as_posix())
+        findings, skipped = lint_source(p.read_text(encoding="utf-8"), p.as_posix())
         for finding in findings:
             report.add(finding)
         for rule_id, n in skipped.items():

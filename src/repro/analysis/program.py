@@ -18,7 +18,7 @@ whole source tree:
   unordered-derived return, stages handoffs, ...) and resolved call
   edges.
 
-The interprocedural rules RL009–RL012 run over the index; they are
+The interprocedural rules RL009–RL013 run over the index; they are
 wired into ``python -m repro lint --strict`` and honour the same
 ``# rainlint: disable=`` pragmas as the per-file rules (a program
 finding is anchored to a concrete file/line, and that file's pragmas
@@ -31,7 +31,8 @@ attribute types, imported names through the import table, and anything
 else by unique method name across the program.  Unresolvable calls are
 simply not edges; the rules are therefore under-approximate (no finding
 is fabricated from a call that cannot be traced) but catch every chain
-the index can see.
+the index can see.  RL013 leans the same way from the other side: a
+reference it cannot resolve counts as a use of every def so named.
 """
 
 from __future__ import annotations
@@ -132,6 +133,10 @@ _HANDOFF_CLASS_NAMES = {"Handoff"}
 
 #: constructor/field names that carry causal context across a handoff
 _CTX_FIELDS = {"ctx", "span", "span_id"}
+
+#: the package whose defs RL013 checks; every other linted file
+#: (benchmarks, examples, scripts) is a caller, never a finding
+_LIBRARY = "repro"
 
 
 def _dotted(node: ast.AST) -> Optional[str]:
@@ -240,6 +245,9 @@ class ProgramIndex:
 
     def __init__(self) -> None:
         self.modules: dict[str, ModuleInfo] = {}
+        #: every parsed file, also those whose module name another file
+        #: shadows (two ``conftest.py``): RL013 counts uses in all of them
+        self.parsed: list[ModuleInfo] = []
         self.functions: dict[str, FunctionInfo] = {}
         self.classes: dict[str, ClassInfo] = {}
         #: method name -> qualnames of every function so named (fallback
@@ -294,6 +302,58 @@ class ProgramIndex:
                 if base is not None:
                     stack.append(base)
         return None
+
+    def lookup(
+        self, absname: str, _seen: frozenset = frozenset()
+    ) -> Optional[tuple[Optional[ClassInfo], str]]:
+        """``(receiver class, def qualname)`` an absolute name lands on.
+
+        Follows package re-exports (``repro.rudp.X`` -> the module that
+        defines ``X``) and base classes (``Cls.method``); the receiver
+        is the class a method was looked up on, ``None`` for a function
+        or class.
+        """
+        parts = absname.split(".")
+        for cut in range(len(parts) - 1, 0, -1):
+            module = self.modules.get(".".join(parts[:cut]))
+            if module is not None:
+                break
+        else:
+            return None
+        head, rest = parts[cut], parts[cut + 1 :]
+        if head in module.imports and absname not in _seen:
+            target = ".".join([module.imports[head], *rest])
+            return self.lookup(target, _seen | {absname})
+        if head in module.functions and not rest:
+            return None, module.functions[head]
+        if head in module.classes:
+            cls = self.classes[module.classes[head]]
+            if not rest:
+                return None, cls.qualname
+            target = self.mro_lookup(cls, rest[0]) if len(rest) == 1 else None
+            if target is not None:
+                return cls, target
+        return None
+
+    def ancestors(self, cls: ClassInfo) -> tuple[set[str], bool]:
+        """Qualnames of ``cls`` and its in-program bases, and whether any
+        base lies outside the program (``ast.NodeVisitor``, ``Exception``)."""
+        seen: set[str] = set()
+        outside = False
+        stack = [cls]
+        while stack:
+            cur = stack.pop()
+            if cur.qualname in seen:
+                continue
+            seen.add(cur.qualname)
+            module = self.modules[cur.module]
+            for raw_base in cur.bases:
+                base = self.resolve_class(module, raw_base)
+                if base is not None:
+                    stack.append(base)
+                elif raw_base != "object":
+                    outside = True
+        return seen, outside
 
     def attr_type(self, cls: ClassInfo, attr: str) -> Optional[ClassInfo]:
         """Inferred class of ``self.<attr>`` for methods of ``cls``."""
@@ -442,6 +502,72 @@ class _FunctionCollector(ast.NodeVisitor):
         self.generic_visit(node)
 
 
+class _UseCollector(ast.NodeVisitor):
+    """Every use of a name in one module (RL013).
+
+    A use the index resolves lands in ``resolved`` as ``(receiver class
+    qualname or None, def qualname)``; one it cannot resolve, and every
+    string constant, lands in ``names`` and keeps each def so named; a
+    chain rooted in an outside module (``gc.freeze``) is no use at all.
+    Import statements hold no ``Name`` nodes, and ``__all__`` is skipped.
+    """
+
+    def __init__(self, index: ProgramIndex, module: ModuleInfo, packages: set[str]):
+        self.index = index
+        self.module = module
+        self.packages = packages
+        self.resolved: set[tuple[Optional[str], str]] = set()
+        self.names: set[str] = set()
+        self._cls: Optional[ClassInfo] = None
+
+    def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        outer = self._cls
+        self._cls = self.index.classes.get(f"{self.module.name}.{node.name}", outer)
+        self.generic_visit(node)
+        self._cls = outer
+
+    def visit_Assign(self, node: ast.Assign) -> None:
+        if not any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            self.generic_visit(node)
+
+    def visit_AugAssign(self, node: ast.AugAssign) -> None:
+        if not (isinstance(node.target, ast.Name) and node.target.id == "__all__"):
+            self.generic_visit(node)
+
+    def visit_Constant(self, node: ast.Constant) -> None:
+        if isinstance(node.value, str) and node.value.isidentifier():
+            self.names.add(node.value)
+
+    def visit_Name(self, node: ast.Name) -> None:
+        if isinstance(node.ctx, ast.Load):
+            self._use(node.id, node.id)
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        if isinstance(node.ctx, ast.Load):
+            self._use(_dotted(node), node.attr)
+        self.generic_visit(node)
+
+    def _use(self, raw: Optional[str], tail: str) -> None:
+        index = self.index
+        parts = raw.split(".") if raw is not None else []
+        if parts and parts[0] == "self" and self._cls is not None and len(parts) in (2, 3):
+            holder = self._cls if len(parts) == 2 else index.attr_type(self._cls, parts[1])
+            target = index.mro_lookup(holder, tail) if holder is not None else None
+            if target is not None:
+                self.resolved.add((holder.qualname, target))
+                return
+        elif parts and parts[0] != "self":
+            absname = index.resolve_name(self.module, raw)
+            if absname is not None:
+                if absname.split(".")[0] not in self.packages:
+                    return  # an outside module's name, whatever it is called
+                hit = index.lookup(absname)
+                if hit is not None:
+                    self.resolved.add((hit[0] and hit[0].qualname, hit[1]))
+                    return
+        self.names.add(tail)
+
+
 def _collect_class(
     module: ModuleInfo, node: ast.ClassDef, index: ProgramIndex
 ) -> ClassInfo:
@@ -516,8 +642,8 @@ def build_program_index(paths: Iterable[Union[str, Path]]) -> ProgramIndex:
             tree=tree,
             pragmas=parse_pragmas(source),
         )
-        # import table
-        pkg_parts = name.split(".")[:-1]
+        # import table (a package's ``__init__`` is inside its package)
+        pkg_parts = name.split(".")[: None if path.stem == "__init__" else -1]
         for stmt in ast.walk(tree):
             if isinstance(stmt, ast.Import):
                 for alias in stmt.names:
@@ -581,6 +707,7 @@ def build_program_index(paths: Iterable[Union[str, Path]]) -> ProgramIndex:
                         )
                         setattr(index.functions[fq], "_self_sets", self_sets)
         index.modules[name] = module
+        index.parsed.append(module)
     # harvest function bodies (now that the symbol tables exist);
     # qualname order keeps every derived table canonical
     for info in sorted(index.functions.values(), key=lambda f: f.qualname):
@@ -755,7 +882,7 @@ def _propagate_unordered_returns(index: ProgramIndex) -> None:
 
 
 class _ProgramLinter:
-    """Run RL009–RL012 over a built index."""
+    """Run RL009–RL013 over a built index."""
 
     def __init__(self, index: ProgramIndex):
         self.index = index
@@ -1073,11 +1200,54 @@ class _ProgramLinter:
             return _dotted(arg) or arg.attr
         return None
 
+    # -- RL013 ----------------------------------------------------------
+
+    def check_rl013(self) -> None:
+        """Library defs, methods and classes that nothing linted uses."""
+        index = self.index
+        packages = {name.split(".")[0] for name in index.modules}
+        used: set[str] = set()
+        names: set[str] = set()
+        receivers: dict[str, set[str]] = {}  # class -> method names used on it
+        for module in index.parsed:
+            uses = _UseCollector(index, module, packages)
+            uses.visit(module.tree)
+            names |= uses.names
+            for receiver, target in uses.resolved:
+                used.add(target)
+                if receiver is not None:
+                    receivers.setdefault(receiver, set()).add(target.rsplit(".", 1)[1])
+        candidates: list[tuple[str, int, str]] = []  # (path, line, qualname)
+        for module in index.parsed:
+            if module.name != _LIBRARY and not module.name.startswith(_LIBRARY + "."):
+                continue
+            for qualname in sorted(module.functions.values()):
+                candidates.append((module.path, index.functions[qualname].line, qualname))
+            for qualname in sorted(module.classes.values()):
+                cls = index.classes[qualname]
+                candidates.append((module.path, cls.line, qualname))
+                lineage, framework = index.ancestors(cls)
+                if framework:
+                    continue  # its methods are dispatched from outside
+                # a method used on any base is used on this override too
+                inherited = set().union(*(receivers.get(q, ()) for q in lineage))
+                for name, fq in sorted(cls.methods.items()):
+                    if name not in inherited:
+                        candidates.append((module.path, index.functions[fq].line, fq))
+        for path, line, qualname in sorted(candidates):
+            name = qualname.rsplit(".", 1)[1]
+            if qualname in used or name in names:
+                continue
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            self._flag(path, line, 0, "RL013", f"{qualname} has no caller")
+
     def run(self) -> tuple[list[Finding], dict[str, int]]:
         self.check_rl009()
         self.check_rl010()
         self.check_rl011()
         self.check_rl012()
+        self.check_rl013()
         return sorted(set(self.findings)), self.suppressed
 
 

@@ -113,12 +113,21 @@ _ALL = [
         "bind your own kernel once at init and let cross-shard effects "
         "travel as handoffs (opaque blobs — never live kernel objects)",
     ),
+    Rule(
+        "RL013",
+        "no caller",
+        "nothing in the linted paths uses this library def, method or "
+        "class (imports and __all__ entries do not count; tests are not "
+        "linted, so a name only tests reach is reported too); delete it, "
+        "give it a caller, or keep it with a pragma whose reason names "
+        "what it serves",
+    ),
 ]
 
 #: ids of the interprocedural rules, which need the whole-program index
 #: (:mod:`repro.analysis.program`) and therefore only run under
 #: ``python -m repro lint --strict``
-PROGRAM_RULES = ("RL009", "RL010", "RL011", "RL012")
+PROGRAM_RULES = ("RL009", "RL010", "RL011", "RL012", "RL013")
 
 #: rule id -> Rule, in id order
 RULES: dict[str, Rule] = {r.id: r for r in sorted(_ALL, key=lambda r: r.id)}

@@ -11,7 +11,7 @@ from .raincheck import JobSpec, JobStatus, RainCheckNode
 from .rainwall import RainwallCluster, RainwallGateway, VipMove
 from .snow import SNOW_SERVICE, SnowClient, SnowServer
 from .video import PlaybackReport, VideoClient, publish_video
-from .workload import FlowModel, RequestStream, VideoSpec, synthetic_block
+from .workload import FlowModel, VideoSpec, synthetic_block
 
 __all__ = [
     "FlowModel",
@@ -21,7 +21,6 @@ __all__ = [
     "RainCheckNode",
     "RainwallCluster",
     "RainwallGateway",
-    "RequestStream",
     "SNOW_SERVICE",
     "SnowClient",
     "SnowServer",

@@ -92,12 +92,6 @@ class RainwallGateway:
         host = self.membership.host
         return host.up and any(n.usable and n.connected for n in host.nics)
 
-    # -- measurements -----------------------------------------------------------
-
-    def offered_load(self, table: dict[str, str], rates: dict[str, float]) -> float:
-        """Mbps currently routed at this gateway."""
-        return sum(r for v, r in rates.items() if table.get(v) == self.name)
-
     # -- the token hook ---------------------------------------------------------
 
     def _on_token(self, token: Token) -> None:
@@ -296,21 +290,10 @@ class RainwallCluster:
         ops, self._admin_pending = self._admin_pending, []
         return ops
 
-    def set_sticky(self, vip: str, gateway: Optional[str]) -> None:
-        """Pin ``vip`` to ``gateway``: it stays there (excluded from load
-        balancing) while that machine is healthy; ``None`` unpins.  VIPs
-        still migrate off a dead machine — availability always wins."""
-        self._admin_pending.append(("sticky", vip, gateway))
-
     def prefer(self, vip: str, gateway: Optional[str]) -> None:
         """Give ``vip`` a home preference: it returns to ``gateway``
         whenever that machine is healthy, and is skipped by balancing."""
         self._admin_pending.append(("prefer", vip, gateway))
-
-    def manual_move(self, vip: str, gateway: str) -> None:
-        """Drag-and-drop: move ``vip`` to ``gateway`` at the next token
-        hold (the paper's 'trap firewall' use case, Sec. 6.4)."""
-        self._admin_pending.append(("move", vip, gateway))
 
     # -- environment processes ---------------------------------------------------
 
@@ -354,12 +337,6 @@ class RainwallCluster:
         """Average served Mbps over [t0, t1]."""
         pts = [s for t, s in self.samples if t >= t0 and (t1 is None or t <= t1)]
         return sum(pts) / len(pts) if pts else 0.0
-
-    def vip_downtime(self, vip: str, offered_mbps: Optional[float] = None) -> float:
-        """Seconds-equivalent of unserved traffic for ``vip``."""
-        lost = self.unserved[vip]
-        rate = offered_mbps if offered_mbps is not None else self._rates.get(vip, 1.0)
-        return lost / rate if rate else 0.0
 
     def failover_time(self, crash_time: float) -> Optional[float]:
         """Delay from ``crash_time`` to the last failover move that

@@ -1,7 +1,7 @@
 """Synthetic workload generators for the proof-of-concept applications.
 
 Substitutes for what the paper's demos consumed: video files on disk
-(RAINVideo), WebBench HTTP traffic (SNOW / Rainwall), and long-running
+(RAINVideo), per-VIP firewall traffic (Rainwall), and long-running
 compute jobs (RAINCheck).  All generators are deterministic under the
 simulation's seeded RNG streams.
 """
@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-__all__ = ["synthetic_block", "VideoSpec", "RequestStream", "FlowModel"]
+__all__ = ["synthetic_block", "VideoSpec", "FlowModel"]
 
 
 def synthetic_block(tag: str, size: int) -> bytes:
@@ -46,24 +45,6 @@ class VideoSpec:
     def duration(self) -> float:
         """Total playback time in seconds."""
         return self.blocks * self.block_duration
-
-
-class RequestStream:
-    """Open-loop Poisson HTTP request arrivals.
-
-    Yields inter-arrival gaps; the caller assigns request ids.
-    """
-
-    def __init__(self, rng: np.random.Generator, rate_per_s: float):
-        if rate_per_s <= 0:
-            raise ValueError("request rate must be positive")
-        self.rng = rng
-        self.rate = rate_per_s
-
-    def gaps(self) -> Iterator[float]:
-        """Infinite stream of exponential inter-arrival times."""
-        while True:
-            yield float(self.rng.exponential(1.0 / self.rate))
 
 
 class FlowModel:

@@ -249,10 +249,6 @@ class LinkMonitorService:
         """The monitor for a path, if one was started."""
         return self.paths.get((peer, local_if, remote_if))
 
-    def up_paths(self, peer: str) -> list[PathMonitor]:
-        """All currently-Up monitored paths to ``peer``."""
-        return [m for (p, _, _), m in self.paths.items() if p == peer and m.is_up]
-
     def _on_packet(self, pkt: Packet) -> None:
         msg = pkt.payload
         if not isinstance(msg, HelloMsg):

@@ -230,8 +230,3 @@ class ReliableEndpoint:
         self.transmit(Segment(seq=0, ack=self.recv_cum, size_bytes=0))
 
     # -- introspection ----------------------------------------------------
-
-    @property
-    def all_acked(self) -> bool:
-        """True when every accepted message has been acknowledged."""
-        return not self._inflight and not self._unsent

@@ -57,11 +57,6 @@ class StepResult:
     transition: Optional[Transition] = None
     blocked: bool = False
 
-    @property
-    def transitioned(self) -> bool:
-        """Whether the observable view flipped."""
-        return self.transition is not None
-
 
 class ConsistentHistoryMachine:
     """One endpoint of the consistent-history link protocol.

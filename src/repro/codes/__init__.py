@@ -12,7 +12,6 @@ from .evenodd import EvenOdd, EvenOddFast
 from .linear import Cell, ChainStep, LinearXorCode
 from .parity import Mirroring, SingleParity
 from .reed_solomon import ReedSolomon
-from .registry import available_codes, make_code
 from .xcode import XCode
 from .xor_math import XorTally, as_piece, xor_into, xor_reduce, zeros_piece
 
@@ -31,9 +30,7 @@ __all__ = [
     "XCode",
     "XorTally",
     "as_piece",
-    "available_codes",
     "bcode_layout",
-    "make_code",
     "table_1a",
     "verify_mds",
     "xor_into",

@@ -43,17 +43,6 @@ _KNOWN_OFFSETS: dict[int, dict[int, int]] = {
 }
 
 
-def _edges(n: int) -> list[frozenset[int]]:
-    """Edges of K_n minus the perfect matching {i, i+n/2}."""
-    m = n // 2
-    matching = {frozenset((i, i + m)) for i in range(m)}
-    return [
-        frozenset(e)
-        for e in itertools.combinations(range(n), 2)
-        if frozenset(e) not in matching
-    ]
-
-
 def _assignment(n: int, offsets: dict[int, int]) -> Optional[dict[frozenset, int]]:
     """Cyclic storage assignment, or None if it violates constraints."""
     assign: dict[frozenset, int] = {}

@@ -13,12 +13,8 @@ import numpy as np
 __all__ = [
     "GF_EXP",
     "GF_LOG",
-    "gf_add",
-    "gf_mul",
     "gf_inv",
-    "gf_div",
     "gf_pow",
-    "gf_mul_vec",
     "gf_matmul",
     "gf_mat_inv",
     "gf_vandermonde",
@@ -46,16 +42,6 @@ _MUL[1:, 1:] = GF_EXP[(GF_LOG[_nzA] + GF_LOG[_nzB]) % 255]
 MUL_TABLE = _MUL
 
 
-def gf_add(a: int, b: int) -> int:
-    """Addition in GF(2^8) is XOR."""
-    return a ^ b
-
-
-def gf_mul(a: int, b: int) -> int:
-    """Scalar field multiplication."""
-    return int(MUL_TABLE[a, b])
-
-
 def gf_pow(a: int, e: int) -> int:
     """a**e in the field (e may be any integer)."""
     if a == 0:
@@ -70,20 +56,6 @@ def gf_inv(a: int) -> int:
     if a == 0:
         raise ZeroDivisionError("0 has no inverse in GF(256)")
     return int(GF_EXP[255 - GF_LOG[a]])
-
-
-def gf_div(a: int, b: int) -> int:
-    """a / b in the field."""
-    return gf_mul(a, gf_inv(b))
-
-
-def gf_mul_vec(scalar: int, arr: np.ndarray) -> np.ndarray:
-    """Multiply every byte of ``arr`` by ``scalar`` (vectorized gather)."""
-    if scalar == 0:
-        return np.zeros_like(arr)
-    if scalar == 1:
-        return arr.copy()
-    return MUL_TABLE[scalar][arr]
 
 
 def gf_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

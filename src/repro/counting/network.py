@@ -58,11 +58,6 @@ class Balancer:
         self.state = 0
         self.stuck: Optional[int] = None  # None healthy; else fixed output wire
 
-    @property
-    def wires(self) -> tuple[int, int]:
-        """The two wires this balancer touches."""
-        return (self.top, self.bottom)
-
     def fail_stuck(self, to_top: bool = True) -> None:
         """Make the balancer forward everything to one output."""
         self.stuck = self.top if to_top else self.bottom
@@ -186,11 +181,6 @@ class CountingNetwork:
         for wire in arrivals:
             self.traverse(wire)
         return list(self.output_counts)
-
-    def reset_counts(self) -> None:
-        """Zero the output tally (balancer toggle states persist)."""
-        self.output_counts = [0] * self.width
-        self.tokens_routed = 0
 
     # -- fault handling (ref. [44]) -----------------------------------------
 

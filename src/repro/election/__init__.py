@@ -1,12 +1,8 @@
-"""Leader election over group membership and standalone (paper ref. [29])."""
+"""Leader election over group membership (paper ref. [29])."""
 
 from .protocol import LeaderChange, LeaderElection
-from .standalone import ELECTION_SERVICE, ElectionConfig, StandaloneElection
 
 __all__ = [
-    "ELECTION_SERVICE",
-    "ElectionConfig",
     "LeaderChange",
     "LeaderElection",
-    "StandaloneElection",
 ]

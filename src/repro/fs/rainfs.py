@@ -338,49 +338,6 @@ class RainFsNode:
             tracer.end(span, size=meta["size"], blocks=len(meta["blocks"]))
         return data[: meta["size"]]
 
-    def read_range(self, path: str, offset: int, length: int):
-        """Generator: read ``length`` bytes at ``offset``.
-
-        Only the blocks covering the span are retrieved (and decoded),
-        so random reads of a large file cost O(span), not O(file).
-        Reads past end-of-file are truncated, as with ``pread``.
-        """
-        if offset < 0 or length < 0:
-            raise FsError("offset and length must be non-negative")
-        tracer = self.sim.obs.tracer
-        rspan = None
-        ctx = None
-        if tracer is not None:
-            rspan = tracer.start(
-                "fs.read", node=self.name, path=path, offset=offset, length=length
-            )
-            ctx = rspan.ctx
-        try:
-            meta = yield from self._rpc("stat", path, ctx=ctx)
-            size = meta["size"]
-            bs = meta["block_size"]
-            if offset >= size or length == 0:
-                if rspan is not None:
-                    tracer.end(rspan, blocks=0)
-                return b""
-            end = min(offset + length, size)
-            first = offset // bs
-            last = (end - 1) // bs
-            parts = []
-            for i in range(first, last + 1):
-                parts.append(
-                    (yield from self.store.retrieve(meta["blocks"][i], ctx=ctx))
-                )
-        except BaseException:
-            if rspan is not None:
-                tracer.end(rspan, status="error")
-            raise
-        if rspan is not None:
-            tracer.end(rspan, blocks=last - first + 1)
-        span = b"".join(parts)
-        lo = offset - first * bs
-        return span[lo : lo + (end - offset)]
-
     def append(self, path: str, data: bytes):
         """Generator: append by read-modify-write (last committer wins)."""
         try:

@@ -164,11 +164,6 @@ class MembershipNode:
         """This node's current membership view, in ring order."""
         return tuple(self.view)
 
-    @property
-    def is_member(self) -> bool:
-        """Whether this node believes it is part of the membership."""
-        return self.name in self.view and not self.solo_mode
-
     def on_hold(self, fn: Callable[[Token], None]) -> None:
         """Run ``fn(token)`` every time this node holds the token — the
         paper's attachment hook (SNOW's HTTP queue rides here).  The

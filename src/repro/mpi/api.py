@@ -125,7 +125,7 @@ class Communicator(CollectivesMixin):
             ctx=ctx,
         )
 
-    def isend(self, obj: Any, dest: int, tag: Any = 0, size_bytes: int = 64) -> Request:
+    def isend(self, obj: Any, dest: int, tag: Any = 0, size_bytes: int = 64) -> Request:  # rainlint: disable=RL013 -- the MPI surface Sec. 2.5 ports
         """Nonblocking send; the request is complete on return (eager)."""
         self.send(obj, dest, tag, size_bytes)
         req = Request(self.sim)
@@ -147,13 +147,13 @@ class Communicator(CollectivesMixin):
             self._posted.append((source, tag, sig))
         return sig
 
-    def irecv(self, source: int = ANY_SOURCE, tag: Any = ANY_TAG) -> Request:
+    def irecv(self, source: int = ANY_SOURCE, tag: Any = ANY_TAG) -> Request:  # rainlint: disable=RL013 -- the MPI surface Sec. 2.5 ports
         """Nonblocking receive returning a :class:`Request`."""
         req = Request(self.sim)
         self.recv(source, tag).add_callback(lambda w: req._complete(w.value))
         return req
 
-    def probe(self, source: int = ANY_SOURCE, tag: Any = ANY_TAG) -> Optional[Status]:
+    def probe(self, source: int = ANY_SOURCE, tag: Any = ANY_TAG) -> Optional[Status]:  # rainlint: disable=RL013 -- the MPI surface Sec. 2.5 ports
         """Status of a matching queued message, if any (nonblocking)."""
         for msg in self._unexpected:
             if _matches(source, msg.source, ANY_SOURCE) and _matches(

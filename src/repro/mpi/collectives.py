@@ -243,7 +243,7 @@ class CollectivesMixin:
             self.send(acc, dest=self.rank + 1, tag=tag, size_bytes=size_bytes)
         return acc
 
-    def sendrecv(
+    def sendrecv(  # rainlint: disable=RL013 -- the MPI surface Sec. 2.5 ports
         self,
         sendobj: Any,
         dest: int,

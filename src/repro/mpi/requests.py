@@ -20,7 +20,7 @@ class Request:
         if not self._signal.triggered:
             self._signal.succeed(value)
 
-    def test(self) -> bool:
+    def test(self) -> bool:  # rainlint: disable=RL013 -- the MPI surface Sec. 2.5 ports
         """True once the operation has completed."""
         return self._signal.triggered
 

@@ -34,10 +34,6 @@ class Device:
         """Register ``link`` as connected to this device."""
         self.links.append(link)
 
-    def degree(self) -> int:
-        """Number of attached links."""
-        return len(self.links)
-
     def __repr__(self) -> str:
         state = "up" if self.up else "DOWN"
         return f"<{self.kind} {self.name} {state}>"

@@ -29,13 +29,6 @@ class LinkEnd:
         self.bytes_carried = 0
         self.packets_carried = 0
 
-    def reserve(self, now: float, ser_delay: float) -> float:
-        """Claim the serializer; returns the transmission *finish* time."""
-        start = max(now, self.busy_until)
-        finish = start + ser_delay
-        self.busy_until = finish
-        return finish
-
 
 class Link:
     """A bidirectional cable between two devices.

@@ -70,7 +70,7 @@ class _Route:
     — everything a hop needs without per-hop lookups.  ``key`` names
     the route by host name, NIC index and link ids, which is how a
     sharded replica tells a peer which route an in-flight packet is on.
-    Routes (and cached drop reasons) are kept per ``topo_version``: any
+    Routes (and cached drop reasons) are kept per ``_topo_version``: any
     flip of any element, or a cabling change, drops the whole cache.
     Re-resolving is cheap: the router's switch trees underneath key off
     ``fabric_version`` and outlive host and NIC flips.
@@ -246,11 +246,6 @@ class Network:
     # -- topology state -----------------------------------------------------
 
     @property
-    def topo_version(self) -> int:
-        """Monotone counter bumped on every topology or fault change."""
-        return self._topo_version
-
-    @property
     def fabric_version(self) -> int:
         """Monotone counter of cabling, link-flip and switch-flip changes."""
         return self._fabric_version
@@ -258,7 +253,7 @@ class Network:
     def bump_topology(self, fabric: bool = True) -> None:
         """Invalidate cached state after a topology/fault change.
 
-        ``topo_version`` always moves (the :class:`_Route` cache and the
+        ``_topo_version`` always moves (the :class:`_Route` cache and the
         batched route's in-flight recheck key off it); ``fabric_version``
         (the router's switch trees) moves too unless the caller knows the
         change was a host or NIC flip, which no tree can see and

@@ -1,7 +1,7 @@
 """Compute/storage hosts.
 
 A host owns its NICs and a demultiplexer from destination port to a bound
-handler or mailbox — the simulated equivalent of the kernel's UDP socket
+handler — the simulated equivalent of the kernel's UDP socket
 table.  All RAIN protocol layers (link monitor, RUDP, membership) are
 "user space" objects that bind ports here, mirroring the paper's emphasis
 (Sec. 2.5) that the communication stack keeps all state out of the
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from ..sim import Mailbox, Simulator
+from ..sim import Simulator
 from .address import Endpoint, NicAddr
 from .batch import PacketBatch
 from .nic import Nic
@@ -47,7 +47,6 @@ class Host:
         # Source Endpoints are frozen and per-(host, port); caching them
         # keeps dataclass construction off the per-send hot path.
         self._src_endpoints: dict[int, Endpoint] = {}
-        self._next_ephemeral = 49152
         self.delivered = 0
 
     # -- NIC access ------------------------------------------------------
@@ -67,11 +66,6 @@ class Host:
         self._claim(port)
         self._handlers[port] = handler
 
-    def unbind(self, port: int) -> None:
-        """Release ``port`` (no-op if unbound)."""
-        self._handlers.pop(port, None)
-        self._batch_handlers.pop(port, None)
-
     def bind_batch(self, port: int, handler: BatchHandler) -> None:
         """Attach a whole-window handler to ``port``.
 
@@ -87,20 +81,6 @@ class Host:
         """One handler per port, of either kind."""
         if port in self._handlers or port in self._batch_handlers:
             raise PortInUse(f"{self.name} port {port} already bound")
-
-    def open_mailbox(self, port: int, capacity: Optional[int] = None) -> Mailbox:
-        """Bind ``port`` to a fresh :class:`Mailbox` and return it."""
-        box = Mailbox(self.sim, capacity=capacity)
-        self.bind(port, box.put)
-        return box
-
-    def ephemeral_port(self) -> int:
-        """Allocate an unused high port."""
-        port = self._next_ephemeral
-        while port in self._handlers or port in self._batch_handlers:
-            port += 1
-        self._next_ephemeral = port + 1
-        return port
 
     def endpoint(self, port: int) -> Endpoint:
         """This host's :class:`Endpoint` for ``port``."""

@@ -80,10 +80,6 @@ class ShardedNetwork(Network):
         hi = self.host_index[host.name]
         return (hi, self.sim.mint_origin_seq(("pid", hi)))
 
-    def owns(self, name: str) -> bool:
-        """Whether this shard owns the named element."""
-        return self.owner[name] == self.rank
-
     def _owner_of(self, device: Device) -> int:
         if isinstance(device, Nic):
             return self.owner[device.host.name]

@@ -32,11 +32,6 @@ class Switch(Device):
         super().__init__(name)
         self.port_count = port_count
 
-    @property
-    def free_ports(self) -> int:
-        """Ports not yet cabled."""
-        return self.port_count - len(self.links)
-
     def attach(self, link: "Link") -> None:
         """Cable a link to a free port; raises when out of ports."""
         if len(self.links) >= self.port_count:

@@ -107,7 +107,7 @@ class Observability:
             self.tracer = SpanTracer(self.time_fn, max_spans=max_spans)
         return self.tracer
 
-    def install_flight_recorder(self, capacity: int = 512) -> FlightRecorder:
+    def install_flight_recorder(self, capacity: int = 512) -> FlightRecorder:  # rainlint: disable=RL013 -- the tests/conftest.py crash-dump fixture
         """Attach a :class:`FlightRecorder` ring buffer to the bus."""
         return FlightRecorder(self, capacity=capacity)
 

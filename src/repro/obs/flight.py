@@ -19,8 +19,7 @@ the golden traces.
 
 from __future__ import annotations
 
-import json
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from .bus import Event, EventRing
 
@@ -48,7 +47,7 @@ class FlightRecorder(EventRing):
 
     # -- crash reports -----------------------------------------------------
 
-    def dump(self, reason: str, **detail: object) -> dict:
+    def dump(self, reason: str, **detail: object) -> dict:  # rainlint: disable=RL013 -- the tests/conftest.py crash-dump fixture
         """Build a deterministic crash report.
 
         ``reason`` labels why the dump was taken (``"invariant"``,
@@ -71,24 +70,3 @@ class FlightRecorder(EventRing):
             ),
         }
         return report
-
-    def dump_json(self, reason: str, **detail: object) -> str:
-        """:meth:`dump` serialized canonically (byte-stable per seed)."""
-        return (
-            json.dumps(self.dump(reason, **detail), indent=2, sort_keys=True, default=str)
-            + "\n"
-        )
-
-    def check_membership(self, nodes, require_agreement: bool = True) -> Optional[dict]:
-        """Run the membership invariant checker; dump on violation.
-
-        Returns the crash report dict when an invariant tripped, else
-        ``None``.  The import is local: :mod:`repro.obs` must stay
-        importable without the rest of the stack.
-        """
-        from ..membership.invariants import check_invariants
-
-        report = check_invariants(nodes, require_agreement=require_agreement)
-        if report.ok:
-            return None
-        return self.dump("invariant", violations=list(report.violations))

@@ -318,14 +318,6 @@ class SpanTracer:
             cur = parent
             seen += 1
 
-    def has_ancestor(self, span: Span, name: str) -> bool:
-        """Whether any ancestor of ``span`` is called ``name``."""
-        return any(a.name == name for a in self.ancestors(span))
-
-    def children(self, span: Span) -> list[Span]:
-        """Direct children of ``span``, in start order."""
-        return [s for s in self.spans if s.parent_id == span.span_id]
-
     def trace(self, trace_id: int) -> list[Span]:
         """Every span of one trace, in start order."""
         return [s for s in self.spans if s.trace_id == trace_id]
@@ -418,12 +410,6 @@ class SpanTracer:
                 }
             )
         return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-    def chrome_json(self, indent: Optional[int] = 2) -> str:
-        """:meth:`to_chrome_trace` serialized canonically."""
-        return json.dumps(
-            self.to_chrome_trace(), indent=indent, sort_keys=True, default=str
-        )
 
 
 def validate_chrome_trace(doc: object) -> list[str]:

@@ -1,7 +1,6 @@
 """RUDP: reliable datagrams over bundled interfaces (paper Sec. 2.5)."""
 
 from .bundle import Path, PathBundle, UNPINNED
-from .snapshot import EndpointState, TransportState, freeze, thaw
 from .transport import RUDP_PORT, RudpConfig, RudpConnection, RudpTransport
 
 __all__ = [
@@ -12,8 +11,4 @@ __all__ = [
     "RudpConfig",
     "RudpConnection",
     "RudpTransport",
-    "EndpointState",
-    "TransportState",
-    "freeze",
-    "thaw",
 ]

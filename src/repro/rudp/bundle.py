@@ -77,11 +77,6 @@ class PathBundle:
                 out.append(path)
         return out
 
-    @property
-    def any_up(self) -> bool:
-        """Whether at least one path is believed usable."""
-        return bool(self.up_paths())
-
     def pick(self) -> Path:
         """Choose the path for the next segment, per policy."""
         if self.policy == "failover":

@@ -145,13 +145,6 @@ class RudpConnection:
                 tracer.end_id(cur.span_id)
         self.transport._dispatch(self.peer, env)
 
-    @property
-    def connected(self) -> bool:
-        """Whether any monitored path to the peer is Up (True when no
-        path is monitored)."""
-        watched = [mon for mon in self.bundle._watchers if mon is not None]
-        return any(mon.is_up for mon in watched) if watched else True
-
 
 class RudpTransport:
     """Per-host RUDP endpoint.
@@ -223,7 +216,8 @@ class RudpTransport:
         Down routing can still find a crossed route (NIC 0 to NIC 1).  A
         NIC cabled straight to another host (a direct mesh) leaves the
         unpinned path alone.  Pinned paths are monitored only to another
-        member.  ``paths`` overrides the rule (a snapshot names its own).
+        member.  ``paths`` and ``policy`` override the rule and the
+        configured policy.
         """
         conn = self.connections.get(peer)
         if conn is None:
@@ -258,10 +252,6 @@ class RudpTransport:
             raise ValueError(f"service {service!r} already registered")
         self._services[service] = handler
 
-    def unregister(self, service: str) -> None:
-        """Remove a service handler (no-op if absent)."""
-        self._services.pop(service, None)
-
     # -- I/O ---------------------------------------------------------------
 
     def _count_retransmission(self) -> None:
@@ -288,10 +278,3 @@ class RudpTransport:
         handler = self._services.get(env.service)
         if handler is not None:
             handler(src, env.data)
-
-    # -- introspection ----------------------------------------------------
-
-    def peer_connected(self, peer: str) -> bool:
-        """Whether RUDP currently believes it can reach ``peer``."""
-        conn = self.connections.get(peer)
-        return conn.connected if conn else False

@@ -46,11 +46,6 @@ class Mailbox:
     def __len__(self) -> int:
         return len(self._items)
 
-    @property
-    def closed(self) -> bool:
-        """True once :meth:`close` has been called."""
-        return self._closed
-
     def put(self, item: Any) -> bool:
         """Deposit ``item``; wake one waiting getter.
 
@@ -91,14 +86,6 @@ class Mailbox:
         g = _Get(self.sim)
         self._getters.append(g)
         return g
-
-    def get_nowait(self) -> Any:
-        """Pop an item immediately; raises ``IndexError`` when empty."""
-        return self._items.popleft()
-
-    def peek_all(self) -> list[Any]:
-        """Snapshot of queued items (no removal)."""
-        return list(self._items)
 
     def close(self) -> None:
         """Reject future puts; fail all pending getters with QueueClosed."""

@@ -45,9 +45,5 @@ class RngRegistry:
             self._streams[name] = gen
         return gen
 
-    def fork(self, name: str) -> "RngRegistry":
-        """A child registry whose streams are independent of the parent's."""
-        return RngRegistry(stream_seed(self.master_seed, f"fork:{name}"))
-
     def __repr__(self) -> str:
         return f"RngRegistry(master_seed={self.master_seed}, streams={len(self._streams)})"

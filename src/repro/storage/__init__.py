@@ -1,6 +1,6 @@
 """Distributed erasure-coded storage (paper Sec. 4.2)."""
 
-from .placement import FirstK, LeastLoaded, Placement, Preferred
+from .placement import FirstK, LeastLoaded, Placement
 from .store import (
     STORAGE_SERVICE,
     DistributedStore,
@@ -14,7 +14,6 @@ __all__ = [
     "FirstK",
     "LeastLoaded",
     "Placement",
-    "Preferred",
     "RetrieveError",
     "STORAGE_SERVICE",
     "StorageNode",

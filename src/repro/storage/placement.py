@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-__all__ = ["Placement", "FirstK", "LeastLoaded", "Preferred"]
+__all__ = ["Placement", "FirstK", "LeastLoaded"]
 
 
 class Placement:
@@ -39,16 +39,3 @@ class LeastLoaded(Placement):
 
     def order(self, nodes: Sequence[str]) -> list[str]:
         return sorted(nodes, key=lambda n: (self.load_of(n), n))
-
-
-class Preferred(Placement):
-    """Ask nodes by an explicit ranking (e.g. geographic proximity).
-
-    Unranked nodes come last in listed order.
-    """
-
-    def __init__(self, ranking: Sequence[str]):
-        self.rank = {n: i for i, n in enumerate(ranking)}
-
-    def order(self, nodes: Sequence[str]) -> list[str]:
-        return sorted(nodes, key=lambda n: (self.rank.get(n, len(self.rank)), n))

@@ -61,7 +61,7 @@ class StorageNode:
         # id -> (idx, share, data_len, digest): every symbol carries a
         # checksum so disk bit rot is detected at read time — a corrupt
         # symbol is reported as a miss (and discarded), never served, so
-        # retrieval decodes around it and rebuild() can re-create it.
+        # retrieval decodes around it.
         self.symbols: dict[str, tuple[int, bytes, int, bytes]] = {}
         self.gets_served = 0
         self.corruptions_detected = 0
@@ -82,19 +82,6 @@ class StorageNode:
         import hashlib
 
         return hashlib.sha256(share).digest()[:8]
-
-    def holds(self, object_id: str) -> bool:
-        """Whether this node currently stores a symbol for ``object_id``."""
-        return object_id in self.symbols
-
-    def corrupt(self, object_id: str, flip_byte: int = 0) -> None:
-        """Test hook: silently flip one byte of the stored symbol,
-        simulating disk corruption underneath the checksum."""
-        idx, share, data_len, digest = self.symbols[object_id]
-        mutated = bytearray(share)
-        if mutated:
-            mutated[flip_byte % len(mutated)] ^= 0xFF
-        self.symbols[object_id] = (idx, bytes(mutated), data_len, digest)
 
     def _on_msg(self, src: str, msg: tuple) -> None:
         if not self.host.up:
@@ -363,80 +350,3 @@ class DistributedStore:
         for node in self.nodes:
             req = next(_req_ids)
             self.transport.send(node, STORAGE_SERVICE, ("DROP", req, object_id))
-
-    def rebuild(self, object_id: str, ctx: Any = None):
-        """Generator: restore full redundancy after node replacement.
-
-        The paper's hot-swap story (Sec. 4.2) removes and replaces up to
-        n − k nodes; a replacement node comes back *empty*.  ``rebuild``
-        probes every node for its symbol, decodes the object from the
-        survivors, re-encodes, and re-stores the missing symbols — the
-        regeneration step any production erasure store performs.
-
-        Returns the list of node names whose symbols were restored.
-        Raises :class:`RetrieveError` when fewer than k symbols survive.
-        """
-        tracer = self.sim.obs.tracer
-        span = None
-        if tracer is not None:
-            span = tracer.start(
-                "storage.rebuild", parent=ctx, node=self.host.name, object=object_id
-            )
-            ctx = span.ctx
-        # probe all nodes in parallel
-        sigs = {node: self._ask(node, ("GET", object_id), ctx=ctx) for node in self.nodes}
-        collected: dict[int, bytes] = {}
-        data_len = 0
-        holders: set[str] = set()
-        deadline = self.sim.timeout(REQUEST_TIMEOUT)
-        remaining = dict(sigs)
-        while remaining:
-            fired = yield self.sim.any_of(list(remaining.values()) + [deadline])
-            if fired is deadline:
-                break
-            for node, sig in list(remaining.items()):
-                if sig is fired:
-                    del remaining[node]
-                    src, msg = fired.value
-                    if msg[0] == "GET_OK":
-                        _, _, _, idx, share, dlen = msg
-                        collected[idx] = share
-                        data_len = dlen
-                        holders.add(node)
-                    break
-        if len(collected) < self.code.k:
-            if span is not None:
-                tracer.end(span, status="error", reason="unreachable")
-            raise RetrieveError(
-                f"{object_id}: only {len(collected)}/{self.code.k} symbols "
-                f"survive; cannot rebuild"
-            )
-        data = self._decode(collected, data_len)
-        shares = self._encode(data)
-        repaired = []
-        acks = {}
-        for idx, node in enumerate(self.nodes):
-            if idx in collected:
-                continue
-            acks[node] = self._ask(
-                node,
-                ("PUT", object_id, idx, shares[idx], data_len),
-                size=len(shares[idx]) + 48,
-                ctx=ctx,
-            )
-            repaired.append(node)
-        deadline2 = self.sim.timeout(REQUEST_TIMEOUT)
-        pending = dict(acks)
-        restored = []
-        while pending:
-            fired = yield self.sim.any_of(list(pending.values()) + [deadline2])
-            if fired is deadline2:
-                break
-            for node, sig in list(pending.items()):
-                if sig is fired:
-                    del pending[node]
-                    restored.append(node)
-                    break
-        if span is not None:
-            tracer.end(span, restored=len(restored))
-        return sorted(restored)

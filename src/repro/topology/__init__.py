@@ -21,7 +21,7 @@ from .constructions import (
 )
 from .graph import EdgeId, TopologyGraph, Vertex, node_v, switch_v
 from .partition import LayoutError, Partition, partition_topology
-from .render import render_attachment_table, render_ring_construction
+from .render import render_ring_construction
 from .resilience import (
     FaultSet,
     PartitionReport,
@@ -54,7 +54,6 @@ __all__ = [
     "min_faults_to_partition",
     "naive_ring",
     "partition_topology",
-    "render_attachment_table",
     "render_ring_construction",
     "node_v",
     "ring_switch_graph",

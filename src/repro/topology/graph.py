@@ -117,7 +117,7 @@ class TopologyGraph:
             sd[b] += 1
         return nd, sd
 
-    def validate(self) -> None:
+    def validate(self) -> None:  # rainlint: disable=RL013 -- safety check on a built graph
         """Check declared degree bounds; raises ``ValueError`` on violation."""
         nd, sd = self.degrees()
         if self.node_degree is not None:

@@ -9,17 +9,7 @@ from __future__ import annotations
 
 from .graph import TopologyGraph
 
-__all__ = ["render_ring_construction", "render_attachment_table"]
-
-
-def render_attachment_table(topo: TopologyGraph) -> str:
-    """One line per compute node: which switches it attaches to."""
-    pairs = topo.node_switch_pairs()
-    lines = [f"{topo.name}"]
-    for node in range(topo.num_nodes):
-        attached = ", ".join(f"s{j}" for j in pairs[node])
-        lines.append(f"  c{node}: {attached}")
-    return "\n".join(lines)
+__all__ = ["render_ring_construction"]
 
 
 def render_ring_construction(topo: TopologyGraph, width: int = 64) -> str:

@@ -64,15 +64,6 @@ class FaultSet:
                 raise ValueError(f"unknown element kind {kind!r}")
         return FaultSet(frozenset(sw), frozenset(nd), frozenset(lk))
 
-    def tags(self) -> tuple:
-        """The inverse of :meth:`of`: switch, then node, then link tags,
-        each kind sorted."""
-        return (
-            tuple(("switch", j) for j in sorted(self.switches))
-            + tuple(("node", i) for i in sorted(self.nodes))
-            + tuple(("link", eid) for eid in sorted(self.links))
-        )
-
 
 @dataclass(frozen=True)
 class PartitionReport:
@@ -110,11 +101,6 @@ class PartitionReport:
     def is_partitioned(self) -> bool:
         """True when surviving nodes split into ≥ 2 components."""
         return len(self.component_sizes) > 1
-
-    def is_split(self, min_side: int) -> bool:
-        """True when at least two components have ≥ ``min_side`` nodes —
-        the paper's "partitioned into sets of nonconstant size"."""
-        return sum(1 for c in self.component_sizes if c >= min_side) >= 2
 
 
 @dataclass
@@ -204,7 +190,7 @@ def _compiled(topo: TopologyGraph) -> _Compiled:
     return comp
 
 
-def analyze(topo: TopologyGraph, faults: Optional[FaultSet] = None) -> PartitionReport:
+def analyze(topo: TopologyGraph, faults: Optional[FaultSet] = None) -> PartitionReport:  # rainlint: disable=RL013 -- Thm 2.1's partition bound, asserted by tier-1
     """Connectivity report for ``topo`` under ``faults``."""
     return _compiled(topo).components(faults if faults is not None else FaultSet())
 
@@ -283,7 +269,7 @@ def worst_case(
     return result
 
 
-def min_faults_to_partition(
+def min_faults_to_partition(  # rainlint: disable=RL013 -- Thm 2.1's partition bound, asserted by tier-1
     topo: TopologyGraph,
     kinds: Sequence[str] = ("switch",),
     max_faults: int = 6,

@@ -1,4 +1,5 @@
-"""Shared fixtures: flight-recorder capture for failing tests.
+"""Shared fixtures: flight-recorder capture for failing tests, and the
+whole tree linted once per session.
 
 Tests that drive a simulation can opt into crash-dump capture::
 
@@ -9,13 +10,21 @@ Tests that drive a simulation can opt into crash-dump capture::
 
 If the test then fails, the report grows a "flight recorder" section
 holding the last-N-events ring buffer and any open spans as canonical
-JSON — the same artifact :meth:`repro.obs.FlightRecorder.dump_json`
-produces on a membership invariant violation.
+JSON: :meth:`repro.obs.FlightRecorder.dump`, serialized with sorted
+keys.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
+from types import SimpleNamespace
+
 import pytest
+
+#: what CI lints: the library plus the benchmarks and examples that call it
+LINTED_TREE = ("src", "benchmarks", "examples")
 
 
 class FlightRecorderRegistry:
@@ -54,6 +63,34 @@ def pytest_runtest_makereport(item, call):
         report.sections.append(
             (
                 f"flight recorder ({label})",
-                rec.dump_json("test-failure", test=item.nodeid),
+                json.dumps(
+                    rec.dump("test-failure", test=item.nodeid),
+                    indent=2,
+                    sort_keys=True,
+                    default=str,
+                )
+                + "\n",
             )
         )
+
+
+@pytest.fixture(scope="session")
+def linted_tree():
+    """The tree linted the way CI lints it, once per session.
+
+    ``code`` and ``output`` are ``python -m repro lint <tree> --strict``'s
+    exit status and text report; ``index`` is a separate whole-program
+    index of the same tree, for tests that inspect or re-run rules on it.
+    """
+    from repro.__main__ import main
+    from repro.analysis import build_program_index
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["lint", *LINTED_TREE, "--strict"])
+    return SimpleNamespace(
+        paths=LINTED_TREE,
+        code=code,
+        output=out.getvalue(),
+        index=build_program_index(LINTED_TREE),
+    )

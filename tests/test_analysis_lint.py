@@ -1,8 +1,9 @@
 """Tests for rainlint: per-file rules RL001-RL007, pragmas, runner, CLI.
 
-The interprocedural rules RL009-RL012 (``lint --strict``) are covered
+The interprocedural rules RL009-RL013 (``lint --strict``) are covered
 in ``test_analysis_program.py``; here they only appear where the CLI
-merges both passes.
+merges both passes.  The shipped tree is linted once per session, by
+the ``linted_tree`` fixture in ``conftest.py``.
 """
 
 from pathlib import Path
@@ -39,7 +40,7 @@ SEEDED_COUNTS = {rule: list(SEEDED.values()).count(rule) for rule in FILE_RULES}
 
 
 def rules_of(source: str) -> list[str]:
-    return [f.rule for f in lint_source(source)]
+    return [f.rule for f in lint_source(source)[0]]
 
 
 class TestFixtures:
@@ -317,7 +318,7 @@ class TestPragmas:
             "a = time.time()  # rainlint: disable=RL001 -- justified\n"
             "b = time.time()\n"
         )
-        findings = lint_source(src)
+        findings = lint_source(src)[0]
         assert [f.rule for f in findings] == ["RL001"]
         assert findings[0].line == 3
 
@@ -328,11 +329,11 @@ class TestPragmas:
             "a = time.time()\n"
             "b = time.time()\n"
         )
-        assert lint_source(src) == []
+        assert lint_source(src)[0] == []
 
     def test_disable_all(self):
         src = "import random  # rainlint: disable=all\n"
-        assert lint_source(src) == []
+        assert lint_source(src)[0] == []
 
     def test_pragma_parsing_multi_rule(self):
         p = parse_pragmas("x = 1  # rainlint: disable=RL001,RL004\n")
@@ -349,7 +350,7 @@ class TestPragmas:
             'MSG = """see time.time()  # rainlint: disable=RL001"""'
             "; t = time.time()\n"
         )
-        assert lint_source(src) == []
+        assert lint_source(src)[0] == []
 
     def test_pragma_inside_multiline_string_does_not_leak(self):
         # ...but a pragma on one line of a triple-quoted block never
@@ -361,7 +362,7 @@ class TestPragmas:
             "import time\n"
             "t = time.time()\n"
         )
-        findings = lint_source(src)
+        findings = lint_source(src)[0]
         assert [(f.rule, f.line) for f in findings] == [("RL001", 5)]
 
     def test_pragma_on_decorated_handler_except_line(self):
@@ -376,18 +377,18 @@ class TestPragmas:
             "        except:  # rainlint: disable=RL006 -- re-raised by deco\n"
             "            pass\n"
         )
-        assert lint_source(src) == []
+        assert lint_source(src)[0] == []
 
 
 class TestRunner:
     def test_parse_error_reports_rl000(self):
-        findings = lint_source("def broken(:\n")
+        findings = lint_source("def broken(:\n")[0]
         assert [f.rule for f in findings] == ["RL000"]
 
-    def test_clean_tree_lints_clean(self):
-        # The acceptance gate: the shipped tree has zero findings.
-        report = lint_paths(["src", "benchmarks"])
-        assert report.ok, report.render()
+    def test_clean_tree_lints_clean(self, linted_tree):
+        # The acceptance gate: the shipped tree has zero findings (the
+        # per-file pass is part of the strict run).
+        assert "lint: OK" in linted_tree.output, linted_tree.output
 
     def test_json_output_is_deterministic(self):
         first = lint_paths([FIXTURES]).to_json()
@@ -406,14 +407,14 @@ class TestRunner:
 
 
 class TestCli:
-    def test_lint_clean_tree_exits_zero(self, capsys):
-        assert main(["lint", "src", "benchmarks"]) == 0
-        assert "lint: OK" in capsys.readouterr().out
+    def test_lint_clean_tree_exits_zero(self, linted_tree):
+        assert linted_tree.code == 0
+        assert "lint: OK" in linted_tree.output
 
-    def test_lint_strict_clean_tree_exits_zero(self, capsys):
+    def test_lint_strict_clean_tree_exits_zero(self, linted_tree):
         # --strict adds the whole-program rules; the tree has no finding
-        assert main(["lint", "src", "benchmarks", "--strict"]) == 0
-        assert "lint: OK" in capsys.readouterr().out
+        assert linted_tree.code == 0
+        assert "strict = True" in linted_tree.output
 
     def test_lint_fixtures_exits_nonzero_with_rule_ids(self, capsys):
         assert main(["lint", str(FIXTURES)]) == 1
@@ -426,7 +427,7 @@ class TestCli:
     def test_lint_strict_fixtures_reports_all_rules(self, capsys):
         assert main(["lint", str(FIXTURES), "--strict"]) == 1
         out = capsys.readouterr().out
-        for rule in RULES:  # RL001-RL012, both passes merged
+        for rule in RULES:  # RL001-RL013, both passes merged
             assert rule in out
 
     def test_lint_json_format(self, capsys):

@@ -85,7 +85,7 @@ class _HyperMachine(ConsistentHistoryMachine):
 
     def on_token(self, now=0.0):
         res = super().on_token(now)
-        if res.transitioned:
+        if res.transition is not None:
             self._flip(res.transition.trigger, now)
         return res
 

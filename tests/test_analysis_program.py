@@ -1,20 +1,22 @@
-"""RainSan's static head: whole-program rules RL009–RL012.
+"""RainSan's static head: whole-program rules RL009–RL013.
 
-Each program fixture is invisible to the per-file pass (that is the
+Each RL009–RL012 fixture is invisible to the per-file pass (that is the
 point — the defect only exists across function boundaries) and must
 yield exactly one finding from ``lint_program``, anchored where the fix
-goes.  The suite also covers the index itself, pragma suppression of
-interprocedural findings, the ``--strict`` merge into ``lint_paths``,
-and the strict-clean shipped tree the CI gate runs.
+goes.  RL013's fixture is a small program (``rl013/``): a library
+package, its entry point and a test-side caller.  The suite also covers
+the index itself, pragma suppression of interprocedural findings, the
+``--strict`` merge into ``lint_paths``, and the strict-clean shipped
+tree the CI gate runs (linted once per session by ``linted_tree``).
 """
 
+import shutil
 from pathlib import Path
 
 import pytest
 
 from repro.analysis import (
     build_program_index,
-    lint_file,
     lint_paths,
     lint_program,
 )
@@ -48,7 +50,7 @@ def test_fixture_yields_exactly_one_program_finding(stem):
 @pytest.mark.parametrize("stem", sorted(SEEDED))
 def test_fixture_is_invisible_to_the_per_file_pass(stem):
     """The defect must genuinely require the interprocedural pass."""
-    assert lint_file(FIXTURES / f"{stem}.py") == []
+    assert lint_paths([FIXTURES / f"{stem}.py"]).findings == []
 
 
 # -- RL012's literal-``.sim`` reach (the per-file RL008 it absorbed) --------
@@ -87,7 +89,7 @@ def test_rl012_literal_sim_reach(tmp_path, case):
     assert [f.rule for f in findings] == ["RL012"] * expected
 
 
-def test_program_dir_yields_all_four_rules_in_canonical_order():
+def test_program_dir_yields_every_program_rule_in_canonical_order():
     findings, suppressed = lint_program([FIXTURES])
     assert [f.rule for f in findings] == [
         "RL009",
@@ -96,13 +98,14 @@ def test_program_dir_yields_all_four_rules_in_canonical_order():
         "RL012",
         "RL012",
         "RL012",
+        "RL013",
     ]
     # findings sort by (path, line, rule, ...)
     keys = [(f.path, f.line, f.rule) for f in findings]
     assert keys == sorted(keys)
-    # no program finding is pragma-suppressed in the shipped fixtures
-    # (the rl009 fixture's RL001 pragma belongs to the per-file pass)
-    assert suppressed == {}
+    # the one program pragma in the fixtures is RL013's (the rl009
+    # fixture's RL001 pragma belongs to the per-file pass)
+    assert suppressed == {"RL013": 1}
 
 
 # -- the index itself -------------------------------------------------------
@@ -130,8 +133,8 @@ def test_index_infers_kernel_valued_attributes():
     assert "kernel" in index.kernel_attr_names
 
 
-def test_index_over_real_tree_is_substantial():
-    index = build_program_index(["src"])
+def test_index_over_real_tree_is_substantial(linted_tree):
+    index = linted_tree.index
     assert "repro.sim.shard" in index.modules
     assert "repro.sim.shard.ShardKernel" in index.classes
     assert "repro.sim.shard.ShardKernel._insert" in index.functions
@@ -184,22 +187,76 @@ def test_lint_paths_strict_merges_program_findings():
         "RL012",
         "RL012",
         "RL012",
+        "RL013",
     ]
     # suppression counts merge per rule (the hidden RL001 sink pragma)
     assert strict.suppressed.get("RL001", 0) >= 1
     assert strict.stats["suppressed"] == sum(strict.suppressed.values())
 
 
-def test_clean_tree_is_strict_clean():
+def test_clean_tree_is_strict_clean(linted_tree):
     """The shipped tree carries zero interprocedural findings."""
-    findings, _ = lint_program(["src", "benchmarks"])
+    findings, _ = lint_program(linted_tree.paths, index=linted_tree.index)
     assert findings == []
 
 
-def test_committed_baseline_is_empty_and_tree_gates_clean():
+def test_committed_baseline_is_empty_and_tree_gates_clean(linted_tree):
     """The acceptance bar: `lint --strict` exits 0 on the shipped tree with
     no suppression baseline at all — pragmas are the only suppression, so
     nothing beyond them is accepted."""
     assert not (Path(__file__).parent.parent / "RAINLINT_BASELINE.json").exists()
-    report = lint_paths(["src", "benchmarks"], strict=True)
-    assert report.ok, report.render()
+    assert linted_tree.code == 0, linted_tree.output
+
+
+# -- RL013: no caller ---------------------------------------------------------
+
+RL013 = FIXTURES / "rl013"
+
+#: the fixture program without its test-side caller
+RL013_PROGRAM = [RL013 / "repro", RL013 / "main.py"]
+
+
+def test_rl013_reports_a_def_only_tests_call_and_one_only_reexported():
+    findings, suppressed = lint_program(RL013_PROGRAM)
+    assert [(f.rule, f.line, f.message.split(": ")[-1]) for f in findings] == [
+        ("RL013", 37, "repro.api.only_reexported has no caller"),
+        ("RL013", 41, "repro.api.only_tests_call has no caller"),
+    ]
+    # silent: the getattr string, the outside base's visit_Call override,
+    # and the pragma (counted as a suppression)
+    assert suppressed == {"RL013": 1}
+
+
+def test_rl013_counts_callers_in_every_linted_path():
+    findings, _ = lint_program([RL013])  # tests/helpers.py linted too
+    assert [f.message.split(": ")[-1] for f in findings] == [
+        "repro.api.only_reexported has no caller"
+    ]
+
+
+def test_rl013_without_its_pragma_the_kept_def_fires(tmp_path):
+    program = tmp_path / "rl013"
+    shutil.copytree(RL013, program)
+    api = program / "repro" / "api.py"
+    src = api.read_text(encoding="utf-8")
+    patched = src.replace(
+        "  # rainlint: disable=RL013 -- fixture: a pragma with a reason keeps a name", ""
+    )
+    assert patched != src
+    api.write_text(patched, encoding="utf-8")
+    findings, suppressed = lint_program([program / "repro", program / "main.py"])
+    assert "repro.api.kept has no caller" in [f.message.split(": ")[-1] for f in findings]
+    assert suppressed == {}
+
+
+def test_rl013_an_outside_module_name_is_no_use(tmp_path):
+    # gc.freeze in a caller does not keep a library def called freeze
+    pkg = tmp_path / "repro"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text("", encoding="utf-8")
+    (pkg / "snap.py").write_text("def freeze():\n    return 1\n", encoding="utf-8")
+    (tmp_path / "run.py").write_text("import gc\n\ngc.freeze()\n", encoding="utf-8")
+    findings, _ = lint_program([tmp_path])
+    assert [f.message.split(": ")[-1] for f in findings] == [
+        "repro.snap.freeze has no caller"
+    ]

@@ -40,18 +40,17 @@ def _rainwall(sim, cl):
     flow = FlowModel(sim.rng.stream("flow"), [f"vip{i}" for i in range(6)], total_mbps=200.0)
     rw = RainwallCluster(cl.membership, flow)
     # console commands land on whichever gateway holds the token next;
-    # later ones edit the sticky/prefer maps earlier holds created
+    # later ones edit the prefer map earlier holds created
     script = [
-        (1.0, rw.set_sticky, "vip0", "node1"),
-        (1.0, rw.prefer, "vip1", "node2"),
-        (2.0, rw.set_sticky, "vip2", "node3"),
-        (2.5, rw.prefer, "vip3", "node0"),
-        (3.0, rw.set_sticky, "vip0", None),
-        (3.5, rw.prefer, "vip1", None),
-        (4.0, rw.manual_move, "vip4", "node2"),
+        (1.0, "vip0", "node1"),
+        (1.0, "vip1", "node2"),
+        (2.0, "vip2", "node3"),
+        (2.5, "vip3", "node0"),
+        (3.0, "vip0", None),
+        (3.5, "vip1", None),
     ]
-    for t, fn, vip, target in script:
-        sim.call_at(t, fn, vip, target)
+    for t, vip, target in script:
+        sim.call_at(t, rw.prefer, vip, target)
 
 
 def _raincheck(sim, cl):

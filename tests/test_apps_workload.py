@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.apps import FlowModel, RequestStream, VideoSpec, synthetic_block
+from repro.apps import FlowModel, VideoSpec, synthetic_block
 
 
 class TestSyntheticBlock:
@@ -36,19 +36,6 @@ class TestVideoSpec:
         a = VideoSpec("a")
         b = VideoSpec("b")
         assert a.block_data(0) != b.block_data(0)
-
-
-class TestRequestStream:
-    def test_rate_validation(self):
-        with pytest.raises(ValueError):
-            RequestStream(np.random.default_rng(0), 0)
-
-    def test_mean_interarrival(self):
-        rs = RequestStream(np.random.default_rng(1), rate_per_s=50.0)
-        gen = rs.gaps()
-        gaps = [next(gen) for _ in range(5000)]
-        assert np.mean(gaps) == pytest.approx(1 / 50.0, rel=0.1)
-        assert all(g >= 0 for g in gaps)
 
 
 class TestFlowModel:

@@ -46,7 +46,7 @@ def test_in_order_delivery_clean_wire():
         a.send(f"m{i}")
     sim.run(until=5.0)
     assert got_b == [f"m{i}" for i in range(10)]
-    assert a.all_acked
+    assert a.inflight == 0 and a.backlog == 0
     assert a.retransmissions == 0
 
 
@@ -96,7 +96,7 @@ def test_outage_then_recovery_delivers_everything():
     sim.call_at(1.0, lambda: a.send(5))  # queued during the outage
     sim.run(until=10.0)
     assert got_b == [0, 1, 2, 3, 4, 5]
-    assert a.all_acked
+    assert a.inflight == 0 and a.backlog == 0
 
 
 def test_window_limits_inflight():
@@ -147,7 +147,7 @@ def test_throughput_stats():
         a.send(i, size_bytes=1000)
     sim.run(until=1.0)
     assert a.segments_sent >= 3
-    assert a.all_acked
+    assert a.inflight == 0 and a.backlog == 0
 
 
 def test_interleaved_bidirectional_lossy():

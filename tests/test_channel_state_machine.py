@@ -36,41 +36,41 @@ class TestFig7Edges:
     def test_up2_tout_to_down1(self):
         m = self.mk()
         r = m.on_timeout()
-        assert r.tokens_to_send == 1 and r.transitioned
+        assert r.tokens_to_send == 1 and r.transition is not None
         assert m.state_label() == "Down(t=1)"
 
     def test_up2_token_to_down2_catching_up(self):
         m = self.mk()
         r = m.on_token()
-        assert r.tokens_to_send == 1 and r.transitioned
+        assert r.tokens_to_send == 1 and r.transition is not None
         assert m.state_label() == "Down(t=2)"
 
     def test_down2_token_to_up2(self):
         m = self.mk()
         m.on_token()  # -> Down(2)
         r = m.on_token()
-        assert r.tokens_to_send == 1 and r.transitioned
+        assert r.tokens_to_send == 1 and r.transition is not None
         assert m.state_label() == "Up(t=2)"
 
     def test_down2_tout_noop(self):
         m = self.mk()
         m.on_token()  # -> Down(2)
         r = m.on_timeout()
-        assert not r.transitioned and r.tokens_to_send == 0
+        assert r.transition is None and r.tokens_to_send == 0
         assert m.state_label() == "Down(t=2)"
 
     def test_down1_token_to_up1(self):
         m = self.mk()
         m.on_timeout()  # -> Down(1)
         r = m.on_token()
-        assert r.transitioned and r.tokens_to_send == 1
+        assert r.transition is not None and r.tokens_to_send == 1
         assert m.state_label() == "Up(t=1)"
 
     def test_down1_tout_noop(self):
         m = self.mk()
         m.on_timeout()
         r = m.on_timeout()
-        assert not r.transitioned
+        assert r.transition is None
         assert m.state_label() == "Down(t=1)"
 
     def test_up1_token_absorbs_to_up2(self):
@@ -78,7 +78,7 @@ class TestFig7Edges:
         m.on_timeout()
         m.on_token()  # -> Up(1)
         r = m.on_token()
-        assert not r.transitioned and r.tokens_to_send == 0
+        assert r.transition is None and r.tokens_to_send == 0
         assert m.state_label() == "Up(t=2)"
 
     def test_up1_tout_to_down0(self):
@@ -86,7 +86,7 @@ class TestFig7Edges:
         m.on_timeout()
         m.on_token()  # -> Up(1)
         r = m.on_timeout()
-        assert r.transitioned and r.tokens_to_send == 1
+        assert r.transition is not None and r.tokens_to_send == 1
         assert m.state_label() == "Down(t=0)"
 
     def test_down0_token_absorbs_to_down1_no_flip(self):
@@ -95,7 +95,7 @@ class TestFig7Edges:
         m.on_token()
         m.on_timeout()  # -> Down(0)
         r = m.on_token()
-        assert not r.transitioned and r.tokens_to_send == 0
+        assert r.transition is None and r.tokens_to_send == 0
         assert m.state_label() == "Down(t=1)"
 
     def test_down0_tout_noop(self):
@@ -104,7 +104,7 @@ class TestFig7Edges:
         m.on_token()
         m.on_timeout()  # -> Down(0)
         r = m.on_timeout()
-        assert not r.transitioned
+        assert r.transition is None
         assert m.state_label() == "Down(t=0)"
 
     def test_exactly_five_states_reachable(self):
@@ -133,19 +133,19 @@ class TestGeneralSlack:
         m.on_timeout()
         assert m.state_label() == "Down(t=2)"
         r = m.on_timein()
-        assert r.transitioned and m.state_label() == "Up(t=1)"
+        assert r.transition is not None and m.state_label() == "Up(t=1)"
 
     def test_tin_while_up_noop(self):
         m = ConsistentHistoryMachine(slack=3, token_implies_tin=False)
         r = m.on_timein()
-        assert not r.transitioned
+        assert r.transition is None
 
     def test_slack_blocks_at_zero_tokens(self):
         m = ConsistentHistoryMachine(slack=2, token_implies_tin=False)
         m.on_timeout()  # Down(1)
         m.on_timein()  # Up(0)
         r = m.on_timeout()  # blocked: would exceed slack
-        assert r.blocked and not r.transitioned
+        assert r.blocked and r.transition is None
         assert m.blocked_events == 1
         assert m.view is ChannelView.UP  # stuck Up until a token arrives
 
@@ -162,7 +162,7 @@ class TestGeneralSlack:
         m = ConsistentHistoryMachine(slack=2, token_implies_tin=False)
         m.on_timeout()  # Down(1)
         r = m.on_token()  # absorbs only
-        assert not r.transitioned
+        assert r.transition is None
         assert m.state_label() == "Down(t=2)"
 
 

@@ -42,7 +42,7 @@ def test_monitoring_enabled_by_default():
     cl = RainCluster(sim)
     assert cl.transports[0].monitors is not None
     sim.run(until=1.0)
-    assert cl.transports[0].peer_connected("node1")
+    assert cl.transports[0].monitors.path("node1", 0, 0).is_up
 
 
 def test_monitoring_can_be_disabled():

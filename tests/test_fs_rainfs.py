@@ -246,79 +246,3 @@ def test_many_files_namespace_scales():
     assert len(listing) == 25
     assert sample == b"payload-17"
 
-
-class TestReadRange:
-    def setup_fs(self):
-        sim, cl, fs = fs_cluster(block_size=1000)
-        self.data = bytes(i % 251 for i in range(4500))  # 5 blocks
-
-        def write():
-            yield from fs[0].write("/big", self.data)
-
-        run(sim, write())
-        return sim, cl, fs
-
-    def test_middle_span(self):
-        sim, cl, fs = self.setup_fs()
-
-        def read():
-            return (yield from fs[1].read_range("/big", 1500, 2000))
-
-        assert run(sim, read()) == self.data[1500:3500]
-
-    def test_block_aligned(self):
-        sim, cl, fs = self.setup_fs()
-
-        def read():
-            return (yield from fs[2].read_range("/big", 2000, 1000))
-
-        assert run(sim, read()) == self.data[2000:3000]
-
-    def test_past_eof_truncates(self):
-        sim, cl, fs = self.setup_fs()
-
-        def read():
-            return (yield from fs[3].read_range("/big", 4000, 9999))
-
-        assert run(sim, read()) == self.data[4000:]
-
-    def test_offset_beyond_eof_empty(self):
-        sim, cl, fs = self.setup_fs()
-
-        def read():
-            return (yield from fs[4].read_range("/big", 10_000, 10))
-
-        assert run(sim, read()) == b""
-
-    def test_zero_length(self):
-        sim, cl, fs = self.setup_fs()
-
-        def read():
-            return (yield from fs[0].read_range("/big", 100, 0))
-
-        assert run(sim, read()) == b""
-
-    def test_negative_args_rejected(self):
-        sim, cl, fs = self.setup_fs()
-
-        def read():
-            try:
-                yield from fs[0].read_range("/big", -1, 10)
-                return "ok"
-            except FsError:
-                return "rejected"
-
-        assert run(sim, read()) == "rejected"
-
-    def test_only_needed_blocks_fetched(self):
-        sim, cl, fs = self.setup_fs()
-        served_before = sum(s.gets_served for s in cl.storage_nodes)
-
-        def read():
-            return (yield from fs[1].read_range("/big", 1200, 100))
-
-        out = run(sim, read())
-        assert out == self.data[1200:1300]
-        served = sum(s.gets_served for s in cl.storage_nodes) - served_before
-        # one block = k symbol fetches (+ maybe a stat); far below 5 blocks' worth
-        assert served <= 8

@@ -106,24 +106,3 @@ class TestMembershipConfigEdges:
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.token_interval = 99.0
 
-
-class TestSnapshotEdges:
-    def test_thaw_creates_missing_connection(self):
-        from repro.rudp import RudpTransport, freeze, thaw
-
-        sim = Simulator()
-        net = Network(sim)
-        s = net.add_switch("S")
-        a = net.add_host("A")
-        b = net.add_host("B")
-        net.link(a.nic(0), s)
-        net.link(b.nic(0), s)
-        ta = RudpTransport(a)
-        ta.connect("B")
-        ta.send("B", "svc", "msg")
-        snap = freeze(ta)
-        # a brand-new transport (no prior connection) thaws cleanly
-        a.unbind(ta.port)
-        ta2 = RudpTransport(a)
-        thaw(ta2, snap)
-        assert "B" in ta2.connections

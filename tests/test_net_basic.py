@@ -8,11 +8,10 @@ from repro.net import (
     Network,
     NicAddr,
     Packet,
-    PortInUse,
     PortsExhausted,
     HEADER_BYTES,
 )
-from repro.sim import Simulator
+from repro.sim import Mailbox, Simulator
 
 
 def two_switch_cluster(seed=1, loss=0.0):
@@ -154,18 +153,10 @@ def test_unbound_port_drops():
     assert net.stats.sums["dropped_no_handler"] == 1
 
 
-def test_port_rebind_rejected_until_unbind():
-    sim, net, a, b, *_ = two_switch_cluster()
-    b.bind(5, lambda p: None)
-    with pytest.raises(PortInUse):
-        b.bind(5, lambda p: None)
-    b.unbind(5)
-    b.bind(5, lambda p: None)
-
-
 def test_mailbox_port():
     sim, net, a, b, *_ = two_switch_cluster()
-    box = b.open_mailbox(9)
+    box = Mailbox(sim)
+    b.bind(9, box.put)
     a.send(Endpoint("B", 9), "m1")
 
     def reader(sim):
@@ -173,14 +164,6 @@ def test_mailbox_port():
         return pkt.payload
 
     assert sim.run_process(reader(sim)) == "m1"
-
-
-def test_ephemeral_ports_unique():
-    sim, net, a, *_ = two_switch_cluster()
-    p1 = a.ephemeral_port()
-    a.bind(p1, lambda p: None)
-    p2 = a.ephemeral_port()
-    assert p1 != p2
 
 
 def test_switch_port_budget_enforced():
@@ -194,7 +177,7 @@ def test_switch_port_budget_enforced():
     net.link(h2.nic(0), s)
     with pytest.raises(PortsExhausted):
         net.link(h3.nic(0), s)
-    assert s.free_ports == 0
+    assert len(s.links) == s.port_count
 
 
 def test_refused_cable_leaves_no_phantom_on_the_first_end():
@@ -207,13 +190,13 @@ def test_refused_cable_leaves_no_phantom_on_the_first_end():
     h2 = net.add_host("H2")
     net.link(h1.nic(0), s)
     nic = h2.nic(0)
-    cables, version = len(net.links), net.topo_version
+    cables, version = len(net.links), net.fabric_version
     with pytest.raises(PortsExhausted):
         net.link(nic, s)
     assert nic.links == []
     assert nic.connected is False
     assert len(net.links) == cables
-    assert net.topo_version == version
+    assert net.fabric_version == version
     assert not net.host_reachable("H2", "H1")
 
 

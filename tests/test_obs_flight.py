@@ -1,11 +1,12 @@
-"""Tests for the flight recorder: bounded ring, crash reports, the
-membership invariant hook, and the pytest failure-report wiring."""
+"""Tests for the flight recorder: bounded ring, crash reports (also on
+a membership invariant violation), and the pytest failure-report wiring."""
 
 import itertools
 import json
 from pathlib import Path
 
 from repro import ClusterConfig, RainCluster, Simulator
+from repro.membership.invariants import check_invariants
 from repro.net import packet as packet_mod
 
 pytest_plugins = ["pytester"]
@@ -79,14 +80,24 @@ def soak_cluster(seed=81, corrupt=False):
     return sim, cluster, rec
 
 
+def check_membership(rec, nodes):
+    """Run the Sec. 3 invariant checker; a crash dump when it trips."""
+    report = check_invariants(nodes)
+    return None if report.ok else rec.dump("invariant", violations=list(report.violations))
+
+
+def canonical(report):
+    return json.dumps(report, indent=2, sort_keys=True, default=str)
+
+
 def test_check_membership_clean_run_returns_none():
     sim, cluster, rec = soak_cluster()
-    assert rec.check_membership(cluster.membership) is None
+    assert check_membership(rec, cluster.membership) is None
 
 
 def test_invariant_violation_dumps_event_window():
     sim, cluster, rec = soak_cluster(corrupt=True)
-    report = rec.check_membership(cluster.membership)
+    report = check_membership(rec, cluster.membership)
     assert report is not None
     assert report["reason"] == "invariant"
     assert any("disagree" in v for v in report["detail"]["violations"])
@@ -99,12 +110,10 @@ def test_invariant_violation_dumps_event_window():
 def test_violation_dumps_are_byte_identical_across_runs():
     _, cl_a, rec_a = soak_cluster(corrupt=True)
     _, cl_b, rec_b = soak_cluster(corrupt=True)
-    report_a = rec_a.check_membership(cl_a.membership)
-    report_b = rec_b.check_membership(cl_b.membership)
-    canon_a = json.dumps(report_a, indent=2, sort_keys=True, default=str)
-    canon_b = json.dumps(report_b, indent=2, sort_keys=True, default=str)
-    assert canon_a == canon_b
-    assert rec_a.dump_json("invariant") == rec_b.dump_json("invariant")
+    report_a = check_membership(rec_a, cl_a.membership)
+    report_b = check_membership(rec_b, cl_b.membership)
+    assert canonical(report_a) == canonical(report_b)
+    assert canonical(rec_a.dump("invariant")) == canonical(rec_b.dump("invariant"))
 
 
 def test_failing_test_report_carries_flight_dump(pytester):

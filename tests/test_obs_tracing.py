@@ -45,6 +45,21 @@ def tracer(clock):
     return SpanTracer(clock)
 
 
+def has_ancestor(tracer, span, name):
+    """Whether any ancestor of ``span`` is called ``name``."""
+    return any(a.name == name for a in tracer.ancestors(span))
+
+
+def children(tracer, span):
+    """Direct children of ``span``, in start order."""
+    return [s for s in tracer.spans if s.parent_id == span.span_id]
+
+
+def chrome_json(tracer):
+    """The Chrome trace export, serialized canonically."""
+    return json.dumps(tracer.to_chrome_trace(), indent=2, sort_keys=True, default=str)
+
+
 # -- tracer unit semantics ---------------------------------------------------
 
 
@@ -102,9 +117,9 @@ def test_ancestry_queries(tracer):
     b = tracer.start("l2.op", parent=a)
     c = tracer.start("l3.op", parent=b)
     assert [s.span_id for s in tracer.ancestors(c)] == [b.span_id, a.span_id]
-    assert tracer.has_ancestor(c, "l1.op")
-    assert not tracer.has_ancestor(c, "nope")
-    assert tracer.children(a) == [b]
+    assert has_ancestor(tracer, c, "l1.op")
+    assert not has_ancestor(tracer, c, "nope")
+    assert children(tracer, a) == [b]
     assert tracer.trace(a.trace_id) == [a, b, c]
     assert tracer.trace_ids() == [a.trace_id]
 
@@ -215,14 +230,14 @@ def test_remote_adoptions_have_transport_ancestry():
     remote = [s for s in adoptions if s.attrs.get("src") != s.node]
     assert remote, "no remote adoptions traced"
     for span in remote:
-        assert tracer.has_ancestor(span, "rudp.send"), span
+        assert has_ancestor(tracer, span, "rudp.send"), span
     # the carrying packets hang off the same rudp.send spans as children
     sends = [
         a for s in remote for a in tracer.ancestors(s) if a.name == "rudp.send"
     ]
     assert sends
     for send in sends[:20]:
-        child_names = {c.name for c in tracer.children(send)}
+        child_names = {c.name for c in children(tracer, send)}
         assert "net.packet" in child_names, send
     # membership transitions inherit the adoption's causal chain
     for span in tracer.by_name("membership.token"):
@@ -267,7 +282,7 @@ def test_trace_snapshot_byte_identical_across_runs():
     sim_a, _, rec_a = token_scenario(seed=7)
     sim_b, _, rec_b = token_scenario(seed=7)
     assert sim_a.obs.tracer.to_json() == sim_b.obs.tracer.to_json()
-    assert sim_a.obs.tracer.chrome_json() == sim_b.obs.tracer.chrome_json()
+    assert chrome_json(sim_a.obs.tracer) == chrome_json(sim_b.obs.tracer)
     json_a = json.dumps(
         timelines_to_dict(rec_a.channel_events, rec_a.membership_events),
         sort_keys=True,
@@ -316,14 +331,14 @@ def test_fs_write_trace_tree():
     in_tree = {s.name for s in tracer.trace(write_trace)}
     assert {"fs.write", "fs.rpc", "storage.store", "rudp.send", "net.packet"} <= in_tree
     stores = [s for s in tracer.by_name("storage.store") if s.trace_id == write_trace]
-    assert stores and all(tracer.has_ancestor(s, "fs.write") for s in stores)
+    assert stores and all(has_ancestor(tracer, s, "fs.write") for s in stores)
     reads = tracer.by_name("fs.read")
     assert len(reads) == 1 and reads[0].status == "ok"
     retrieves = [
         s for s in tracer.by_name("storage.retrieve")
         if s.trace_id == reads[0].trace_id
     ]
-    assert retrieves and all(tracer.has_ancestor(s, "fs.read") for s in retrieves)
+    assert retrieves and all(has_ancestor(tracer, s, "fs.read") for s in retrieves)
 
 
 def test_retransmits_attach_to_original_send():

@@ -78,8 +78,6 @@ def test_duplicate_service_registration_rejected():
     ta.register("x", lambda s, d: None)
     with pytest.raises(ValueError):
         ta.register("x", lambda s, d: None)
-    ta.unregister("x")
-    ta.register("x", lambda s, d: None)
 
 
 def test_failover_masks_single_switch_failure():
@@ -117,21 +115,6 @@ def test_total_outage_stalls_then_resumes():
     assert got[0][0] >= 6.0  # delivered only after repair
 
 
-def test_peer_connected_tracks_monitors():
-    mon = MonitorConfig(ping_interval=0.05, timeout=0.2)
-    sim, net, ta, tb = dual_path_cluster(monitor=mon)
-    ta.connect("B", paths=PATHS)
-    tb.connect("A", paths=PATHS)
-    sim.run(until=1.0)
-    assert ta.peer_connected("B")
-    fi = FaultInjector(net)
-    fi.fail(net.switches["S0"])
-    fi.fail(net.switches["S1"])
-    sim.run(until=3.0)
-    assert not ta.peer_connected("B")
-    assert not ta.peer_connected("NEVER-SEEN")
-
-
 def test_connect_bundles_the_mirrored_pairs_both_hosts_have():
     sim, net, ta, tb = dual_path_cluster()
     c = net.add_host("C")
@@ -155,20 +138,6 @@ def test_connect_monitors_only_other_members():
     ta.connect("A")
     ta.connect("C")  # no member set: every other host is watched
     assert sorted(ta.monitors.paths) == [("C", 0, 0), ("C", 1, 1)]
-
-
-def test_peer_connected_ignores_the_unmonitored_path():
-    mon = MonitorConfig(ping_interval=0.05, timeout=0.2)
-    sim, net, ta, tb = dual_path_cluster(monitor=mon)
-    net.link(net.switches["S0"], net.switches["S1"])
-    ta.connect("B")
-    tb.connect("A")
-    sim.run(until=1.0)
-    assert ta.peer_connected("B")
-    FaultInjector(net).fail(tb.host)
-    sim.run(until=3.0)
-    assert ta.connections["B"].bundle.paths[-1] == UNPINNED
-    assert not ta.peer_connected("B")
 
 
 def _failovers(cluster) -> float:
@@ -222,7 +191,6 @@ class TestPathBundle:
     def test_unmonitored_bundle_assumes_up(self):
         b = PathBundle("B", [(0, 0), (1, 1)])
         assert b.up_paths() == [(0, 0), (1, 1)]
-        assert b.any_up
 
     def test_failover_prefers_first(self):
         b = PathBundle("B", [(0, 0), (1, 1)], policy="failover")
@@ -242,7 +210,7 @@ class TestPathBundle:
         fi.fail(net.switches["S0"])
         fi.fail(net.switches["S1"])
         sim.run(until=2.0)
-        assert not conn.bundle.any_up
+        assert conn.bundle.up_paths() == []
         assert conn.bundle.pick() in PATHS  # optimistic send still possible
 
     def test_all_down_before_first_contact_tries_each_path(self):

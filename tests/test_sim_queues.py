@@ -1,7 +1,5 @@
 """Tests for the Mailbox blocking FIFO."""
 
-import pytest
-
 from repro.sim import Mailbox, QueueClosed, Simulator
 
 
@@ -55,24 +53,6 @@ def test_capacity_drops_when_full():
     assert box.put(2)
     assert not box.put(3)
     assert box.dropped == 1
-    assert len(box) == 2
-
-
-def test_get_nowait_and_empty():
-    sim = Simulator()
-    box = Mailbox(sim)
-    box.put("x")
-    assert box.get_nowait() == "x"
-    with pytest.raises(IndexError):
-        box.get_nowait()
-
-
-def test_peek_all_preserves_items():
-    sim = Simulator()
-    box = Mailbox(sim)
-    box.put(1)
-    box.put(2)
-    assert box.peek_all() == [1, 2]
     assert len(box) == 2
 
 

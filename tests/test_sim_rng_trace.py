@@ -30,13 +30,6 @@ class TestRng:
         assert stream_seed(0, "net.loss") == stream_seed(0, "net.loss")
         assert stream_seed(0, "net.loss") != stream_seed(1, "net.loss")
 
-    def test_fork_independent(self):
-        reg = RngRegistry(3)
-        child = reg.fork("sub")
-        a = reg.stream("x").random(3)
-        b = child.stream("x").random(3)
-        assert a.tolist() != b.tolist()
-
     def test_simulator_owns_registry(self):
         sim = Simulator(seed=11)
         assert sim.rng.master_seed == 11

@@ -65,7 +65,7 @@ def test_exactly_once_in_order_under_scripted_loss(mask, n_messages, window):
     # backoff-spaced rounds per message
     sim.run(until=600.0)
     assert got == list(range(n_messages))
-    assert a.all_acked
+    assert a.inflight == 0 and a.backlog == 0
 
 
 @given(

@@ -10,7 +10,6 @@ from repro.storage import (
     DistributedStore,
     FirstK,
     LeastLoaded,
-    Preferred,
     RetrieveError,
     StorageNode,
     StoreResult,
@@ -46,6 +45,15 @@ def storage_cluster(n=6, code=None, seed=1, placement=None):
 
 def run(sim, gen, until=30.0):
     return sim.run_process(gen, until=sim.now + until)
+
+
+def corrupt(server, object_id, flip_byte=0):
+    """Flip one byte of a stored symbol underneath its checksum (bit rot)."""
+    idx, share, data_len, digest = server.symbols[object_id]
+    mutated = bytearray(share)
+    if mutated:
+        mutated[flip_byte % len(mutated)] ^= 0xFF
+    server.symbols[object_id] = (idx, bytes(mutated), data_len, digest)
 
 
 def test_store_places_one_symbol_per_node():
@@ -189,10 +197,6 @@ class TestPlacement:
         pl = LeastLoaded(lambda n: loads[n])
         assert pl.order(["a", "b", "c"]) == ["b", "c", "a"]
 
-    def test_preferred_order(self):
-        pl = Preferred(["x", "y"])
-        assert pl.order(["z", "y", "x"]) == ["x", "y", "z"]
-
     def test_least_loaded_retrieval_spreads_load(self):
         sim, net, hosts, servers, store = storage_cluster(
             placement=LeastLoaded(lambda n: 0)
@@ -211,59 +215,6 @@ class TestPlacement:
         assert max(served) - min(served) <= 2  # near-uniform spread
 
 
-class TestRebuild:
-    def test_rebuild_restores_full_redundancy(self):
-        sim, net, hosts, servers, store = storage_cluster()
-        data = b"rebuild me " * 200
-        run(sim, store.store("obj", data))
-        # node 2's disk is replaced: its symbol is gone
-        servers[2].symbols.clear()
-        restored = run(sim, store.rebuild("obj"))
-        assert restored == ["s2"]
-        assert "obj" in servers[2].symbols
-        # redundancy is back: any 2 nodes may now fail again
-        fi = FaultInjector(net)
-        fi.fail(hosts[0])
-        fi.fail(hosts[1])
-        assert run(sim, store.retrieve("obj"), until=60.0) == data
-
-    def test_rebuild_noop_when_healthy(self):
-        sim, net, hosts, servers, store = storage_cluster()
-        run(sim, store.store("o", b"fine"))
-        assert run(sim, store.rebuild("o")) == []
-
-    def test_rebuild_multiple_missing(self):
-        sim, net, hosts, servers, store = storage_cluster()
-        run(sim, store.store("o", b"x" * 500))
-        servers[1].symbols.clear()
-        servers[4].symbols.clear()
-        restored = run(sim, store.rebuild("o"))
-        assert restored == ["s1", "s4"]
-
-    def test_rebuild_skips_down_nodes(self):
-        sim, net, hosts, servers, store = storage_cluster()
-        run(sim, store.store("o", b"y" * 100))
-        servers[2].symbols.clear()
-        FaultInjector(net).fail(hosts[3])  # down, but still holds its symbol
-        restored = run(sim, store.rebuild("o"), until=60.0)
-        assert restored == ["s2"]
-
-    def test_rebuild_fails_below_k(self):
-        sim, net, hosts, servers, store = storage_cluster()
-        run(sim, store.store("o", b"z"))
-        for i in (0, 1, 2):
-            servers[i].symbols.clear()
-
-        def attempt(sim=sim):
-            try:
-                yield from store.rebuild("o")
-                return "ok"
-            except RetrieveError:
-                return "failed"
-
-        assert run(sim, attempt(), until=60.0) == "failed"
-
-
 class TestIntegrity:
     """Checksummed symbols: bit rot is detected and routed around."""
 
@@ -271,32 +222,18 @@ class TestIntegrity:
         sim, net, hosts, servers, store = storage_cluster()
         data = b"precious " * 100
         run(sim, store.store("obj", data))
-        servers[0].corrupt("obj")
+        corrupt(servers[0], "obj")
         out = run(sim, store.retrieve("obj"), until=60.0)
         assert out == data  # decoded from the clean symbols
         assert servers[0].corruptions_detected == 1
-        assert not servers[0].holds("obj")  # corrupt copy discarded
-
-    def test_rebuild_heals_corruption(self):
-        sim, net, hosts, servers, store = storage_cluster()
-        data = bytes(range(256)) * 4
-        run(sim, store.store("obj", data))
-        servers[3].corrupt("obj")
-        # first touch detects and discards; rebuild re-creates it
-        run(sim, store.rebuild("obj"), until=60.0)
-        restored = run(sim, store.rebuild("obj"), until=60.0)
-        assert servers[3].holds("obj") or restored == []
-        fi = FaultInjector(net)
-        fi.fail(hosts[0])
-        fi.fail(hosts[1])
-        assert run(sim, store.retrieve("obj"), until=60.0) == data
+        assert "obj" not in servers[0].symbols  # corrupt copy discarded
 
     def test_m_corruptions_plus_zero_failures_survive(self):
         sim, net, hosts, servers, store = storage_cluster()
         data = b"belt and braces " * 32
         run(sim, store.store("obj", data))
-        servers[1].corrupt("obj")
-        servers[4].corrupt("obj", flip_byte=7)
+        corrupt(servers[1], "obj")
+        corrupt(servers[4], "obj", flip_byte=7)
         out = run(sim, store.retrieve("obj"), until=60.0)
         assert out == data
 
@@ -304,7 +241,7 @@ class TestIntegrity:
         sim, net, hosts, servers, store = storage_cluster()
         run(sim, store.store("obj", b"too far"))
         for i in (0, 2, 5):
-            servers[i].corrupt("obj")
+            corrupt(servers[i], "obj")
 
         def attempt(sim=sim):
             try:

@@ -64,7 +64,7 @@ def test_live_faults_match_static_analysis():
 def test_switch_ports_sized_for_extra_nodes():
     topo = diameter_ring(10, num_nodes=30)  # switch degree 8
     _, _, _, switches, _ = _wired(topo)
-    assert all(s.free_ports >= 0 for s in switches)
+    assert all(len(s.links) <= s.port_count for s in switches)
 
 
 def test_naive_deploy_partition_behaviour():
@@ -120,7 +120,12 @@ def test_worst_case_replayed_on_the_sharded_cluster(kinds, pick):
     report = analyze(_RING10, faults)
     assert report.nodes_lost == worst.max_lost or report.is_partitioned
     cluster = ShardedRainCluster(_RING10, seed=7, shards=2)
-    for tag in faults.tags():
+    tags = (
+        [("switch", j) for j in sorted(faults.switches)]
+        + [("node", i) for i in sorted(faults.nodes)]
+        + [("link", eid) for eid in sorted(faults.links)]
+    )
+    for tag in tags:
         cluster.fail_at(0.1, tag)
     cluster.run(0.2)
     for rep in cluster.replicas:
