@@ -103,7 +103,8 @@ class PathMonitor:
         # snapshots only list views that happened) but the label lookup
         # runs once per view, not once per transition.
         self._m_by_view: dict[str, object] = {}
-        self._proc = self.sim.process(self._run(), name=f"monitor:{self.machine.name}")
+        # One kernel callback per ping interval, not a process (see Ticker).
+        self._ticker = self.sim.ticker(cfg.ping_interval, self._tick)
 
     # -- public state ----------------------------------------------------
 
@@ -146,28 +147,19 @@ class PathMonitor:
         for fn in self._listeners:
             fn(self, transition)
 
-    def _run(self):
-        from ..sim import Interrupt
-
+    def _tick(self) -> None:
         cfg = self.config
-        try:
-            while True:
-                # A down host is silent; its peers cannot know and keep pinging.
-                if self.service.host.up:
-                    self._send_hello()
-                # Silence check: tout while the peer has been quiet too long.
-                quiet_since = (
-                    self.last_heard if self.last_heard is not None else self.started_at
-                )
-                if self.sim.now - quiet_since > cfg.timeout:
-                    if cfg.consistent:
-                        result = self.machine.on_timeout(self.sim.now)
-                        self._notify(result.transition)
-                    else:
-                        self._naive_flip(ChannelView.DOWN)
-                yield self.sim.timeout(cfg.ping_interval)
-        except Interrupt:
-            return
+        # A down host is silent; its peers cannot know and keep pinging.
+        if self.service.host.up:
+            self._send_hello()
+        # Silence check: tout while the peer has been quiet too long.
+        quiet_since = self.last_heard if self.last_heard is not None else self.started_at
+        if self.sim.now - quiet_since > cfg.timeout:
+            if cfg.consistent:
+                result = self.machine.on_timeout(self.sim.now)
+                self._notify(result.transition)
+            else:
+                self._naive_flip(ChannelView.DOWN)
 
     def _send_hello(self) -> None:
         self._seq += 1
@@ -212,8 +204,7 @@ class PathMonitor:
 
     def stop(self) -> None:
         """Stop pinging (e.g. when the peer is decommissioned)."""
-        if self._proc.is_alive:
-            self._proc.interrupt("stopped")
+        self._ticker.stop()
 
 
 class LinkMonitorService:

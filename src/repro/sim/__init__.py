@@ -4,6 +4,7 @@ Public surface:
 
 - :class:`Simulator` — event loop, time, process launcher.
 - :class:`Process`, :class:`Signal`, :class:`Timeout` — waitables.
+- :class:`Ticker` — a periodic callback counted as a process.
 - :class:`Interrupt` — exception delivered by ``Process.interrupt``.
 - :class:`Mailbox` — blocking FIFO for processes.
 - :class:`StatCounters` — named sums mirrored into ``sim.obs.metrics``.
@@ -19,6 +20,7 @@ from .core import (
     SimulationError,
     Simulator,
     StopSimulation,
+    Ticker,
     Timeout,
     Waitable,
 )
@@ -51,6 +53,7 @@ __all__ = [
     "Simulator",
     "StatCounters",
     "StopSimulation",
+    "Ticker",
     "Timeout",
     "Waitable",
     "host_origin",

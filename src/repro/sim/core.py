@@ -41,6 +41,7 @@ __all__ = [
     "Waitable",
     "Signal",
     "Timeout",
+    "Ticker",
     "Process",
     "Interrupt",
     "SimulationError",
@@ -416,6 +417,65 @@ class Process(Waitable):
                 tstack.pop()
 
 
+class Ticker:
+    """A periodic callback the kernel counts as the process it replaces.
+
+    ``fn()`` runs at launch and then every ``period`` seconds, exactly as
+    a ``while True: fn(); yield sim.timeout(period)`` process would: one
+    ``sim.kernel.processes`` launch, one event and one
+    ``sim.process.wait_time`` sample per tick, and the same event order
+    (each tick resumes in its own heap pop unless another event shares
+    the instant, then queues the resume behind it, as
+    :meth:`Timeout._fire` does) — without a generator, a
+    :class:`Timeout` or a :class:`Process` per tick.  :meth:`stop`
+    schedules a zero-delay halt; the pending tick still fires, as a
+    no-op, like the timeout of an interrupted process.
+    """
+
+    __slots__ = ("sim", "period", "fn", "halted", "_since")
+
+    def __init__(self, sim: "Simulator", period: float, fn: Callable[[], None]):
+        self.sim = sim
+        self.period = period
+        self.fn = fn
+        self.halted = False
+        self._since = 0.0
+        sim._n_processes += 1
+        sim._schedule_call(0.0, self._run, ())
+
+    def _run(self) -> None:
+        self.fn()
+        sim = self.sim
+        self._since = sim._now
+        sim._schedule_call(self.period, self._fire, ())
+
+    def _fire(self) -> None:
+        if self.halted:
+            return
+        sim = self.sim
+        times = sim._times
+        if not times or times[0] > sim._now:
+            sim._n_events += 1  # the elided resume, as in Timeout._fire
+            self._resume()
+        else:
+            sim._schedule_call(0.0, self._resume, ())
+
+    def _resume(self) -> None:
+        if self.halted:
+            return
+        sim = self.sim
+        sim._wait.observe(sim._now - self._since)
+        self._run()
+
+    def stop(self) -> None:
+        """Halt after this instant's already-queued events (idempotent)."""
+        if not self.halted:
+            self.sim._schedule_call(0.0, self._halt, ())
+
+    def _halt(self) -> None:
+        self.halted = True
+
+
 class Simulator:
     """The discrete-event scheduler.
 
@@ -591,6 +651,11 @@ class Simulator:
         activated around every resumption of the generator.
         """
         return Process(self, gen, name, ctx)
+
+    def ticker(self, period: float, fn: Callable[[], None]) -> Ticker:
+        """Run ``fn()`` now and every ``period`` seconds until stopped
+        (see :class:`Ticker`)."""
+        return Ticker(self, period, fn)
 
     # -- execution ------------------------------------------------------
 
