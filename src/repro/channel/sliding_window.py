@@ -6,6 +6,16 @@ module provides it: cumulative-ACK sliding window with retransmission,
 in-order delivery, and duplicate suppression.  Transport-agnostic — the
 owner supplies ``transmit(segment)`` (RUDP plugs in multi-path sending)
 and receives in-order messages via ``deliver(msg)``.
+
+Acks ride on data.  Every segment carries the cumulative ack, so a pure
+ACK is sent only when no data segment has carried ``recv_cum`` yet: it
+waits δ = ``rto / 10`` after the delivery, and any data segment to the
+peer within δ cancels it and carries the ack instead (a reply sent from
+inside ``deliver`` carries it before the wait even starts).  The sender
+therefore hears the ack within δ + one RTT, less than its RTO whenever
+the RTT is under 0.9 RTO.  Two cases ack at once: a duplicate (the
+sender is already resending) and half a window delivered unacked (so a
+one-way stream never waits δ for window space).
 """
 
 from __future__ import annotations
@@ -106,7 +116,8 @@ class ReliableEndpoint:
         # receiver state
         self.recv_cum = 0  # highest in-order seq delivered
         self._ooo: dict[int, tuple[Any, int, Any]] = {}  # out-of-order buffer
-        self._ack_pending = False
+        self._ack_sent = 0  # highest cumulative ack any segment has carried
+        self._ack_call = None  # the pending pure ACK's kernel call
         # stats
         self.retransmissions = 0
         self.duplicates_dropped = 0
@@ -152,9 +163,12 @@ class ReliableEndpoint:
 
     def _emit(self, seq: int, msg: Any, size: int, ctx: Any) -> None:
         self.segments_sent += 1
-        self.transmit(
-            Segment(seq=seq, ack=self.recv_cum, payload=msg, size_bytes=size, ctx=ctx)
-        )
+        ack = self._ack_sent = self.recv_cum
+        call = self._ack_call
+        if call is not None:  # this segment carries the pending pure ACK's ack
+            call.cancel()
+            self._ack_call = None
+        self.transmit(Segment(seq=seq, ack=ack, payload=msg, size_bytes=size, ctx=ctx))
 
     def _arm_timer(self) -> None:
         if self._inflight and self._timer is None:
@@ -202,7 +216,7 @@ class ReliableEndpoint:
             return
         if seg.seq <= self.recv_cum or seg.seq in self._ooo:
             self.duplicates_dropped += 1
-            self._schedule_ack()  # re-ack so the sender stops resending
+            self._schedule_ack(0.0)  # re-ack at once so the sender stops resending
             return
         self._ooo[seg.seq] = (seg.payload, seg.size_bytes, seg.ctx)
         while self.recv_cum + 1 in self._ooo:
@@ -215,18 +229,25 @@ class ReliableEndpoint:
                         self.deliver(payload)
                     continue
             self.deliver(payload)
-        self._schedule_ack()
+        unacked = self.recv_cum - self._ack_sent
+        if unacked > 0:
+            self._schedule_ack(0.0 if 2 * unacked >= self.window else self.rto / 10)
 
-    def _schedule_ack(self) -> None:
-        if self._ack_pending:
-            return
-        self._ack_pending = True
-        # later in this instant: segments arriving together share one ACK
-        self.sim.call_in(0.0, self._send_ack)
+    def _schedule_ack(self, delay: float) -> None:
+        # One pure ACK at a time, at the earliest instant asked for; a
+        # zero delay still runs later in this instant, so segments
+        # arriving together share one ACK.
+        call = self._ack_call
+        if call is not None:
+            if call.time <= self.sim.now + delay:
+                return
+            call.cancel()
+        self._ack_call = self.sim.call_in(delay, self._send_ack)
 
     def _send_ack(self) -> None:
-        self._ack_pending = False
+        self._ack_call = None
         self.segments_sent += 1
-        self.transmit(Segment(seq=0, ack=self.recv_cum, size_bytes=0))
+        ack = self._ack_sent = self.recv_cum
+        self.transmit(Segment(seq=0, ack=ack, size_bytes=0))
 
     # -- introspection ----------------------------------------------------

@@ -164,3 +164,82 @@ def test_interleaved_bidirectional_lossy():
     sim.run(until=60.0)
     assert got_b == [("a", i) for i in range(30)]
     assert got_a == [("b", i) for i in range(30)]
+
+
+def _record(endpoint):
+    """Log (time, segment) for everything ``endpoint`` transmits."""
+    log = []
+    transmit = endpoint.transmit
+
+    def tap(seg):
+        log.append((endpoint.sim.now, seg))
+        transmit(seg)
+
+    endpoint.transmit = tap
+    return log
+
+
+def test_ack_rides_on_data_sent_within_delta():
+    sim = Simulator()
+    wire, a, b, got_a, got_b = make_pair(sim)  # rto 0.05, so delta = 0.005
+    sent_b = _record(b)
+    a.send("ping")  # lands at b at 0.01
+    sim.call_at(0.012, b.send, "pong")  # a reply 2 ms into delta
+    sim.run(until=1.0)
+    assert got_b == ["ping"] and got_a == ["pong"]
+    # the reply carried the ack; no pure ack ever went
+    assert [(s.seq, s.ack) for _, s in sent_b] == [(1, 1)]
+    assert a.inflight == 0 and b.inflight == 0
+    assert a.retransmissions == 0
+
+
+def test_one_pure_ack_at_delta_when_no_data_follows():
+    sim = Simulator()
+    wire, a, b, got_a, got_b = make_pair(sim)
+    sent_b = _record(b)
+    a.send("x")
+    sim.call_at(0.0005, a.send, "y")  # lands 0.5 ms after x, inside delta
+    sim.run(until=1.0)
+    assert got_b == ["x", "y"]
+    # exactly one pure ack, delta after the first delivery, covering both
+    ((t, seg),) = sent_b
+    assert not seg.is_data and seg.ack == 2
+    assert t == pytest.approx(0.01 + b.rto / 10)
+    assert a.inflight == 0 and a.retransmissions == 0
+
+
+def test_a_reply_from_inside_deliver_leaves_no_pure_ack():
+    sim = Simulator()
+    wire = LossyWire(sim)
+    got_a = []
+    a = ReliableEndpoint(sim, wire.tx_from_a, got_a.append, rto=0.05)
+    b = ReliableEndpoint(sim, wire.tx_from_b, lambda m: b.send(("re", m)), rto=0.05)
+    wire.a, wire.b = a, b
+    sent_b = _record(b)
+    for i in range(3):
+        a.send(i)
+    sim.run(until=1.0)
+    assert got_a == [("re", i) for i in range(3)]
+    assert all(seg.is_data for _, seg in sent_b)
+
+
+def test_duplicate_is_reacked_at_once():
+    sim = Simulator()
+    b = ReliableEndpoint(sim, lambda seg: None, lambda m: None, rto=0.05)
+    sent_b = _record(b)
+    b.on_segment(Segment(seq=1, ack=0, payload="x"))
+    sim.call_at(0.001, b.on_segment, Segment(seq=1, ack=0, payload="x"))
+    sim.run(until=1.0)
+    assert b.duplicates_dropped == 1
+    # the duplicate pulled the pending delta ack forward to its instant
+    assert [(t, s.seq, s.ack) for t, s in sent_b] == [(0.001, 0, 1)]
+
+
+def test_half_a_window_delivered_unacked_is_acked_at_once():
+    sim = Simulator()
+    b = ReliableEndpoint(sim, lambda seg: None, lambda m: None, window=8, rto=0.05)
+    sent_b = _record(b)
+    for seq in range(1, 5):  # four of a window of eight
+        sim.call_at(seq * 1e-4, b.on_segment, Segment(seq=seq, ack=0, payload=seq))
+    sim.run(until=1.0)
+    assert [(t, s.ack) for t, s in sent_b] == [(4e-4, 4)]

@@ -108,7 +108,7 @@ def test_rainfs_matches_golden_fixture():
 #: sha256 of the canonical shard1k report JSON (seed 7).  Committed so
 #: CI catches behaviour drift without a megabyte fixture; regenerate by
 #: running this test with GOLDEN_REGEN=1 and copying the printed hash.
-SHARD1K_SHA256 = "4a265d563594b15f27ef1c9aec19d735cc0b0fdcb706074cb003cef88c669134"
+SHARD1K_SHA256 = "2491698395b1204acb5df60e41dc7162a019ca0789a7976b069033d51f18fda1"
 
 
 def shard1k_report(shards: int) -> str:
