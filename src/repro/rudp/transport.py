@@ -130,11 +130,7 @@ class RudpConnection:
 
     def _deliver(self, env: _Envelope) -> None:
         self.messages_delivered += 1
-        tp = self.transport
-        series = tp._m_messages
-        if series is None:
-            series = tp._m_messages = tp._f_messages.labels(node=tp.host.name)
-        series.inc()
+        self.transport._count_delivery()
         tracer = self.sim.obs.tracer
         if tracer is not None:
             cur = tracer.current
@@ -254,6 +250,12 @@ class RudpTransport:
 
     # -- I/O ---------------------------------------------------------------
 
+    def _count_delivery(self) -> None:
+        series = self._m_messages
+        if series is None:
+            series = self._m_messages = self._f_messages.labels(node=self.host.name)
+        series.inc()
+
     def _count_retransmission(self) -> None:
         if self._m_retransmissions is None:
             self._m_retransmissions = self._f_retransmissions.labels(node=self.host.name)
@@ -262,9 +264,41 @@ class RudpTransport:
     def send(
         self, peer: str, service: str, data: Any, size_bytes: int = 0, ctx: Any = None
     ) -> None:
-        """Reliable, in-order send of ``data`` to ``service`` on ``peer``."""
+        """Reliable, in-order send of ``data`` to ``service`` on ``peer``.
+
+        A send to this host is local delivery: later in this instant, in
+        send order, with no connection, segment, ack, timer or packet;
+        dropped if the host is down when sent or at delivery (fail-stop).
+        """
+        if peer == self.host.name:
+            self._send_local(service, data, ctx)
+            return
         conn = self.connections.get(peer) or self.connect(peer)
         conn.send(service, data, size_bytes, ctx=ctx)
+
+    def _send_local(self, service: str, data: Any, ctx: Any) -> None:
+        if not self.host.up:
+            return
+        span = None
+        tracer = self.sim.obs.tracer
+        if tracer is not None:
+            name = self.host.name
+            span = tracer.start("rudp.send", parent=ctx, node=name, peer=name, service=service)
+        self.sim.call_in(0.0, self._deliver_local, _Envelope(service, data), span)
+
+    def _deliver_local(self, env: _Envelope, span: Any) -> None:
+        tracer = self.sim.obs.tracer if span is not None else None
+        if not self.host.up:
+            if tracer is not None:
+                tracer.end(span, status="error", reason="host_down")
+            return
+        self._count_delivery()
+        if tracer is None:
+            self._dispatch(self.host.name, env)
+            return
+        tracer.end(span)
+        with tracer.activate(span.ctx):
+            self._dispatch(self.host.name, env)
 
     def _on_packet(self, pkt: Packet) -> None:
         seg = pkt.payload

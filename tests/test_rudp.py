@@ -115,6 +115,54 @@ def test_total_outage_stalls_then_resumes():
     assert got[0][0] >= 6.0  # delivered only after repair
 
 
+class TestLocalDelivery:
+    """A send to this host is delivered locally: no connection, no packet."""
+
+    def _self_counted(self, ta):
+        return ta.sim.obs.metrics.value("rudp.transport.messages_delivered", node="A")
+
+    def test_in_send_order_and_counted(self):
+        sim, net, ta, tb = dual_path_cluster()
+        got = []
+        ta.register("app", lambda src, data: got.append((src, data, sim.now)))
+        sim.call_at(1.0, lambda: [ta.send("A", "app", i) for i in range(5)])
+        sim.run(until=2.0)
+        assert got == [("A", i, 1.0) for i in range(5)]
+        assert self._self_counted(ta) == 5
+        assert ta.connections == {}
+        assert net.stats.sums["packets_sent"] == 0
+
+    def test_dropped_when_the_host_crashes_before_delivery(self):
+        sim, net, ta, tb = dual_path_cluster()
+        got = []
+        ta.register("app", lambda src, data: got.append(data))
+        faults = FaultInjector(net)
+
+        def send_then_crash():
+            ta.send("A", "app", "lost")
+            faults.fail(ta.host)
+            ta.send("A", "app", "sent while down")
+
+        sim.call_at(1.0, send_then_crash)
+        sim.call_at(2.0, faults.repair, ta.host)
+        sim.call_at(3.0, ta.send, "A", "app", "after repair")
+        sim.run(until=4.0)
+        assert got == ["after repair"]
+        assert self._self_counted(ta) == 1
+
+    def test_a_traced_send_opens_and_closes_its_span(self):
+        sim, net, ta, tb = dual_path_cluster()
+        tracer = sim.obs.install_tracer()
+        seen = []
+        ta.register("app", lambda src, data: seen.append(tracer.current))
+        ta.send("A", "app", "x")
+        sim.run(until=1.0)
+        (span,) = tracer.by_name("rudp.send")
+        assert span.attrs["peer"] == "A" and span.status == "ok"
+        assert seen == [span.ctx]  # the handler ran under the send's context
+        assert tracer.by_name("net.packet") == []
+
+
 def test_connect_bundles_the_mirrored_pairs_both_hosts_have():
     sim, net, ta, tb = dual_path_cluster()
     c = net.add_host("C")
