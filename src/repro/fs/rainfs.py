@@ -253,11 +253,13 @@ class RainFsNode:
                 self.transport.send(
                     target, RAINFS_SERVICE, ("REQ", req_id, op, args), ctx=ctx
                 )
-            fired = yield self.sim.any_of([sig, self.sim.timeout(self.rpc_timeout)])
+            timer = self.sim.timeout(self.rpc_timeout)
+            fired = yield self.sim.any_of([sig, timer])
             if fired is not sig:
                 self._pending.pop(req_id, None)
                 target = self.election.leader or self.name  # re-resolve
                 continue
+            timer.cancel()  # answered: the timeout never fires
             ok, payload = sig.value
             if ok:
                 if span is not None:

@@ -52,6 +52,60 @@ class StoreResult:
         return not self.missing
 
 
+class _Op:
+    """One store or retrieve in flight: its outstanding requests, the
+    replies not yet taken, and the one :class:`Signal` its process waits
+    on.  A reply or the deadline wakes the process once, however many
+    arrive before it runs."""
+
+    __slots__ = ("sim", "reqs", "inbox", "expired", "_wake", "_deadline")
+
+    def __init__(self, sim: Simulator):
+        self.sim = sim
+        self.reqs: dict[int, str] = {}  # request id -> node, while awaited
+        self.inbox: list[tuple[str, tuple]] = []  # (node, reply)
+        self.expired = False
+        self._wake: Optional[Signal] = None
+        self._deadline = None
+
+    def post(self, req: int, msg: tuple) -> None:
+        self.inbox.append((self.reqs.pop(req), msg))
+        self._poke()
+
+    def arm(self, delay: float) -> None:
+        """(Re)start the deadline ``delay`` seconds from now."""
+        self.disarm()
+        self._deadline = self.sim.call_in(delay, self._expire)
+
+    def disarm(self) -> None:
+        if self._deadline is not None:
+            self._deadline.cancel()
+            self._deadline = None
+
+    def _expire(self) -> None:
+        self._deadline = None
+        self.expired = True
+        self._poke()
+
+    def _poke(self) -> None:
+        wake = self._wake
+        if wake is not None and not wake.triggered:
+            wake.succeed()
+
+    def wait(self) -> Signal:
+        """The signal to yield: fires on the next reply or the deadline."""
+        wake = self._wake = Signal(self.sim)
+        if self.inbox or self.expired:
+            wake.succeed()
+        return wake
+
+    def take(self) -> tuple[list[tuple[str, tuple]], bool]:
+        """The replies since the last take, and whether the deadline hit."""
+        inbox, self.inbox = self.inbox, []
+        expired, self.expired = self.expired, False
+        return inbox, expired
+
+
 class StorageNode:
     """Per-node symbol server: holds one symbol per object."""
 
@@ -174,9 +228,9 @@ class DistributedStore:
             pending = self._pending
 
             def on_reply(src: str, msg: tuple) -> None:
-                sig = pending.pop(msg[1], None)
-                if sig is not None and not sig.triggered:
-                    sig.succeed((src, msg))
+                op = pending.pop(msg[1], None)
+                if op is not None:  # None: a late reply to a closed request
+                    op.post(msg[1], msg)
 
             transport.register(STORAGE_SERVICE + ".client", on_reply)
 
@@ -212,15 +266,24 @@ class DistributedStore:
 
     # -- wire plumbing -----------------------------------------------------
 
-    def _ask(self, node: str, msg_body: tuple, size: int = 64, ctx: Any = None) -> Signal:
+    def _ask(self, op: _Op, node: str, msg_body: tuple, size: int = 64, ctx: Any = None) -> None:
         req = next(_req_ids)
-        sig = Signal(self.sim)
-        self._pending[req] = sig
+        self._pending[req] = op
+        op.reqs[req] = node
         kind, *rest = msg_body
         self.transport.send(
             node, STORAGE_SERVICE, (kind, req, *rest), size_bytes=size, ctx=ctx
         )
-        return sig
+
+    def _forget(self, op: _Op, req: int) -> str:
+        """Stop awaiting one request; a late reply to it is ignored."""
+        self._pending.pop(req, None)
+        return op.reqs.pop(req)
+
+    def _close(self, op: _Op) -> None:
+        for req in list(op.reqs):
+            self._forget(op, req)
+        op.disarm()
 
     # -- operations --------------------------------------------------------
 
@@ -245,27 +308,24 @@ class DistributedStore:
             )
             ctx = span.ctx
         shares = self._encode(data)
-        sigs = {}
+        op = _Op(self.sim)
         for idx, node in enumerate(self.nodes):
-            sigs[node] = self._ask(
+            self._ask(
+                op,
                 node,
                 ("PUT", object_id, idx, shares[idx], len(data)),
                 size=len(shares[idx]) + 48,
                 ctx=ctx,
             )
         result = StoreResult(object_id=object_id)
-        deadline = self.sim.timeout(REQUEST_TIMEOUT)
-        remaining = dict(sigs)
-        while remaining:
-            fired = yield self.sim.any_of(list(remaining.values()) + [deadline])
-            if fired is deadline:
-                break
-            src, msg = fired.value
-            for node, sig in list(remaining.items()):
-                if sig is fired:
-                    result.acked.append(node)
-                    del remaining[node]
-        result.missing = sorted(remaining)
+        op.arm(REQUEST_TIMEOUT)  # one deadline, from launch
+        expired = False
+        while op.reqs and not expired:
+            yield op.wait()
+            replies, expired = op.take()
+            result.acked.extend(node for node, _ in replies)
+        result.missing = sorted(op.reqs.values())
+        self._close(op)
         if self._m_store_time is None:
             self._m_store_time = self._f_store_time.labels(client=self.host.name)
         self._m_store_time.observe(self.sim.now - t0)
@@ -293,45 +353,42 @@ class DistributedStore:
         collected: dict[int, bytes] = {}
         data_len: Optional[int] = None
         tried: set[str] = set()
-        inflight: dict[Any, str] = {}
+        op = _Op(self.sim)
 
-        def launch(node: str):
-            tried.add(node)
-            self.outstanding[node] += 1
-            sig = self._ask(node, ("GET", object_id), ctx=ctx)
-            inflight[sig] = node
+        def launch_next() -> None:
+            node = next((n for n in order if n not in tried), None)
+            if node is not None:
+                tried.add(node)
+                self.outstanding[node] += 1
+                self._ask(op, node, ("GET", object_id), ctx=ctx)
 
-        for node in order[: self.code.k]:
-            launch(node)
+        for _ in order[: self.code.k]:
+            launch_next()
         while len(collected) < self.code.k:
-            if not inflight:
+            if not op.reqs:
+                self._close(op)
                 if span is not None:
                     tracer.end(span, status="error", reason="unreachable")
                 raise RetrieveError(
                     f"{object_id}: only {len(collected)}/{self.code.k} symbols reachable"
                 )
-            deadline = self.sim.timeout(REQUEST_TIMEOUT)
-            fired = yield self.sim.any_of(list(inflight) + [deadline])
-            if fired is deadline:
+            op.arm(REQUEST_TIMEOUT)  # from the last wake
+            yield op.wait()
+            replies, expired = op.take()
+            for node, msg in replies:
+                self.outstanding[node] -= 1
+                if msg[0] == "GET_OK":
+                    _, _, _, idx, share, dlen = msg
+                    collected[idx] = share
+                    data_len = dlen
+                else:  # GET_MISS
+                    launch_next()
+            if expired and len(collected) < self.code.k:
                 # everyone still pending is considered failed this round
-                for sig, node in list(inflight.items()):
-                    self.outstanding[node] -= 1
-                    del inflight[sig]
-                    nxt = next((n for n in order if n not in tried), None)
-                    if nxt is not None:
-                        launch(nxt)
-                continue
-            node = inflight.pop(fired)
-            self.outstanding[node] -= 1
-            src, msg = fired.value
-            if msg[0] == "GET_OK":
-                _, _, _, idx, share, dlen = msg
-                collected[idx] = share
-                data_len = dlen
-            else:  # GET_MISS
-                nxt = next((n for n in order if n not in tried), None)
-                if nxt is not None:
-                    launch(nxt)
+                for req in list(op.reqs):
+                    self.outstanding[self._forget(op, req)] -= 1
+                    launch_next()
+        self._close(op)
         try:
             data = self._decode(collected, data_len if data_len is not None else 0)
         except DecodeError as exc:

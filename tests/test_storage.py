@@ -122,6 +122,32 @@ def test_store_reports_missing_nodes():
     assert out == b"zz"
 
 
+def test_requests_that_time_out_leave_nothing_pending():
+    # A crashed node never answers: the store gives up on it at its
+    # deadline, the retrieve rotates past it, and neither op leaves a
+    # request id behind for a reply that will never come.
+    sim, net, hosts, servers, store = storage_cluster()
+    fi = FaultInjector(net)
+    fi.fail(hosts[0])
+    result = run(sim, store.store("o", b"payload" * 20))
+    assert result.missing == ["s0"]
+    assert store._pending == {}
+    assert run(sim, store.retrieve("o"), until=60.0) == b"payload" * 20
+    assert store._pending == {}
+    for i in (1, 2):
+        fi.fail(hosts[i])
+
+    def attempt(sim):
+        try:
+            yield from store.retrieve("o")
+        except RetrieveError:
+            return "failed"
+
+    assert run(sim, attempt(sim), until=120.0) == "failed"
+    assert store._pending == {}
+    assert all(v == 0 for v in store.outstanding.values())
+
+
 def test_hot_swap_node_replacement():
     # store, lose a node, the object survives; a repaired node serves
     # again after a fresh store
