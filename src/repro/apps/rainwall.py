@@ -44,9 +44,7 @@ __all__ = ["RainwallGateway", "RainwallCluster", "VipMove"]
 
 _VIPS_KEY = "rainwall.vips"  # token attachment: {vip: owner}
 _RATES_KEY = "rainwall.rates"  # token attachment: {vip: measured mbps}
-_ADMIN_KEY = "rainwall.admin"  # token attachment: administrative policy
-# admin policy layout: {"sticky": {vip: gw}, "prefer": {vip: gw},
-#                       "moves": [(vip, gw), ...] (pending drag-and-drop)}
+_ADMIN_KEY = "rainwall.admin"  # token attachment: {vip: preferred gateway}
 
 
 @dataclass(frozen=True)
@@ -97,15 +95,7 @@ class RainwallGateway:
     def _on_token(self, token: Token) -> None:
         table: dict[str, str] = dict(token.attachments.get(_VIPS_KEY, {}))
         rates: dict[str, float] = dict(token.attachments.get(_RATES_KEY, {}))
-        admin: dict = {
-            "sticky": {},
-            "prefer": {},
-            "moves": [],
-            **token.attachments.get(_ADMIN_KEY, {}),
-        }
-        # Earlier token copies share the nested maps: edit private ones.
-        admin["sticky"] = dict(admin["sticky"])
-        admin["prefer"] = dict(admin["prefer"])
+        prefer: dict[str, str] = token.attachments.get(_ADMIN_KEY, {})
         members = [m for m in token.ring]
         # publish our local traffic measurements for the VIPs we own
         my_rates = self.cluster.measured_rates(self.name, table)
@@ -117,19 +107,14 @@ class RainwallGateway:
 
         # merge console commands (Fig. 13's GUI) submitted since the
         # last hold — whichever gateway holds the token applies them
-        for kind, vip, target in self.cluster._drain_admin():
-            if kind == "sticky":
+        commands = self.cluster._drain_admin()
+        if commands:
+            prefer = dict(prefer)  # earlier token copies share the map
+            for vip, target in commands:
                 if target is None:
-                    admin["sticky"].pop(vip, None)
+                    prefer.pop(vip, None)
                 else:
-                    admin["sticky"][vip] = target
-            elif kind == "prefer":
-                if target is None:
-                    admin["prefer"].pop(vip, None)
-                else:
-                    admin["prefer"][vip] = target
-            elif kind == "move":
-                admin["moves"] = list(admin["moves"]) + [(vip, target)]
+                    prefer[vip] = target
 
         def move(vip: str, target: str, reason: str) -> None:
             prev = table.get(vip)
@@ -139,21 +124,12 @@ class RainwallGateway:
                 loads[prev] -= rates.get(vip, 0.0)
             self.cluster.record_move(VipMove(self.sim.now, vip, prev, target, reason))
 
-        # 0. administration (Sec. 6.4): drag-and-drop moves first —
-        #    executed by whichever gateway holds the token next
-        pending = []
-        for vip, target in admin.get("moves", []):
-            if target in members and vip in self.cluster.vips:
-                move(vip, target, "manual")
-            else:
-                pending.append((vip, target))  # target down: retry later
-        admin["moves"] = pending
-        # 1. failover: every VIP must be owned by a live member; sticky
-        #    and preference assignments are honored when their machine
-        #    is healthy (VIPs always migrate off dead machines)
+        # 1. failover: every VIP must be owned by a live member;
+        #    preference assignments are honored when their machine is
+        #    healthy (VIPs always migrate off dead machines)
         for vip in self.cluster.vips:
             owner = table.get(vip)
-            want = admin["sticky"].get(vip) or admin["prefer"].get(vip)
+            want = prefer.get(vip)
             if want in members and owner != want:
                 move(vip, want, "preference" if owner in members else "failover")
                 continue
@@ -163,14 +139,14 @@ class RainwallGateway:
         # 2. load balancing (only meaningful with >1 member); sticky and
         #    preferred VIPs do not participate (Sec. 6.4)
         if len(members) > 1:
-            pinned = set(admin["sticky"]) | set(admin["prefer"]) | self.sticky
+            pinned = set(prefer) | self.sticky
             if self.mode == "request":
                 self._balance_by_request(table, rates, loads, pinned)
             else:
                 self._balance_by_assignment(table, rates, loads, pinned)
         token.attachments[_VIPS_KEY] = table
         token.attachments[_RATES_KEY] = rates
-        token.attachments[_ADMIN_KEY] = admin
+        token.attachments[_ADMIN_KEY] = prefer
         self.vip_table = dict(table)
         self.cluster.table_seen(table)
 
@@ -254,7 +230,7 @@ class RainwallCluster:
             "apps.rainwall.goodput", help="sampled cluster goodput (Mbps)"
         ).labels()
         self._latest_table: dict[str, str] = {}
-        self._admin_pending: list[tuple[str, str, Optional[str]]] = []
+        self._admin_pending: list[tuple[str, Optional[str]]] = []
         self.sim.process(self._traffic_proc(), name="rainwall:traffic")
         self.sim.process(self._sampler_proc(), name="rainwall:sampler")
 
@@ -286,14 +262,14 @@ class RainwallCluster:
 
     # -- administration console (Sec. 6.4) ---------------------------------
 
-    def _drain_admin(self) -> list[tuple[str, str, Optional[str]]]:
+    def _drain_admin(self) -> list[tuple[str, Optional[str]]]:
         ops, self._admin_pending = self._admin_pending, []
         return ops
 
     def prefer(self, vip: str, gateway: Optional[str]) -> None:
         """Give ``vip`` a home preference: it returns to ``gateway``
         whenever that machine is healthy, and is skipped by balancing."""
-        self._admin_pending.append(("prefer", vip, gateway))
+        self._admin_pending.append((vip, gateway))
 
     # -- environment processes ---------------------------------------------------
 
