@@ -164,6 +164,22 @@ def _module_name_for(path: Path) -> str:
     return ".".join(parts) if parts else path.stem
 
 
+def _module_names(files: list[Path]) -> list[str]:
+    """One module name per file; files that would share a name (two
+    ``conftest.py`` in non-package directories) are each named by their
+    whole path instead, so neither shadows the other in the index."""
+    names = [_module_name_for(p) for p in files]
+    counts: dict[str, int] = {}
+    for name in names:
+        counts[name] = counts.get(name, 0) + 1
+    return [
+        ".".join(part for part in p.with_suffix("").parts if part != "/")
+        if counts[name] > 1
+        else name
+        for p, name in zip(files, names)
+    ]
+
+
 # -- index records ------------------------------------------------------------
 
 
@@ -244,10 +260,8 @@ class ProgramIndex:
     """The whole-program symbol, class, and call-graph index."""
 
     def __init__(self) -> None:
+        #: module name -> module, one per parsed file, in file order
         self.modules: dict[str, ModuleInfo] = {}
-        #: every parsed file, also those whose module name another file
-        #: shadows (two ``conftest.py``): RL013 counts uses in all of them
-        self.parsed: list[ModuleInfo] = []
         self.functions: dict[str, FunctionInfo] = {}
         self.classes: dict[str, ClassInfo] = {}
         #: method name -> qualnames of every function so named (fallback
@@ -629,13 +643,13 @@ def _collect_class(
 def build_program_index(paths: Iterable[Union[str, Path]]) -> ProgramIndex:
     """Parse every ``.py`` under ``paths`` into one :class:`ProgramIndex`."""
     index = ProgramIndex()
-    for path in iter_python_files(paths):
+    files = iter_python_files(paths)
+    for path, name in zip(files, _module_names(files)):
         source = path.read_text(encoding="utf-8")
         try:
             tree = ast.parse(source)
         except SyntaxError:
             continue  # per-file lint reports RL000; nothing to index
-        name = _module_name_for(path)
         module = ModuleInfo(
             name=name,
             path=path.as_posix(),
@@ -707,7 +721,6 @@ def build_program_index(paths: Iterable[Union[str, Path]]) -> ProgramIndex:
                         )
                         setattr(index.functions[fq], "_self_sets", self_sets)
         index.modules[name] = module
-        index.parsed.append(module)
     # harvest function bodies (now that the symbol tables exist);
     # qualname order keeps every derived table canonical
     for info in sorted(index.functions.values(), key=lambda f: f.qualname):
@@ -1209,7 +1222,8 @@ class _ProgramLinter:
         used: set[str] = set()
         names: set[str] = set()
         receivers: dict[str, set[str]] = {}  # class -> method names used on it
-        for module in index.parsed:
+        modules = sorted(index.modules.values(), key=lambda m: m.path)
+        for module in modules:
             uses = _UseCollector(index, module, packages)
             uses.visit(module.tree)
             names |= uses.names
@@ -1218,7 +1232,7 @@ class _ProgramLinter:
                 if receiver is not None:
                     receivers.setdefault(receiver, set()).add(target.rsplit(".", 1)[1])
         candidates: list[tuple[str, int, str]] = []  # (path, line, qualname)
-        for module in index.parsed:
+        for module in modules:
             if module.name != _LIBRARY and not module.name.startswith(_LIBRARY + "."):
                 continue
             for qualname in sorted(module.functions.values()):

@@ -99,6 +99,7 @@ def test_program_dir_yields_every_program_rule_in_canonical_order():
         "RL012",
         "RL012",
         "RL013",
+        "RL009",  # shadowed/a/conftest.py
     ]
     # findings sort by (path, line, rule, ...)
     keys = [(f.path, f.line, f.rule) for f in findings]
@@ -106,6 +107,21 @@ def test_program_dir_yields_every_program_rule_in_canonical_order():
     # the one program pragma in the fixtures is RL013's (the rl009
     # fixture's RL001 pragma belongs to the per-file pass)
     assert suppressed == {"RL013": 1}
+
+
+def test_two_files_with_one_module_name_are_both_analysed():
+    # shadowed/a and shadowed/b each hold a conftest.py (no package), so
+    # both map to the module name "conftest" and define the same class.
+    # Keyed by name alone, b replaced a and a's RL009 chain went unseen.
+    shadowed = FIXTURES / "shadowed"
+    findings, _ = lint_program([shadowed])
+    assert [(f.rule, f.path, f.line) for f in findings] == [
+        ("RL009", (shadowed / "a" / "conftest.py").as_posix(), 13)
+    ]
+    index = build_program_index([shadowed])
+    assert sorted(m.path for m in index.modules.values()) == [
+        (shadowed / d / "conftest.py").as_posix() for d in "ab"
+    ]
 
 
 # -- the index itself -------------------------------------------------------
@@ -188,6 +204,7 @@ def test_lint_paths_strict_merges_program_findings():
         "RL012",
         "RL012",
         "RL013",
+        "RL009",  # shadowed/a/conftest.py
     ]
     # suppression counts merge per rule (the hidden RL001 sink pragma)
     assert strict.suppressed.get("RL001", 0) >= 1
