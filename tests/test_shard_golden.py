@@ -103,6 +103,37 @@ def test_rainfs_matches_golden_fixture():
     check_golden("shard_rainfs", rainfs_scenario(_env_shards()))
 
 
+def test_rainfs_packets_per_kind_are_pinned(monkeypatch):
+    """Exact transmits per kind in the ``rainfs`` entry (seed 7, one
+    kernel).  Acks ride on data, so a pure ack goes only where no data
+    segment carried it (104 at one pure ack per delivery); a send to
+    this host is delivered locally, so no packet goes from a node to
+    itself (6 before); hellos and data segments are what they were."""
+    from repro.channel import Segment
+    from repro.channel.monitor import HelloMsg
+    from repro.net import Network
+
+    kinds = {"hello": 0, "data": 0, "ack": 0, "self": 0}
+    transmit = Network.transmit
+
+    def tap(net, pkt):
+        msg = pkt.payload
+        if pkt.src.node == pkt.dst.node:
+            kinds["self"] += 1
+        elif isinstance(msg, HelloMsg):
+            kinds["hello"] += 1
+        elif isinstance(msg, Segment):
+            kinds["data" if msg.is_data else "ack"] += 1
+        transmit(net, pkt)
+
+    monkeypatch.setattr(Network, "transmit", tap)
+    cluster = SCENARIOS["rainfs"].run(7, 1)
+    assert kinds == {"hello": 1580, "data": 116, "ack": 52, "self": 0}
+    report = cluster.metrics(scenario="shard-rainfs", seed=7).to_dict()
+    delivered = report["metrics"]["rudp.transport.messages_delivered"]["series"]
+    assert sum(s["value"] for s in delivered) == 108
+
+
 # -- scenario 3: the 1k-node flagship ----------------------------------------
 
 #: sha256 of the canonical shard1k report JSON (seed 7).  Committed so
