@@ -87,8 +87,8 @@ def test_every_exclusion_under_packet_loss_follows_a_lost_segment():
     # Sustained 10% loss on every link.  RUDP retransmits mask a loss
     # only as fast as its backoff allows: a segment lost four times in a
     # row is resent at 0.2 + 0.4 + 0.8 + 0.8 s, past ack_timeout=2.0, so
-    # a detector *will* exclude on some seeds (9 of seeds 1-40 before
-    # acks rode on data, a different 6 after).  What must hold on every
+    # a detector *will* exclude on some seeds (6 of seeds 1-40: 7, 8,
+    # 16, 18, 24 and 39).  What must hold on every
     # seed: each exclusion of Y by X at time t follows a data segment
     # between X and Y, sent in [t - ack_timeout, t), that was lost on
     # every try before t (the TOKEN, its ACK, or one that blocks them in
